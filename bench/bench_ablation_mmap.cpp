@@ -32,7 +32,6 @@
 // `--smoke` (stripped before benchmark::Initialize) shrinks the run to
 // seconds; the `mmap`-labelled ctest smoke entry runs it that way.
 #include <cstring>
-#include <fstream>
 
 #include "common/timer.hpp"
 
@@ -69,42 +68,6 @@ MssgCluster& shared_cluster(const bench::Workload& w, bool mmap_sealed) {
 std::uint64_t pagerank_iterations() { return g_smoke ? 2 : 5; }
 constexpr int kProbes = 4;
 
-// ---- BENCH_A15.json accumulation -------------------------------------------
-
-struct JsonRow {
-  std::string name;
-  double wall_ms_mean = 0;
-  std::uint64_t iterations = 0;
-  std::map<std::string, double> counters;
-};
-
-std::vector<JsonRow>& json_rows() {
-  static std::vector<JsonRow> rows;
-  return rows;
-}
-
-void write_json(const bench::Workload& w) {
-  std::ofstream out("BENCH_A15.json");
-  out << "{\n  \"bench\": \"A15\",\n  \"dataset\": \"" << w.spec.name
-      << "\",\n  \"vertices\": " << w.spec.vertices
-      << ",\n  \"edges\": " << w.edges.size()
-      << ",\n  \"smoke\": " << (g_smoke ? "true" : "false")
-      << ",\n  \"rows\": [";
-  for (std::size_t i = 0; i < json_rows().size(); ++i) {
-    const JsonRow& row = json_rows()[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << row.name
-        << "\", \"iterations\": " << row.iterations
-        << ", \"wall_ms_mean\": " << row.wall_ms_mean << ", \"counters\": {";
-    bool first = true;
-    for (const auto& [key, value] : row.counters) {
-      out << (first ? "" : ", ") << '"' << key << "\": " << value;
-      first = false;
-    }
-    out << "}}";
-  }
-  out << "\n  ]\n}\n";
-}
-
 // Per-iteration deltas of the counters this ablation prices.  The
 // snapshot is cluster-wide (all four back-end nodes merged).
 constexpr const char* kDeltaCounters[] = {
@@ -117,7 +80,7 @@ void finish_row(benchmark::State& state, const std::string& name,
                 MssgCluster& cluster, const MetricsSnapshot& before,
                 double wall_seconds, std::uint64_t iterations,
                 std::map<std::string, double> extra = {}) {
-  JsonRow row;
+  bench::JsonRow row;
   row.name = name;
   row.iterations = iterations;
   row.wall_ms_mean =
@@ -147,7 +110,7 @@ void finish_row(benchmark::State& state, const std::string& name,
     row.counters[key] = value;
     state.counters[key] = value;
   }
-  json_rows().push_back(std::move(row));
+  bench::json_rows().push_back(std::move(row));
 }
 
 // ---- Legs ------------------------------------------------------------------
@@ -275,6 +238,6 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  write_json(w);
+  bench::write_json("A15", w, g_smoke);
   return 0;
 }

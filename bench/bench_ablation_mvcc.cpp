@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <fstream>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -137,39 +136,6 @@ LatencyStats quantiles(std::vector<double> samples_ms) {
   return stats;
 }
 
-// ---- BENCH_A16.json accumulation -------------------------------------------
-
-struct JsonRow {
-  std::string name;
-  std::map<std::string, double> counters;
-};
-
-std::vector<JsonRow>& json_rows() {
-  static std::vector<JsonRow> rows;
-  return rows;
-}
-
-void write_json(const bench::Workload& w) {
-  std::ofstream out("BENCH_A16.json");
-  out << "{\n  \"bench\": \"A16\",\n  \"dataset\": \"" << w.spec.name
-      << "\",\n  \"vertices\": " << w.spec.vertices
-      << ",\n  \"edges\": " << w.edges.size()
-      << ",\n  \"smoke\": " << (g_smoke ? "true" : "false")
-      << ",\n  \"rows\": [";
-  for (std::size_t i = 0; i < json_rows().size(); ++i) {
-    const JsonRow& row = json_rows()[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << row.name
-        << "\", \"counters\": {";
-    bool first = true;
-    for (const auto& [key, value] : row.counters) {
-      out << (first ? "" : ", ") << '"' << key << "\": " << value;
-      first = false;
-    }
-    out << "}}";
-  }
-  out << "\n  ]\n}\n";
-}
-
 constexpr const char* kDeltaCounters[] = {
     "io.reads",        "io.bytes_read",     "io.cache_hits",
     "io.cache_misses", "txn.cow_pages",     "txn.snapshot_reads",
@@ -232,7 +198,7 @@ void run_leg(benchmark::State& state, const bench::Workload& w,
   const LatencyStats lat = quantiles(latencies_ms);
   if (name == "ReadOnly") g_readonly_p99_ms = lat.p99_ms;
 
-  JsonRow row;
+  bench::JsonRow row;
   row.name = name;
   row.counters["read_p50_ms"] = lat.p50_ms;
   row.counters["read_p99_ms"] = lat.p99_ms;
@@ -258,7 +224,7 @@ void run_leg(benchmark::State& state, const bench::Workload& w,
     }
     state.counters[flat] = value;
   }
-  json_rows().push_back(std::move(row));
+  bench::json_rows().push_back(std::move(row));
 }
 
 }  // namespace
@@ -310,6 +276,6 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  write_json(w);
+  bench::write_json("A16", w, g_smoke);
   return 0;
 }

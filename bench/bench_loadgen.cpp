@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <random>
@@ -162,39 +161,6 @@ const char* mix_name(Mix m) {
   return "?";
 }
 
-// ---- BENCH_A17.json accumulation -------------------------------------------
-
-struct JsonRow {
-  std::string name;
-  std::map<std::string, double> counters;
-};
-
-std::vector<JsonRow>& json_rows() {
-  static std::vector<JsonRow> rows;
-  return rows;
-}
-
-void write_json(const bench::Workload& w) {
-  std::ofstream out("BENCH_A17.json");
-  out << "{\n  \"bench\": \"A17\",\n  \"dataset\": \"" << w.spec.name
-      << "\",\n  \"vertices\": " << w.spec.vertices
-      << ",\n  \"edges\": " << w.edges.size()
-      << ",\n  \"smoke\": " << (g_smoke ? "true" : "false")
-      << ",\n  \"rows\": [";
-  for (std::size_t i = 0; i < json_rows().size(); ++i) {
-    const JsonRow& row = json_rows()[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << row.name
-        << "\", \"counters\": {";
-    bool first = true;
-    for (const auto& [key, value] : row.counters) {
-      out << (first ? "" : ", ") << '"' << key << "\": " << value;
-      first = false;
-    }
-    out << "}}";
-  }
-  out << "\n  ]\n}\n";
-}
-
 double g_fifo_saturated_point_p99 = 0;  ///< FIFO leg runs first
 
 /// A deliberately narrow scheduler — two admission slots — so the scan
@@ -279,7 +245,7 @@ void run_leg(benchmark::State& state, const bench::Workload& w,
             .count();
   }
 
-  JsonRow row;
+  bench::JsonRow row;
   row.name = name;
   row.counters["offered_qps"] = shape.qps;
   row.counters["storm_scans"] = static_cast<double>(shape.storm_scans);
@@ -311,7 +277,7 @@ void run_leg(benchmark::State& state, const bench::Workload& w,
   for (const auto& [key, value] : row.counters) {
     state.counters[key] = value;
   }
-  json_rows().push_back(std::move(row));
+  bench::json_rows().push_back(std::move(row));
 }
 
 }  // namespace
@@ -357,6 +323,6 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  write_json(w);
+  bench::write_json("A17", w, g_smoke);
   return 0;
 }

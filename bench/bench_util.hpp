@@ -20,10 +20,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "gen/datasets.hpp"
 #include "gen/memory_graph.hpp"
@@ -326,6 +329,50 @@ inline void run_search_bucket(benchmark::State& state, const Workload& w,
                    : static_cast<double>(messages_total) /
                          static_cast<double>(queries);
   report_cluster_metrics(state, *ready.cluster);
+}
+
+// ---- BENCH_<id>.json rows --------------------------------------------------
+
+/// One row of a BENCH_<id>.json file.  Timed rows also carry their
+/// iteration count and mean wall time per iteration.
+struct JsonRow {
+  std::string name;
+  std::optional<std::uint64_t> iterations;
+  double wall_ms_mean = 0;
+  std::map<std::string, double> counters;
+};
+
+/// The rows this binary accumulated, in run order.
+inline std::vector<JsonRow>& json_rows() {
+  static std::vector<JsonRow> rows;
+  return rows;
+}
+
+/// Writes BENCH_<id>.json in the working directory: the workload header
+/// and every accumulated row.
+inline void write_json(const std::string& id, const Workload& w, bool smoke) {
+  std::ofstream out("BENCH_" + id + ".json");
+  out << "{\n  \"bench\": \"" << id << "\",\n  \"dataset\": \"" << w.spec.name
+      << "\",\n  \"vertices\": " << w.spec.vertices
+      << ",\n  \"edges\": " << w.edges.size()
+      << ",\n  \"smoke\": " << (smoke ? "true" : "false")
+      << ",\n  \"rows\": [";
+  for (std::size_t i = 0; i < json_rows().size(); ++i) {
+    const JsonRow& row = json_rows()[i];
+    out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << row.name << '"';
+    if (row.iterations) {
+      out << ", \"iterations\": " << *row.iterations
+          << ", \"wall_ms_mean\": " << row.wall_ms_mean;
+    }
+    out << ", \"counters\": {";
+    bool first = true;
+    for (const auto& [key, value] : row.counters) {
+      out << (first ? "" : ", ") << '"' << key << "\": " << value;
+      first = false;
+    }
+    out << "}}";
+  }
+  out << "\n  ]\n}\n";
 }
 
 /// Short backend labels for benchmark names.

@@ -40,11 +40,14 @@
 // engine (so --budget and sched.q<id>.* attribution apply) and decodes
 // the result vector.  The VertexProgram suite:
 //   analyze dir pagerank [iterations]
-//   analyze dir lp-cc
+//   analyze dir lp-cc                  (alias: cc)
 //   analyze dir kcore [k]
 //   analyze dir triangles
 //   analyze dir sssp <source> [target [delta [max-weight]]]
-//   analyze dir vp-bfs <source> <target>
+// and the traversals:
+//   analyze dir ms-bfs <source>... <target>   (alias: cbfs)
+//   analyze dir khop <source> <k>
+//   analyze dir bidir-bfs <source> <target>
 //
 // Every cluster command accepts --metrics: after the result it prints
 // the merged MetricsSnapshot (io.*, comm.*, bfs.*, ingest.*, ...) as a
@@ -322,7 +325,8 @@ int cmd_bfs(int argc, char** argv) {
       } else {
         std::cout << "distance " << distance;
       }
-      std::cout << " (" << outcome.result.at(1) << " edges, cache hit "
+      // ms-bfs layout, one source: distance, discovered, levels, edges.
+      std::cout << " (" << outcome.result.at(3) << " edges, cache hit "
                 << outcome.cache_hit_ratio * 100.0 << "%, " << outcome.seconds
                 << " s";
       if (outcome.truncated) std::cout << ", budget-truncated";
@@ -381,7 +385,7 @@ void print_analysis_result(const std::string& name,
               << r[2] << " edges";
     if (r[6] != 0.0) std::cout << ", budget-truncated";
     std::cout << " (" << r[7] << " s)\n";
-  } else if (name == "lp-cc" && r.size() >= 5) {
+  } else if ((name == "lp-cc" || name == "cc") && r.size() >= 5) {
     std::cout << r[0] << " components over " << r[1] << " vertices ("
               << r[2] << " rounds, " << r[3] << " edges, " << r[4] << " s)\n";
   } else if (name == "kcore" && r.size() >= 5) {
@@ -404,14 +408,6 @@ void print_analysis_result(const std::string& name,
               << " supersteps, " << r[3] << " edges";
     if (r[4] != 0.0) std::cout << ", budget-truncated";
     std::cout << ", " << r[5] << " s)\n";
-  } else if (name == "vp-bfs" && r.size() >= 4) {
-    if (static_cast<Metadata>(r[0]) == kUnvisited) {
-      std::cout << "unreachable";
-    } else {
-      std::cout << "distance " << r[0];
-    }
-    std::cout << " (" << r[1] << " edges, " << r[2] << " vertices expanded, "
-              << r[3] << " s)\n";
   } else {
     std::cout << "result:";
     for (const double v : r) std::cout << " " << v;

@@ -70,13 +70,7 @@ IngestReport MssgCluster::ingest(
 
 ClusterQueryResult MssgCluster::bfs(VertexId src, VertexId dst,
                                     BfsOptions options) {
-  if (!partitioner_->globally_known_map() &&
-      config_.decluster != DeclusterPolicy::kHashMod) {
-    // Vertex map is not globally computable: fall back to fringe
-    // broadcast unless the caller already asked for it.
-    options.map_known = false;
-  }
-
+  options.map_known = map_known();
   ClusterQueryResult result;
   result.per_node.resize(config_.backend_nodes);
   std::mutex merge_mutex;
@@ -97,16 +91,26 @@ ClusterQueryResult MssgCluster::bfs(VertexId src, VertexId dst,
   return result;
 }
 
+std::vector<double> MssgCluster::run_on_rank(
+    const std::string& name, const std::vector<std::uint64_t>& params,
+    Communicator& comm, QueryContext& ctx) {
+  GraphDB& db = *dbs_[comm.rank()];
+  // Pin this rank's committed epoch for the whole analysis: every read
+  // the rank thread makes sees exactly that epoch, no matter how far
+  // live_ingest advances meanwhile.  With snapshots off begin_snapshot()
+  // returns nullptr and the scope is a no-op.
+  SnapshotScope snapshot(db.begin_snapshot());
+  ctx.map_known = map_known();
+  return queries_.run(name, comm, db, params, ctx);
+}
+
 std::vector<double> MssgCluster::run_analysis(
     const std::string& name, const std::vector<std::uint64_t>& params) {
   std::vector<double> rank0;
-  std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
-    auto result = queries_.run(name, comm, *dbs_[comm.rank()], params);
-    if (comm.rank() == 0) {
-      std::lock_guard lock(merge_mutex);
-      rank0 = std::move(result);
-    }
+    QueryContext ctx;
+    std::vector<double> result = run_on_rank(name, params, comm, ctx);
+    if (comm.rank() == 0) rank0 = std::move(result);
   });
   return rank0;
 }
@@ -122,22 +126,13 @@ QueryScheduler::Ticket MssgCluster::submit_analysis(
 QueryScheduler::Ticket MssgCluster::submit_analysis(
     const std::string& name, const std::vector<std::uint64_t>& params,
     SubmitOptions options) {
-  // Concurrent-safe analyses share the cluster; legacy analyses mutate
-  // the per-node metadata stores, so they are admitted exclusively
-  // regardless of what the caller put in `options`.
-  options.exclusive = !queries_.is_concurrent(name);
+  // The registry decides admission.  An unknown name runs shared and
+  // fails inside the job, so the error arrives through the outcome.
+  const QueryService::Analysis* analysis = queries_.find(name);
+  options.exclusive = analysis != nullptr && analysis->exclusive;
   return scheduler_->submit(
       [this, name, params](Communicator& comm, QueryContext& ctx) {
-        GraphDB& db = *dbs_[comm.rank()];
-        // Pin this rank's committed epoch for the whole analysis: every
-        // read the rank thread makes sees exactly that epoch, no matter
-        // how far live_ingest advances meanwhile.  With snapshots off
-        // begin_snapshot() returns nullptr and the scope is a no-op.
-        SnapshotScope snapshot(db.begin_snapshot());
-        if (queries_.is_concurrent(name)) {
-          return queries_.run_concurrent(name, comm, db, params, ctx);
-        }
-        return queries_.run(name, comm, db, params);
+        return run_on_rank(name, params, comm, ctx);
       },
       options);
 }
@@ -179,10 +174,7 @@ QueryOutcome MssgCluster::await_query(const QueryScheduler::Ticket& ticket) {
 
 MsBfsStats MssgCluster::ms_bfs(std::span<const VertexId> sources, VertexId dst,
                                MsBfsOptions options) {
-  if (!partitioner_->globally_known_map() &&
-      config_.decluster != DeclusterPolicy::kHashMod) {
-    options.map_known = false;
-  }
+  options.map_known = map_known();
   MsBfsStats result;
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
@@ -204,29 +196,15 @@ MsBfsStats MssgCluster::ms_bfs(std::span<const VertexId> sources, VertexId dst,
   return result;
 }
 
-KHopStats MssgCluster::khop(VertexId src, Metadata k, BfsOptions options) {
-  if (!partitioner_->globally_known_map() &&
-      config_.decluster != DeclusterPolicy::kHashMod) {
-    options.map_known = false;
-  }
-  KHopStats result;
-  std::mutex merge_mutex;
-  run_cluster(world_, [&](Communicator& comm) {
-    BfsOptions node_options = options;
-    node_options.metrics = registries_[comm.rank()].get();
-    const auto stats =
-        parallel_khop(comm, *dbs_[comm.rank()], src, k, node_options);
-    std::lock_guard lock(merge_mutex);
-    result.vertices_within = stats.vertices_within;  // globally consistent
-    result.edges_scanned += stats.edges_scanned;
-    result.seconds = std::max(result.seconds, stats.seconds);
-  });
-  return result;
+KHopStats MssgCluster::khop(VertexId src, Metadata k) {
+  MSSG_CHECK(k >= 0);
+  const MsBfsStats stats = ms_bfs({&src, 1}, kInvalidVertex, {.max_levels = k});
+  return KHopStats{stats.discovered[0], stats.edges_scanned, stats.seconds};
 }
 
 ClusterQueryResult MssgCluster::bidirectional_bfs(VertexId src, VertexId dst,
                                                   BfsOptions options) {
-  MSSG_CHECK(partitioner_->globally_known_map());
+  MSSG_CHECK(map_known());
   ClusterQueryResult result;
   result.per_node.resize(config_.backend_nodes);
   std::mutex merge_mutex;
@@ -262,12 +240,11 @@ DistributedGraphStats MssgCluster::graph_stats() {
 }
 
 CcStats MssgCluster::connected_components() {
-  MSSG_CHECK(partitioner_->globally_known_map());
+  MSSG_CHECK(map_known());
   CcStats result;
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
-    const auto stats =
-        parallel_connected_components(comm, *dbs_[comm.rank()]);
+    const auto stats = parallel_label_cc(comm, *dbs_[comm.rank()]);
     MetricsRegistry& reg = *registries_[comm.rank()];
     reg.counter("cc.runs") += 1;
     reg.counter("cc.iterations") += stats.iterations;

@@ -5,6 +5,12 @@
 // directory), the Ingestion service between them, and the Query service
 // running SPMD over the back-ends.  This is the class the examples and
 // benches drive; the individual services remain usable standalone.
+//
+// Registered analyses reach the back-ends through one run path
+// (run_analysis directly, submit_analysis through the scheduler): each
+// rank pins its committed epoch and gets the owner-map flag this class
+// derives from its declustering policy, so the registry answers the
+// same as the direct traversals on every policy.
 #pragma once
 
 #include <memory>
@@ -17,9 +23,9 @@
 #include "graphdb/graphdb.hpp"
 #include "ingest/decluster.hpp"
 #include "ingest/ingest_service.hpp"
+#include "query/analytics.hpp"
 #include "query/bfs.hpp"
 #include "query/bidirectional_bfs.hpp"
-#include "query/connected_components.hpp"
 #include "query/graph_stats_analysis.hpp"
 #include "query/ms_bfs.hpp"
 #include "query/query_scheduler.hpp"
@@ -49,6 +55,14 @@ struct ClusterConfig {
   /// Concurrent query engine: how many concurrent-safe analyses may run
   /// at once, and the per-query token budget (0 = unlimited).
   QuerySchedulerConfig scheduler;
+};
+
+/// K-hop neighborhood: distinct vertices within k hops of the source,
+/// the source excluded.
+struct KHopStats {
+  std::uint64_t vertices_within = 0;
+  std::uint64_t edges_scanned = 0;  ///< summed over nodes
+  double seconds = 0;               ///< max over nodes (wall time)
 };
 
 /// Aggregated result of one distributed query.
@@ -90,28 +104,32 @@ class MssgCluster {
   /// snapshots see the writes.
   void commit_all();
 
-  /// Runs a distributed BFS over all back-end nodes.
+  /// Runs a distributed BFS over all back-end nodes.  Like every
+  /// traversal below, it broadcasts its fringes when the declustering
+  /// policy gives no globally known owner map (options.map_known is
+  /// derived here, whatever the caller set).
   ClusterQueryResult bfs(VertexId src, VertexId dst, BfsOptions options = {});
 
   /// Runs any registered analysis; returns rank 0's result vector.
+  /// Shares submit_analysis's run path (owner-map flag, snapshot pin)
+  /// with an inert context: no budget, metrics or cache attribution.
   std::vector<double> run_analysis(const std::string& name,
                                    const std::vector<std::uint64_t>& params);
 
   /// Submits a registered analysis to the concurrent query engine and
-  /// returns immediately.  Concurrent-safe analyses (ms-bfs, cbfs, and
-  /// the VertexProgram suite: pagerank, lp-cc, kcore, triangles, sssp,
-  /// vp-bfs) share the cluster with up to `scheduler.max_inflight`
-  /// peers; anything else is admitted exclusively.  `token_budget`
-  /// overrides the scheduler's per-query budget for this query only (an
-  /// explicit 0 fails admission).  Await the ticket for the outcome.
+  /// returns immediately.  Every analysis shares the cluster with up to
+  /// `scheduler.max_inflight` peers except `bfs` and `pipelined-bfs`,
+  /// which write the metadata store and are admitted exclusively.
+  /// `token_budget` overrides the scheduler's per-query budget for this
+  /// query only (an explicit 0 fails admission).  Await the ticket for
+  /// the outcome.
   QueryScheduler::Ticket submit_analysis(
       const std::string& name, const std::vector<std::uint64_t>& params,
       std::optional<std::uint64_t> token_budget = std::nullopt);
 
   /// Full-control submission for the serving front-end: the analysis
   /// runs with the given priority/deadline/budget (SubmitOptions).  The
-  /// exclusive flag is decided by the registry — a legacy analysis is
-  /// always admitted exclusively, whatever the caller set.
+  /// exclusive flag is decided by the registry, whatever the caller set.
   QueryScheduler::Ticket submit_analysis(
       const std::string& name, const std::vector<std::uint64_t>& params,
       SubmitOptions options);
@@ -137,16 +155,19 @@ class MssgCluster {
   MsBfsStats ms_bfs(std::span<const VertexId> sources, VertexId dst,
                     MsBfsOptions options = {});
 
-  /// Counts the distinct vertices within k hops of src.
-  KHopStats khop(VertexId src, Metadata k, BfsOptions options = {});
+  /// Counts the distinct vertices within k hops of src: a one-source
+  /// ms_bfs with no target and max_levels = k.
+  KHopStats khop(VertexId src, Metadata k);
 
   /// Bidirectional point-to-point search (meets in the middle; far fewer
-  /// edges scanned than bfs() on long paths).
+  /// edges scanned than bfs() on long paths).  Requires the default
+  /// hash-mod declustering.
   ClusterQueryResult bidirectional_bfs(VertexId src, VertexId dst,
                                        BfsOptions options = {});
 
-  /// Labels connected components across the cluster (requires the
-  /// default hash-mod declustering).
+  /// Labels connected components across the cluster with the
+  /// label-propagation kernel (requires the default hash-mod
+  /// declustering).
   CcStats connected_components();
 
   /// Global statistics of the stored graph (Table 5.1 columns).
@@ -189,6 +210,18 @@ class MssgCluster {
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
  private:
+  /// owner(v) = v mod p holds on every node: only hash-mod declustering
+  /// computes placement from the id alone.
+  [[nodiscard]] bool map_known() const {
+    return partitioner_->globally_known_map();
+  }
+
+  /// The one analysis run path (run_analysis and submit_analysis): this
+  /// rank's committed epoch pinned, the derived owner-map flag in `ctx`.
+  std::vector<double> run_on_rank(const std::string& name,
+                                  const std::vector<std::uint64_t>& params,
+                                  Communicator& comm, QueryContext& ctx);
+
   ClusterConfig config_;
   std::optional<TempDir> owned_root_;
   std::shared_ptr<SharedVertexMap> vertex_map_;

@@ -322,75 +322,6 @@ class SsspProgram final : public VertexProgram {
   std::vector<VertexId> wake_scratch_;
 };
 
-// ---------------------------------------------------------------------------
-// BFS kernel
-
-class VpBfsProgram final : public VertexProgram {
- public:
-  VpBfsProgram(VertexId src, VertexId dst) : src_(src), dst_(dst) {}
-
-  std::uint64_t init(VertexId v, bool& active) override {
-    if (v == src_) {
-      active = true;
-      return 0;
-    }
-    active = false;
-    return kInfiniteDistance;
-  }
-
-  [[nodiscard]] bool has_combiner() const override { return true; }
-  [[nodiscard]] std::uint64_t combine(std::uint64_t a,
-                                      std::uint64_t b) const override {
-    return a < b ? a : b;
-  }
-
-  void scatter(VertexId v, std::uint64_t& state,
-               std::span<const VertexId> neighbors,
-               MessageSink& sink) override {
-    for (const VertexId u : neighbors) {
-      if (u == v) continue;
-      sink.emit(u, state + 1);
-    }
-  }
-
-  bool apply(VertexId v, std::uint64_t& state,
-             std::span<const std::uint64_t> messages,
-             std::span<const VertexId> /*neighbors*/) override {
-    if (messages.empty() || state != kInfiniteDistance) return false;
-    const std::uint64_t level = messages.front();
-    if (v == dst_) {
-      // Mirror parallel_oocbfs: the destination is never marked visited
-      // or expanded; the superstep epilogue broadcasts the find.
-      found_level_ = std::min(found_level_, level);
-      return false;
-    }
-    state = level;
-    return true;
-  }
-
-  [[nodiscard]] std::uint64_t aggregate() const override {
-    return found_level_;
-  }
-
-  void set_aggregate(std::uint64_t global_min) override {
-    global_found_ = std::min(global_found_, global_min);
-    if (global_min != kInfiniteDistance) halt_ = true;
-  }
-
-  [[nodiscard]] bool keep_running(std::uint64_t /*superstep*/) const override {
-    return !halt_;
-  }
-
-  [[nodiscard]] std::uint64_t global_found() const { return global_found_; }
-
- private:
-  const VertexId src_;
-  const VertexId dst_;
-  std::uint64_t found_level_ = kInfiniteDistance;
-  std::uint64_t global_found_ = kInfiniteDistance;
-  bool halt_ = false;
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -539,29 +470,6 @@ SsspStats parallel_sssp(
   });
   stats.reached = comm.allreduce_sum(local_reached);
   stats.distance = comm.allreduce_min(local_target);
-  return stats;
-}
-
-VpBfsStats vertex_program_bfs(Communicator& comm, GraphDB& db, VertexId src,
-                              VertexId dst,
-                              const VertexProgramOptions& options) {
-  VpBfsStats stats;
-  if (src == dst) {
-    stats.distance = 0;
-    return stats;
-  }
-  VpBfsProgram program(src, dst);
-  VertexProgramEngine engine(comm, db, options);
-  const VertexProgramStats run = engine.run(program);
-
-  stats.supersteps = run.supersteps;
-  stats.edges_scanned = run.edges_scanned;
-  stats.vertices_expanded = run.vertices_scattered;
-  stats.truncated = run.truncated;
-  stats.seconds = run.seconds;
-  if (program.global_found() != kInfiniteDistance) {
-    stats.distance = static_cast<Metadata>(program.global_found());
-  }
   return stats;
 }
 

@@ -2,17 +2,17 @@
 // VertexProgram kernel over the semi-external-memory engine
 // (query/vertex_program.hpp) instead of a bespoke copy of the BFS
 // skeleton: PageRank, label-propagation connected components, k-core
-// decomposition, triangle counting, and delta-stepping SSSP, plus the
-// single-source BFS re-expressed as a kernel (vertex_program_bfs).
+// decomposition, triangle counting, and delta-stepping SSSP.
 //
 // All entries are collective across the communicator's ranks, keep
 // their state query-private (never the GraphDB metadata store), and are
-// registered as concurrent QueryService analyses, so the scheduler may
-// run any mix of them at once against one cluster.  They require
+// registered as shared QueryService analyses, so the scheduler may run
+// any mix of them at once against one cluster.  They require
 // vertex-granularity hash-mod declustering with the globally known
-// owner map (the experiments' standard configuration) and a symmetrized
-// edge set (both orientations stored, the ingest default) for the
-// undirected semantics (CC, k-core, triangles) to be meaningful.
+// owner map (the experiments' standard configuration; the registry
+// refuses other clusters with a UsageError) and a symmetrized edge set
+// (both orientations stored, the ingest default) for the undirected
+// semantics (CC, k-core, triangles) to be meaningful.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "graphdb/graphdb.hpp"
-#include "query/connected_components.hpp"
 #include "query/vertex_program.hpp"
 #include "runtime/comm.hpp"
 
@@ -62,6 +61,14 @@ PageRankStats parallel_pagerank(
 
 // ---------------------------------------------------------------------------
 // Connected components (label propagation)
+
+struct CcStats {
+  std::uint64_t components = 0;   ///< global count, consistent on all ranks
+  std::uint64_t vertices = 0;     ///< global stored vertex count
+  std::uint64_t iterations = 0;   ///< propagation supersteps until convergence
+  std::uint64_t edges_scanned = 0;  ///< this rank
+  double seconds = 0;
+};
 
 /// Min-label propagation as a VertexProgram kernel; the engine's
 /// rank-ordered merge makes the converged labels — and every counter —
@@ -154,26 +161,5 @@ SsspStats parallel_sssp(Communicator& comm, GraphDB& db,
                         const SsspOptions& options = {},
                         std::vector<std::pair<VertexId, std::uint64_t>>*
                             local_distances = nullptr);
-
-// ---------------------------------------------------------------------------
-// Single-source BFS as a kernel
-
-struct VpBfsStats {
-  Metadata distance = kUnvisited;  ///< hops src -> dst, globally consistent
-  std::uint64_t supersteps = 0;
-  std::uint64_t edges_scanned = 0;      ///< this rank
-  std::uint64_t vertices_expanded = 0;  ///< this rank
-  bool truncated = false;
-  double seconds = 0;
-};
-
-/// The paper's point-to-point BFS re-expressed as a VertexProgram
-/// instance: query-private visited state (concurrent-safe, unlike the
-/// metadata-store legacy), level-synchronous, halts the superstep after
-/// the destination is discovered.  Distances match parallel_oocbfs
-/// exactly (the equivalence suite asserts it).
-VpBfsStats vertex_program_bfs(Communicator& comm, GraphDB& db, VertexId src,
-                              VertexId dst,
-                              const VertexProgramOptions& options = {});
 
 }  // namespace mssg

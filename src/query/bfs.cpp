@@ -12,10 +12,6 @@ namespace mssg {
 
 namespace {
 
-constexpr int kFringeTag = 100;    // one message per peer per level (Alg 1)
-constexpr int kChunkTag = 101;     // eager chunks (Alg 2)
-constexpr int kLevelEndTag = 102;  // per-level chunk-stream terminator
-
 /// Shared per-query state and helpers for both algorithms.
 class BfsRun {
  public:
@@ -166,7 +162,7 @@ bool BfsRun::discover_pipelined(VertexId u, Metadata next_level) {
     // ("N_0 will be the broadcast queue").
     buckets_[0].push_back(u);
     if (bucket_full(buckets_[0])) {
-      comm_.broadcast(kChunkTag, pack_fringe(buckets_[0]));
+      comm_.broadcast(kBfsChunkTag, pack_fringe(buckets_[0]));
       stats_.fringe_messages += comm_.size() - 1;
       buckets_[0].clear();
     }
@@ -178,7 +174,7 @@ bool BfsRun::discover_pipelined(VertexId u, Metadata next_level) {
     } else {
       buckets_[q].push_back(u);
       if (bucket_full(buckets_[q])) {
-        comm_.send(q, kChunkTag, pack_fringe(buckets_[q]));
+        comm_.send(q, kBfsChunkTag, pack_fringe(buckets_[q]));
         ++stats_.fringe_messages;
         buckets_[q].clear();
       }
@@ -199,7 +195,7 @@ void BfsRun::merge_candidate(VertexId u, Metadata next_level) {
 }
 
 void BfsRun::poll_chunks(Metadata next_level) {
-  while (auto msg = comm_.try_recv(kChunkTag)) {
+  while (auto msg = comm_.try_recv(kBfsChunkTag)) {
     for (const VertexId u : unpack_fringe(msg->payload)) {
       merge_candidate(u, next_level);
     }
@@ -255,26 +251,26 @@ BfsStats BfsRun::execute() {
       // Flush residual buckets, then terminate this level's chunk stream.
       if (!options_.map_known) {
         if (!buckets_[0].empty()) {
-          comm_.broadcast(kChunkTag, pack_fringe(buckets_[0]));
+          comm_.broadcast(kBfsChunkTag, pack_fringe(buckets_[0]));
           stats_.fringe_messages += p - 1;
         }
       } else {
         for (Rank q = 0; q < p; ++q) {
           if (q == comm_.rank() || buckets_[q].empty()) continue;
-          comm_.send(q, kChunkTag, pack_fringe(buckets_[q]));
+          comm_.send(q, kBfsChunkTag, pack_fringe(buckets_[q]));
           ++stats_.fringe_messages;
         }
       }
       for (Rank q = 0; q < p; ++q) {
-        if (q != comm_.rank()) comm_.send(q, kLevelEndTag, {});
+        if (q != comm_.rank()) comm_.send(q, kBfsLevelEndTag, {});
       }
       // Drain chunks until every peer has ended its level.
       for (int ends = 0; ends < p - 1;) {
         const Message msg = comm_.recv();
-        if (msg.tag == kLevelEndTag) {
+        if (msg.tag == kBfsLevelEndTag) {
           ++ends;
         } else {
-          MSSG_CHECK(msg.tag == kChunkTag);
+          MSSG_CHECK(msg.tag == kBfsChunkTag);
           for (const VertexId u : unpack_fringe(msg.payload)) {
             merge_candidate(u, levcnt);
           }
@@ -297,12 +293,12 @@ BfsStats BfsRun::execute() {
         // broadcast it (one shared payload, p-1 references) and merge
         // everyone else's.  pack_fringe sorts it in place — canonical
         // order for the wire and for next level's expansion alike.
-        comm_.broadcast(kFringeTag, pack_fringe(next_fringe_));
+        comm_.broadcast(kBfsFringeTag, pack_fringe(next_fringe_));
         stats_.fringe_messages += p - 1;
       } else {
         for (Rank q = 0; q < p; ++q) {
           if (q == comm_.rank()) continue;
-          comm_.send(q, kFringeTag, pack_fringe(buckets_[q]));
+          comm_.send(q, kBfsFringeTag, pack_fringe(buckets_[q]));
           ++stats_.fringe_messages;
         }
       }
@@ -312,7 +308,7 @@ BfsStats BfsRun::execute() {
       // rank order keeps every counter a pure function of the seed.
       for (Rank q = 0; q < p; ++q) {
         if (q == comm_.rank()) continue;
-        const Message msg = comm_.recv(kFringeTag, q);
+        const Message msg = comm_.recv(kBfsFringeTag, q);
         const std::size_t merged_from = next_fringe_.size();
         // Directed sends: we own every received u.  Broadcast mode:
         // everyone merges everyone's discoveries.  Same merge either way.
@@ -352,30 +348,6 @@ BfsStats parallel_oocbfs(Communicator& comm, GraphDB& db, VertexId src,
                          VertexId dst, const BfsOptions& options) {
   BfsRun run(comm, db, src, dst, options);
   return run.execute();
-}
-
-KHopStats parallel_khop(Communicator& comm, GraphDB& db, VertexId src,
-                        Metadata k, BfsOptions options) {
-  MSSG_CHECK(k >= 0);
-  Timer timer;
-  options.max_levels = k;
-  // kInvalidVertex is never a neighbor, so the search runs the full k
-  // levels (or until the frontier empties).
-  BfsRun run(comm, db, src, kInvalidVertex, options);
-  const BfsStats stats = run.execute();
-
-  KHopStats result;
-  result.edges_scanned = stats.edges_scanned;
-  if (options.map_known) {
-    // Owned counts are disjoint across ranks.
-    result.vertices_within = comm.allreduce_sum(stats.discovered_owned);
-  } else {
-    // Every rank tracked the full frontier; counts agree.
-    result.vertices_within =
-        comm.allreduce_max(stats.discovered_owned);
-  }
-  result.seconds = timer.seconds();
-  return result;
 }
 
 }  // namespace mssg

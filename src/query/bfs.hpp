@@ -30,6 +30,7 @@ struct BfsOptions {
   /// Vertex-granularity storage with owner(v) = v mod p known everywhere
   /// (the experiments' configuration).  When false, fringes broadcast and
   /// every rank expands the full frontier against its partial adjacency.
+  /// MssgCluster overwrites it from its declustering policy.
   bool map_known = true;
   /// Use Algorithm 2 (pipelined sends) instead of Algorithm 1.
   bool pipelined = false;
@@ -73,18 +74,5 @@ struct BfsStats {
 /// `levels` are globally consistent.
 BfsStats parallel_oocbfs(Communicator& comm, GraphDB& db, VertexId src,
                          VertexId dst, const BfsOptions& options = {});
-
-/// K-hop neighborhood analysis: the number of distinct vertices within
-/// `k` hops of `src` (excluding src itself).  Collective; all ranks get
-/// the global count.  A second Query-service analysis built on the same
-/// out-of-core machinery as the BFS.
-struct KHopStats {
-  std::uint64_t vertices_within = 0;  ///< global, consistent on all ranks
-  std::uint64_t edges_scanned = 0;    ///< this rank
-  double seconds = 0;
-};
-
-KHopStats parallel_khop(Communicator& comm, GraphDB& db, VertexId src,
-                        Metadata k, BfsOptions options = {});
 
 }  // namespace mssg

@@ -11,7 +11,6 @@ namespace mssg {
 
 namespace {
 
-constexpr int kBidirFringeTag = 120;
 constexpr std::uint64_t kNoMeeting = ~std::uint64_t{0};
 
 }  // namespace

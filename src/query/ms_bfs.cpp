@@ -15,11 +15,6 @@ namespace mssg {
 
 namespace {
 
-// Distinct from the single-source BFS tags (100..102): a scheduler may
-// interleave analyses over split() sub-worlds, but a stray shared-world
-// run must still never cross streams with parallel_oocbfs.
-constexpr int kMsFringeTag = 120;  // one (vertex, mask) message per peer/level
-
 class MsBfsRun {
  public:
   MsBfsRun(Communicator& comm, GraphDB& db, std::span<const VertexId> sources,
@@ -187,7 +182,7 @@ void MsBfsRun::exchange_fringe() {
     // Broadcast mode: ship the locally discovered pairs to everyone.
     pair_scratch_.clear();
     for (const auto& [u, mask] : next_) pair_scratch_.emplace_back(u, mask);
-    comm_.broadcast(kMsFringeTag, pack_pairs(pair_scratch_));
+    comm_.broadcast(kMsBfsFringeTag, pack_pairs(pair_scratch_));
     stats_.fringe_messages += p - 1;
   } else {
     for (Rank q = 0; q < p; ++q) {
@@ -196,7 +191,7 @@ void MsBfsRun::exchange_fringe() {
       pair_scratch_.clear();
       for (const auto& [u, mask] : bucket) pair_scratch_.emplace_back(u, mask);
       bucket.clear();
-      comm_.send(q, kMsFringeTag, pack_pairs(pair_scratch_));
+      comm_.send(q, kMsBfsFringeTag, pack_pairs(pair_scratch_));
       ++stats_.fringe_messages;
     }
   }
@@ -205,7 +200,7 @@ void MsBfsRun::exchange_fringe() {
   std::vector<VertexPair> received;
   for (Rank q = 0; q < p; ++q) {
     if (q == comm_.rank()) continue;
-    const Message msg = comm_.recv(kMsFringeTag, q);
+    const Message msg = comm_.recv(kMsBfsFringeTag, q);
     decode_pair_set(msg.payload, received);
     if (options_.metrics != nullptr) {
       options_.metrics->histogram("codec.decode_bytes")

@@ -11,6 +11,12 @@
 // of these analyses can run concurrently against one GraphDB (the
 // metadata store is a single shared level[] array — concurrent queries
 // would corrupt each other's visited sets there).
+//
+// Registry entries built on it (query_service.cpp): `ms-bfs` takes
+// params {src0, ..., srcN-1, dst}, sources first and the target last;
+// `cbfs` is the same entry under a second name, so {src, dst} is the
+// concurrent single-source BFS; `khop` {src, k} is one source with
+// dst = kInvalidVertex and max_levels = k.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +35,8 @@ class MetricsRegistry;
 struct MsBfsOptions {
   /// Vertex-granularity storage with owner(v) = v mod p known everywhere.
   /// When false, fringe pairs broadcast and every rank tracks the full
-  /// frontier against its partial adjacency.
+  /// frontier against its partial adjacency.  MssgCluster overwrites it
+  /// from its declustering policy.
   bool map_known = true;
   /// Wire format for the (vertex, mask) fringe pairs.
   WireFormat wire = WireFormat::kDelta;

@@ -6,11 +6,12 @@
 // running many traversals concurrently over a shared page cache.  The
 // scheduler provides the missing machinery:
 //
-//  - Admission control: at most `max_inflight` concurrent-safe queries
-//    run at once.  Analyses that mutate shared per-node state (the
-//    GraphDB metadata store used by the legacy single-source searches)
-//    submit as *exclusive* and run alone; pending exclusive queries gate
-//    new shared admissions so they cannot starve.
+//  - Admission control: at most `max_inflight` shared queries run at
+//    once.  Work that mutates shared per-node state — the GraphDB
+//    metadata (visited) store written by Algorithms 1 and 2, the `bfs`
+//    and `pipelined-bfs` analyses — submits as *exclusive* and runs
+//    alone; pending exclusive queries gate new shared admissions so they
+//    cannot starve.
 //  - Stream isolation: each admitted query runs on a CommWorld::split()
 //    sub-world — private mailboxes, barrier, and collective scratch — so
 //    interleaved queries cannot cross message streams.
@@ -69,6 +70,11 @@ struct QueryContext {
   QueryBudget* budget = nullptr;
   MetricsRegistry* metrics = nullptr;
   CacheAttribution* attribution = nullptr;
+  /// owner(v) = v mod p holds on every rank (hash-mod declustering).
+  /// Derived by MssgCluster from its partitioner, never set by a user:
+  /// when false, traversals broadcast their fringes and analyses that
+  /// need the owner map refuse to run.
+  bool map_known = true;
 };
 
 /// A collective analysis body: invoked once per rank on the query's
@@ -98,6 +104,7 @@ struct QueryOutcome {
 /// token budget.
 struct SubmitOptions {
   /// Exclusive queries mutate shared per-node state and run alone.
+  /// MssgCluster::submit_analysis overwrites this from the registry.
   bool exclusive = false;
   /// Admission order is (priority desc, submission order asc); higher
   /// runs sooner.  The serving front-end maps point lookups above
@@ -139,10 +146,9 @@ class QueryScheduler {
   };
 
   /// Enqueues a query.  Returns immediately; the query runs on its own
-  /// runner thread once admitted.  `exclusive` marks analyses that touch
-  /// shared mutable per-node state (GraphDB metadata store) and must run
-  /// alone; concurrent-safe analyses (ms_bfs-family, vertex programs)
-  /// submit shared.
+  /// runner thread once admitted.  `exclusive` marks work that writes
+  /// shared per-node state (the GraphDB metadata store) and must run
+  /// alone; everything else submits shared.
   ///
   /// `token_budget` overrides the config's per-query budget for this
   /// query only.  An explicit budget of 0 FAILS ADMISSION cleanly: the

@@ -4,8 +4,8 @@
 
 #include "common/serial.hpp"
 #include "query/analytics.hpp"
+#include "query/bfs.hpp"
 #include "query/bidirectional_bfs.hpp"
-#include "query/connected_components.hpp"
 #include "query/graph_stats_analysis.hpp"
 #include "query/ms_bfs.hpp"
 
@@ -13,42 +13,64 @@ namespace mssg {
 
 namespace {
 
-/// The scheduler context's budget and rank-private registry, threaded
-/// into a VertexProgram engine run.
-VertexProgramOptions vp_options(QueryContext& ctx) {
+/// The context's budget and rank-private registry, threaded into a
+/// VertexProgram engine run.  The engine routes by owner(v) = v mod p,
+/// so on any other declustering the suite refuses to run instead of
+/// returning a wrong answer.
+VertexProgramOptions vp_options(const QueryContext& ctx) {
+  if (!ctx.map_known) {
+    throw UsageError(
+        "VertexProgram analyses need hash-mod declustering "
+        "(owner(v) = v mod p)");
+  }
   VertexProgramOptions options;
   options.metrics = ctx.metrics;
   options.budget = ctx.budget;
   return options;
 }
-std::vector<double> bfs_analysis(Communicator& comm, GraphDB& db,
-                                 const std::vector<std::uint64_t>& params,
-                                 bool pipelined) {
-  MSSG_CHECK(params.size() >= 2);
-  BfsOptions options;
-  options.pipelined = pipelined;
-  if (params.size() >= 3) options.map_known = params[2] != 0;
-  const BfsStats stats =
-      parallel_oocbfs(comm, db, params[0], params[1], options);
+
+MsBfsOptions msbfs_options(const QueryContext& ctx) {
+  MsBfsOptions options;
+  options.map_known = ctx.map_known;
+  options.metrics = ctx.metrics;
+  options.budget = ctx.budget;
+  return options;
+}
+
+/// {distance, edges_scanned, vertices_expanded, seconds}; the counts are
+/// this rank's (rank 0's in the outcome).
+std::vector<double> bfs_row(const BfsStats& stats) {
   return {static_cast<double>(stats.distance),
           static_cast<double>(stats.edges_scanned),
           static_cast<double>(stats.vertices_expanded), stats.seconds};
 }
 
-// params: {dest, src0, src1, ...} -> {distance x n, discovered x n,
+// params: {source, dest} -> bfs_row.  Algorithms 1 and 2 keep their
+// visited set in the GraphDB metadata store: registered exclusive.
+std::vector<double> bfs_analysis(Communicator& comm, GraphDB& db,
+                                 const std::vector<std::uint64_t>& params,
+                                 const QueryContext& ctx, bool pipelined) {
+  MSSG_CHECK(params.size() >= 2);
+  BfsOptions options;
+  options.pipelined = pipelined;
+  options.map_known = ctx.map_known;
+  options.metrics = ctx.metrics;
+  return bfs_row(parallel_oocbfs(comm, db, params[0], params[1], options));
+}
+
+// params: {src0, src1, ..., dest} -> {distance x n, discovered x n,
 // levels, edges_scanned, adjacency_fetches, shared_scans_saved,
 // truncated, seconds}.  Counts are global (allreduced); dest may be
-// kInvalidVertex for pure multi-source exploration.
+// kInvalidVertex for pure multi-source exploration.  Also registered as
+// `cbfs`, the concurrent single-source BFS ({source, dest}).
 std::vector<double> msbfs_analysis(Communicator& comm, GraphDB& db,
                                    const std::vector<std::uint64_t>& params,
                                    QueryContext& ctx) {
   MSSG_CHECK(params.size() >= 2);
-  const VertexId dst = params[0];
-  const std::vector<VertexId> sources(params.begin() + 1, params.end());
-  MsBfsOptions options;
-  options.metrics = ctx.metrics;
-  options.budget = ctx.budget;
-  const MsBfsStats stats = parallel_msbfs(comm, db, sources, dst, options);
+  const VertexId dst = params.back();
+  const std::vector<VertexId> sources(params.begin(), params.end() - 1);
+  const MsBfsStats stats =
+      parallel_msbfs(comm, db, sources, dst, msbfs_options(ctx));
   std::vector<double> out;
   out.reserve(2 * sources.size() + 6);
   for (const Metadata d : stats.distance) out.push_back(d);
@@ -65,45 +87,74 @@ std::vector<double> msbfs_analysis(Communicator& comm, GraphDB& db,
   out.push_back(stats.seconds);
   return out;
 }
+
+// params: none -> {components, vertices, iterations, edges_scanned,
+// seconds}: label-propagation CC.  Also registered as `cc`.
+std::vector<double> cc_analysis(Communicator& comm, GraphDB& db,
+                                const std::vector<std::uint64_t>& /*params*/,
+                                QueryContext& ctx) {
+  const CcStats stats = parallel_label_cc(comm, db, vp_options(ctx));
+  return {static_cast<double>(stats.components),
+          static_cast<double>(stats.vertices),
+          static_cast<double>(stats.iterations),
+          static_cast<double>(comm.allreduce_sum(stats.edges_scanned)),
+          stats.seconds};
+}
+
 }  // namespace
 
 QueryService::QueryService() {
-  register_analysis("bfs", [](Communicator& comm, GraphDB& db,
-                              const std::vector<std::uint64_t>& params) {
-    return bfs_analysis(comm, db, params, /*pipelined=*/false);
-  });
-  register_analysis("pipelined-bfs",
-                    [](Communicator& comm, GraphDB& db,
-                       const std::vector<std::uint64_t>& params) {
-                      return bfs_analysis(comm, db, params, /*pipelined=*/true);
-                    });
-  // params: {source, k [, map_known]} -> {vertices_within, edges_scanned,
-  // seconds}
+  register_analysis(
+      "bfs",
+      [](Communicator& comm, GraphDB& db,
+         const std::vector<std::uint64_t>& params, QueryContext& ctx) {
+        return bfs_analysis(comm, db, params, ctx, /*pipelined=*/false);
+      },
+      /*exclusive=*/true);
+  register_analysis(
+      "pipelined-bfs",
+      [](Communicator& comm, GraphDB& db,
+         const std::vector<std::uint64_t>& params, QueryContext& ctx) {
+        return bfs_analysis(comm, db, params, ctx, /*pipelined=*/true);
+      },
+      /*exclusive=*/true);
+  register_analysis("ms-bfs", msbfs_analysis);
+  register_analysis("cbfs", msbfs_analysis);
+  // params: {source, k} -> {vertices_within, edges_scanned, seconds}: a
+  // one-source ms-bfs with no target and max_levels = k.
   register_analysis("khop", [](Communicator& comm, GraphDB& db,
-                               const std::vector<std::uint64_t>& params) {
+                               const std::vector<std::uint64_t>& params,
+                               QueryContext& ctx) {
+    MSSG_CHECK(params.size() >= 2);
+    const auto k = static_cast<Metadata>(params[1]);
+    MSSG_CHECK(k >= 0);
+    MsBfsOptions options = msbfs_options(ctx);
+    options.max_levels = k;
+    const VertexId src = params[0];
+    const MsBfsStats stats =
+        parallel_msbfs(comm, db, {&src, 1}, kInvalidVertex, options);
+    return std::vector<double>{
+        static_cast<double>(stats.discovered[0]),
+        static_cast<double>(comm.allreduce_sum(stats.edges_scanned)),
+        stats.seconds};
+  });
+  // params: {source, dest} -> bfs_row.  The two level maps are local to
+  // the algorithm; routing needs the owner map (UsageError otherwise).
+  register_analysis("bidir-bfs", [](Communicator& comm, GraphDB& db,
+                                    const std::vector<std::uint64_t>& params,
+                                    QueryContext& ctx) {
     MSSG_CHECK(params.size() >= 2);
     BfsOptions options;
-    if (params.size() >= 3) options.map_known = params[2] != 0;
-    const KHopStats stats = parallel_khop(
-        comm, db, params[0], static_cast<Metadata>(params[1]), options);
-    return std::vector<double>{static_cast<double>(stats.vertices_within),
-                               static_cast<double>(stats.edges_scanned),
-                               stats.seconds};
+    options.map_known = ctx.map_known;
+    options.metrics = ctx.metrics;
+    return bfs_row(
+        bidirectional_oocbfs(comm, db, params[0], params[1], options));
   });
-  // params: {source, dest} -> same layout as "bfs"
-  register_analysis("bidir-bfs", [](Communicator& comm, GraphDB& db,
-                                    const std::vector<std::uint64_t>& params) {
-    MSSG_CHECK(params.size() >= 2);
-    const BfsStats stats =
-        bidirectional_oocbfs(comm, db, params[0], params[1]);
-    return std::vector<double>{static_cast<double>(stats.distance),
-                               static_cast<double>(stats.edges_scanned),
-                               static_cast<double>(stats.vertices_expanded),
-                               stats.seconds};
-  });
-  // params: none -> {vertices, directed_edges, min_deg, max_deg, avg_deg}
+  // params: none -> {vertices, directed_edges, min_deg, max_deg, avg_deg}:
+  // a read-only for_each_vertex scan.
   register_analysis("stats", [](Communicator& comm, GraphDB& db,
-                                const std::vector<std::uint64_t>&) {
+                                const std::vector<std::uint64_t>&,
+                                QueryContext&) {
     const DistributedGraphStats stats = parallel_graph_stats(comm, db);
     return std::vector<double>{static_cast<double>(stats.vertices),
                                static_cast<double>(stats.directed_edges),
@@ -111,24 +162,14 @@ QueryService::QueryService() {
                                static_cast<double>(stats.max_degree),
                                stats.avg_degree};
   });
-  // params: none -> {components, vertices, iterations, seconds}
-  register_analysis("cc", [](Communicator& comm, GraphDB& db,
-                             const std::vector<std::uint64_t>&) {
-    const CcStats stats = parallel_connected_components(comm, db);
-    return std::vector<double>{static_cast<double>(stats.components),
-                               static_cast<double>(stats.vertices),
-                               static_cast<double>(stats.iterations),
-                               stats.seconds};
-  });
-  register_concurrent("ms-bfs", msbfs_analysis);
-  // The VertexProgram analytics suite.  All keep query-private state
-  // (never the GraphDB metadata store), so any mix may share a cluster.
+  // The VertexProgram analytics suite: query-private state, hash-mod
+  // clusters only (vp_options).
   //
   // params: {iterations=10} -> {vertices, supersteps, edges_scanned,
   // top_vertex, top_rank, rank_sum, truncated, seconds}.  Counts global.
-  register_concurrent("pagerank", [](Communicator& comm, GraphDB& db,
-                                     const std::vector<std::uint64_t>& params,
-                                     QueryContext& ctx) {
+  register_analysis("pagerank", [](Communicator& comm, GraphDB& db,
+                                   const std::vector<std::uint64_t>& params,
+                                   QueryContext& ctx) {
     PageRankOptions options;
     options.engine = vp_options(ctx);
     if (!params.empty() && params[0] != 0) options.iterations = params[0];
@@ -143,25 +184,13 @@ QueryService::QueryService() {
         stats.truncated ? 1.0 : 0.0,
         stats.seconds};
   });
-  // params: none -> {components, vertices, iterations, edges_scanned,
-  // seconds} — the label-propagation CC on the concurrent path (the
-  // exclusive "cc" entry runs the same kernel standalone).
-  register_concurrent("lp-cc", [](Communicator& comm, GraphDB& db,
-                                  const std::vector<std::uint64_t>&,
-                                  QueryContext& ctx) {
-    const CcStats stats = parallel_label_cc(comm, db, vp_options(ctx));
-    return std::vector<double>{
-        static_cast<double>(stats.components),
-        static_cast<double>(stats.vertices),
-        static_cast<double>(stats.iterations),
-        static_cast<double>(comm.allreduce_sum(stats.edges_scanned)),
-        stats.seconds};
-  });
+  register_analysis("lp-cc", cc_analysis);
+  register_analysis("cc", cc_analysis);
   // params: {k=2} -> {core_vertices, rounds, edges_scanned, truncated,
   // seconds}
-  register_concurrent("kcore", [](Communicator& comm, GraphDB& db,
-                                  const std::vector<std::uint64_t>& params,
-                                  QueryContext& ctx) {
+  register_analysis("kcore", [](Communicator& comm, GraphDB& db,
+                                const std::vector<std::uint64_t>& params,
+                                QueryContext& ctx) {
     KCoreOptions options;
     options.engine = vp_options(ctx);
     if (!params.empty()) options.k = static_cast<std::uint32_t>(params[0]);
@@ -174,9 +203,9 @@ QueryService::QueryService() {
         stats.seconds};
   });
   // params: none -> {triangles, wedge_checks, edges_scanned, seconds}
-  register_concurrent("triangles", [](Communicator& comm, GraphDB& db,
-                                      const std::vector<std::uint64_t>&,
-                                      QueryContext& ctx) {
+  register_analysis("triangles", [](Communicator& comm, GraphDB& db,
+                                    const std::vector<std::uint64_t>&,
+                                    QueryContext& ctx) {
     const TriangleStats stats =
         parallel_triangle_count(comm, db, vp_options(ctx));
     return std::vector<double>{
@@ -188,9 +217,9 @@ QueryService::QueryService() {
   // params: {source [, target [, delta [, max_weight]]]} -> {distance
   // (-1 unreached/no target), reached, supersteps, edges_scanned,
   // truncated, seconds}
-  register_concurrent("sssp", [](Communicator& comm, GraphDB& db,
-                                 const std::vector<std::uint64_t>& params,
-                                 QueryContext& ctx) {
+  register_analysis("sssp", [](Communicator& comm, GraphDB& db,
+                               const std::vector<std::uint64_t>& params,
+                               QueryContext& ctx) {
     MSSG_CHECK(!params.empty());
     SsspOptions options;
     options.engine = vp_options(ctx);
@@ -211,26 +240,6 @@ QueryService::QueryService() {
         stats.truncated ? 1.0 : 0.0,
         stats.seconds};
   });
-  // params: {source, dest} -> same layout as "bfs" (distance,
-  // edges_scanned, vertices_expanded, seconds): the single-source BFS as
-  // a VertexProgram instance, differential-tested against the legacy
-  // metadata-store search.
-  register_concurrent("vp-bfs", [](Communicator& comm, GraphDB& db,
-                                   const std::vector<std::uint64_t>& params,
-                                   QueryContext& ctx) {
-    MSSG_CHECK(params.size() >= 2);
-    const VpBfsStats stats =
-        vertex_program_bfs(comm, db, params[0], params[1], vp_options(ctx));
-    return std::vector<double>{
-        static_cast<double>(stats.distance),
-        static_cast<double>(comm.allreduce_sum(stats.edges_scanned)),
-        static_cast<double>(comm.allreduce_sum(stats.vertices_expanded)),
-        stats.seconds};
-  });
-  // params: {source, dest} -> same layout as "bfs" (distance,
-  // edges_scanned, adjacency_fetches, seconds), but runs on the
-  // concurrent path: query-private visited state, so many may share one
-  // cluster.
   // params: {k [, iterations]} -> {v0, rank0, v1, rank1, ...}: the
   // global top-k PageRank vertices ordered by (rank desc, vertex asc).
   // PageRank's ranks are bit-identical across rank counts (sorted-fold
@@ -238,9 +247,9 @@ QueryService::QueryService() {
   // the whole result — is a pure function of the graph: the query
   // language's `RANK TOP k` differential-tests against this byte for
   // byte.  iterations 0 (or absent) = the PageRank default.
-  register_concurrent("toprank", [](Communicator& comm, GraphDB& db,
-                                    const std::vector<std::uint64_t>& params,
-                                    QueryContext& ctx) {
+  register_analysis("toprank", [](Communicator& comm, GraphDB& db,
+                                  const std::vector<std::uint64_t>& params,
+                                  QueryContext& ctx) {
     MSSG_CHECK(!params.empty());
     const std::uint64_t k = params[0];
     PageRankOptions options;
@@ -282,61 +291,32 @@ QueryService::QueryService() {
     }
     return out;
   });
-  register_concurrent("cbfs", [](Communicator& comm, GraphDB& db,
-                                 const std::vector<std::uint64_t>& params,
-                                 QueryContext& ctx) {
-    MSSG_CHECK(params.size() >= 2);
-    const std::vector<std::uint64_t> reordered = {params[1], params[0]};
-    const std::vector<double> full = msbfs_analysis(comm, db, reordered, ctx);
-    // distance, discovered, levels, edges, fetches, saved, trunc, secs
-    return std::vector<double>{full[0], full[3], full[4], full[7]};
-  });
 }
 
-void QueryService::register_analysis(const std::string& name, AnalysisFn fn) {
-  analyses_[name] = std::move(fn);
+void QueryService::register_analysis(const std::string& name, AnalysisFn fn,
+                                     bool exclusive) {
+  analyses_[name] = Analysis{std::move(fn), exclusive};
 }
 
-void QueryService::register_concurrent(const std::string& name,
-                                       ConcurrentAnalysisFn fn) {
-  concurrent_[name] = std::move(fn);
+const QueryService::Analysis* QueryService::find(
+    const std::string& name) const {
+  const auto it = analyses_.find(name);
+  return it == analyses_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> QueryService::names() const {
-  // Merge the two sorted registries so the listing stays sorted overall.
   std::vector<std::string> result;
-  result.reserve(analyses_.size() + concurrent_.size());
-  for (const auto& [name, fn] : analyses_) result.push_back(name);
-  for (const auto& [name, fn] : concurrent_) result.push_back(name);
-  std::sort(result.begin(), result.end());
+  result.reserve(analyses_.size());
+  for (const auto& [name, analysis] : analyses_) result.push_back(name);
   return result;
 }
 
 std::vector<double> QueryService::run(
     const std::string& name, Communicator& comm, GraphDB& db,
-    const std::vector<std::uint64_t>& params) const {
-  auto it = analyses_.find(name);
-  if (it == analyses_.end()) {
-    // A concurrent-safe analysis also runs standalone: give it an inert
-    // context (no budget, no metrics, no attribution).
-    auto cit = concurrent_.find(name);
-    if (cit == concurrent_.end()) {
-      throw UsageError("unknown analysis: " + name);
-    }
-    QueryContext ctx;
-    return cit->second(comm, db, params, ctx);
-  }
-  return it->second(comm, db, params);
-}
-
-std::vector<double> QueryService::run_concurrent(
-    const std::string& name, Communicator& comm, GraphDB& db,
     const std::vector<std::uint64_t>& params, QueryContext& ctx) const {
-  auto it = concurrent_.find(name);
-  if (it == concurrent_.end()) {
-    throw UsageError("unknown concurrent analysis: " + name);
-  }
-  return it->second(comm, db, params, ctx);
+  const Analysis* analysis = find(name);
+  if (analysis == nullptr) throw UsageError("unknown analysis: " + name);
+  return analysis->fn(comm, db, params, ctx);
 }
 
 }  // namespace mssg

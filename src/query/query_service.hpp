@@ -2,7 +2,16 @@
 // "All implemented data analysis techniques are registered with the
 // system and can be queried by the user."  An analysis runs SPMD on
 // every back-end node against the local GraphDB, communicating through
-// the node's Communicator.
+// the node's Communicator, under a per-query QueryContext (budget,
+// rank-private metrics, cache attribution, and the cluster's derived
+// owner-map flag).
+//
+// One table, one signature: MssgCluster::run_analysis and
+// MssgCluster::submit_analysis both run an entry through run().  Each
+// entry says whether it must be admitted exclusively, which is true
+// only when it writes the GraphDB metadata (visited) store — the
+// paper's Algorithms 1 and 2 (`bfs`, `pipelined-bfs`).  Every other
+// built-in keeps its state query-private and shares the cluster.
 #pragma once
 
 #include <functional>
@@ -12,60 +21,53 @@
 
 #include "common/error.hpp"
 #include "graphdb/graphdb.hpp"
-#include "query/bfs.hpp"
 #include "query/query_scheduler.hpp"
 #include "runtime/comm.hpp"
 
 namespace mssg {
 
-/// Generic analysis signature: (comm, local db, parameters) -> per-rank
-/// result encoded as doubles (analyses define their own layout).
+/// Analysis signature: (comm, local db, parameters, per-query context)
+/// -> per-rank result encoded as doubles (analyses define their own
+/// layout, documented at each registration).
 using AnalysisFn = std::function<std::vector<double>(
-    Communicator&, GraphDB&, const std::vector<std::uint64_t>& params)>;
-
-/// Concurrent-safe analysis signature: same contract plus the scheduler's
-/// per-query context (budget, rank-private metrics, cache attribution).
-/// An analysis registered here promises NOT to mutate shared per-node
-/// state (in particular the GraphDB metadata store), so the scheduler may
-/// admit several at once against one cluster.
-using ConcurrentAnalysisFn = std::function<std::vector<double>(
     Communicator&, GraphDB&, const std::vector<std::uint64_t>& params,
     QueryContext& ctx)>;
 
 class QueryService {
  public:
-  /// Registers the built-in analyses (bfs, pipelined-bfs).
+  struct Analysis {
+    AnalysisFn fn;
+    /// Writes shared per-node state (the metadata store): the scheduler
+    /// admits it alone.
+    bool exclusive = false;
+  };
+
+  /// Registers the built-in analyses.
   QueryService();
 
-  void register_analysis(const std::string& name, AnalysisFn fn);
-  void register_concurrent(const std::string& name, ConcurrentAnalysisFn fn);
+  /// Adds or replaces an analysis.
+  void register_analysis(const std::string& name, AnalysisFn fn,
+                         bool exclusive = false);
 
   [[nodiscard]] bool has(const std::string& name) const {
-    return analyses_.contains(name) || concurrent_.contains(name);
+    return analyses_.contains(name);
   }
 
-  /// True when `name` is registered as concurrent-safe (shared
-  /// admission); plain analyses must run exclusively.
-  [[nodiscard]] bool is_concurrent(const std::string& name) const {
-    return concurrent_.contains(name);
-  }
+  /// The registered entry, or nullptr for an unknown name.
+  [[nodiscard]] const Analysis* find(const std::string& name) const;
 
+  /// Registered names, sorted.
   [[nodiscard]] std::vector<std::string> names() const;
 
-  /// Runs a registered analysis on this rank.  Collective across the
-  /// communicator's ranks.
+  /// Runs a registered analysis on this rank; throws UsageError for an
+  /// unknown name.  Collective across the communicator's ranks.
   std::vector<double> run(const std::string& name, Communicator& comm,
                           GraphDB& db,
-                          const std::vector<std::uint64_t>& params) const;
-
-  /// Runs a concurrent-safe analysis under a scheduler-issued context.
-  std::vector<double> run_concurrent(
-      const std::string& name, Communicator& comm, GraphDB& db,
-      const std::vector<std::uint64_t>& params, QueryContext& ctx) const;
+                          const std::vector<std::uint64_t>& params,
+                          QueryContext& ctx) const;
 
  private:
-  std::map<std::string, AnalysisFn> analyses_;
-  std::map<std::string, ConcurrentAnalysisFn> concurrent_;
+  std::map<std::string, Analysis> analyses_;
 };
 
 }  // namespace mssg

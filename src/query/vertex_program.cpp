@@ -11,15 +11,6 @@
 
 namespace mssg {
 
-namespace {
-
-// Distinct from the BFS (100..102), CC (110) and MS-BFS (120) streams:
-// a stray shared-world engine run must never cross wires with the
-// legacy analyses.
-constexpr int kVertexProgramTag = 130;
-
-}  // namespace
-
 // Scatter-phase message router.  Messages for peer ranks accumulate in
 // per-owner buckets (pre-combined when the kernel has a combiner, so
 // the wire carries one pair per (rank, target)); messages this rank

@@ -15,6 +15,19 @@ namespace mssg {
 inline constexpr int kAnyTag = -1;
 inline constexpr Rank kAnyRank = -1;
 
+/// Tags of the query layer's SPMD streams: one distinct range per
+/// traversal, so a stray run on a shared world can never cross streams
+/// with another (the scheduler additionally gives each query a private
+/// sub-world).
+enum QueryTag : int {
+  kBfsFringeTag = 100,      ///< Algorithm 1: one fringe message per peer/level
+  kBfsChunkTag = 101,       ///< Algorithm 2: eager fringe chunks
+  kBfsLevelEndTag = 102,    ///< Algorithm 2: per-level chunk-stream terminator
+  kBidirFringeTag = 110,    ///< bidirectional BFS fringe
+  kMsBfsFringeTag = 120,    ///< MS-BFS (vertex, mask) fringe
+  kVertexProgramTag = 130,  ///< VertexProgram engine message pairs
+};
+
 struct Message {
   int tag = 0;
   Rank source = -1;

@@ -276,13 +276,11 @@ PlanResult plan_statement(const Statement& statement) {
     case Statement::Kind::kPath:
       plan.query_class = QueryClass::kTraversal;
       // One concurrent BFS per consecutive leg; only the distance (index
-      // 0 of the cbfs layout {distance, edges, fetches, seconds}) is
-      // rendered, so leg results stay deterministic.
+      // 0 of the cbfs layout) is rendered, so leg results stay
+      // deterministic.
       for (std::size_t i = 0; i + 1 < statement.vertices.size(); ++i) {
         plan.steps.push_back(AnalysisStep{
-            "cbfs",
-            {statement.vertices[i], statement.vertices[i + 1]},
-            /*drop_trailing=*/3});
+            "cbfs", {statement.vertices[i], statement.vertices[i + 1]}, 0});
       }
       break;
     case Statement::Kind::kRank:
@@ -302,7 +300,6 @@ PlanResult plan_statement(const Statement& statement) {
       break;
     case Statement::Kind::kStats:
       plan.query_class = QueryClass::kScan;
-      plan.exclusive = true;  // legacy analysis: runs alone
       plan.steps.push_back(AnalysisStep{"stats", {}, 0});
       break;
   }

@@ -31,8 +31,9 @@
 //                     over all of a plan's sched.q<id>.* rows);
 //   RANK TOP k     -> "toprank" (PageRank + deterministic global top-k);
 //   CC             -> "lp-cc"; COUNT TRIANGLES -> "triangles";
-//   STATS          -> "stats" (the one exclusive plan: full-graph scan
-//                     over the shared metadata path).
+//   STATS          -> "stats" (a read-only full-graph scan).
+// Every step runs shared: the registry marks only Algorithms 1 and 2
+// exclusive, and no plan uses them.
 //
 // Each analysis step declares how many trailing wall-clock values to
 // drop from its result: rendered plan results carry only deterministic
@@ -116,7 +117,6 @@ struct AnalysisStep {
 struct Plan {
   Statement statement;
   QueryClass query_class = QueryClass::kPoint;
-  bool exclusive = false;  ///< STATS only: runs alone on the cluster
   std::vector<AnalysisStep> steps;
 
   /// One-line human description ("path legs=3 class=traversal").

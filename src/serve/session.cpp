@@ -198,7 +198,6 @@ const ClassPolicy& ServeSession::policy(QueryClass c) const {
 
 SubmitOptions ServeSession::options_for(const Plan& plan) const {
   SubmitOptions options;
-  options.exclusive = plan.exclusive;
   options.token_budget = config_.token_budget;
   if (!config_.fifo) {
     const ClassPolicy& p = policy(plan.query_class);

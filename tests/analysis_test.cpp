@@ -83,15 +83,7 @@ TEST(BfsWithPrefetch, MatchesPlainBfs) {
 
 // ---- K-hop analysis --------------------------------------------------------
 
-/// Reference k-hop count on the in-memory graph.
-std::uint64_t reference_khop(const MemoryGraph& g, VertexId src, Metadata k) {
-  const auto levels = g.bfs_levels(src);
-  std::uint64_t count = 0;
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    if (v != src && levels[v] != kUnvisited && levels[v] <= k) ++count;
-  }
-  return count;
-}
+using testing::reference_khop;
 
 TEST(KHop, MatchesReferenceOnPath) {
   // 0-1-2-3-4-5 path.

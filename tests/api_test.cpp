@@ -19,7 +19,7 @@ TEST(QueryServiceApi, BuiltInAnalysesListed) {
   const std::vector<std::string> expected{
       "bfs",           "bidir-bfs", "cbfs",      "cc",        "kcore",
       "khop",          "lp-cc",     "ms-bfs",    "pagerank",  "pipelined-bfs",
-      "sssp",          "stats",     "toprank",   "triangles", "vp-bfs"};
+      "sssp",          "stats",     "toprank",   "triangles"};
   EXPECT_EQ(names, expected);  // names() is sorted
   for (const auto& name : expected) EXPECT_TRUE(service.has(name));
   EXPECT_FALSE(service.has("page-rank"));
@@ -31,22 +31,31 @@ TEST(QueryServiceApi, BfsAnalysisValidatesParams) {
   auto comm = world.comm(0);
   TempDir dir;
   auto db = testing::make_db(Backend::kHashMap, dir);
-  EXPECT_THROW(service.run("bfs", comm, *db, {}), UsageError);
-  EXPECT_THROW(service.run("bfs", comm, *db, {1}), UsageError);
-  EXPECT_THROW(service.run("khop", comm, *db, {1}), UsageError);
+  QueryContext ctx;
+  EXPECT_THROW(service.run("bfs", comm, *db, {}, ctx), UsageError);
+  EXPECT_THROW(service.run("bfs", comm, *db, {1}, ctx), UsageError);
+  EXPECT_THROW(service.run("khop", comm, *db, {1}, ctx), UsageError);
+  // k is a Metadata level bound: a value that wraps negative is refused.
+  EXPECT_THROW(service.run("khop", comm, *db, {1, 0xFFFFFFFFu}, ctx),
+               UsageError);
+  EXPECT_THROW(service.run("page-rank", comm, *db, {}, ctx), UsageError);
 }
 
 TEST(QueryServiceApi, ReRegisteringReplacesAnalysis) {
   QueryService service;
   service.register_analysis("bfs", [](Communicator&, GraphDB&,
-                                      const std::vector<std::uint64_t>&) {
+                                      const std::vector<std::uint64_t>&,
+                                      QueryContext&) {
     return std::vector<double>{42.0};
   });
   CommWorld world(1);
   auto comm = world.comm(0);
   TempDir dir;
   auto db = testing::make_db(Backend::kHashMap, dir);
-  EXPECT_EQ(service.run("bfs", comm, *db, {}), std::vector<double>{42.0});
+  QueryContext ctx;
+  EXPECT_EQ(service.run("bfs", comm, *db, {}, ctx), std::vector<double>{42.0});
+  // The replacement carries its own admission flag.
+  EXPECT_FALSE(service.find("bfs")->exclusive);
 }
 
 TEST(BfsOptionCombos, PrefetchPlusPipelined) {

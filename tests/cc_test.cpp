@@ -8,7 +8,6 @@
 #include "gen/generators.hpp"
 #include "gen/memory_graph.hpp"
 #include "mssg/mssg.hpp"
-#include "query/connected_components.hpp"
 #include "test_util.hpp"
 
 namespace mssg {

@@ -140,7 +140,7 @@ TEST(MsBfsEquivalence, RawAndDeltaWiresAgreeOnEveryCounter) {
 
 TEST(MsBfsEquivalence, DiscoveredCountsMatchKHopAnalysis) {
   // dst = kInvalidVertex with a level cap is exactly the k-hop analysis,
-  // batched: discovered[s] must equal parallel_khop(src_s, k).
+  // batched: discovered[s] must equal the reference k-hop count of src_s.
   constexpr Metadata kHops = 3;
   MsBfsCluster cluster(4, 6200);
   const auto pairs = sample_random_pairs(*cluster.reference, 5, 41);
@@ -154,14 +154,8 @@ TEST(MsBfsEquivalence, DiscoveredCountsMatchKHopAnalysis) {
   ASSERT_EQ(per_rank[0].discovered.size(), sources.size());
 
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    CommWorld world(cluster.nodes);
-    std::uint64_t khop_count = 0;
-    run_cluster(world, [&](Communicator& comm) {
-      const KHopStats stats = parallel_khop(
-          comm, *cluster.dbs[comm.rank()], sources[s], kHops, BfsOptions{});
-      if (comm.rank() == 0) khop_count = stats.vertices_within;
-    });
-    EXPECT_EQ(per_rank[0].discovered[s], khop_count)
+    EXPECT_EQ(per_rank[0].discovered[s],
+              testing::reference_khop(*cluster.reference, sources[s], kHops))
         << "source " << sources[s];
   }
 }

@@ -158,7 +158,7 @@ TEST(Cluster, CustomAnalysisCanBeRegistered) {
   // Degree-count analysis: total adjacency entries across the cluster.
   cluster.queries().register_analysis(
       "degree", [](Communicator& comm, GraphDB& db,
-                   const std::vector<std::uint64_t>& params) {
+                   const std::vector<std::uint64_t>& params, QueryContext&) {
         std::vector<VertexId> out;
         db.get_adjacency(params[0], out);
         const auto total = comm.allreduce_sum(out.size());

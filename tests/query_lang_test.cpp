@@ -1,6 +1,6 @@
 // The serving front-end test wall (ISSUE 10).
 //
-// Four suites, all under the `serve` ctest label (both sanitizer
+// Five suites, all under the `serve` ctest label (both sanitizer
 // presets via tools/ci_sanitize.sh):
 //
 //  - QueryLangParse / QueryLangFuzz: the lexer/parser/planner. Every
@@ -15,11 +15,15 @@
 //    direct QueryService / point-lookup APIs — across all six backends
 //    and 1/2/4-node clusters.  ServeLiveIngest repeats the differential
 //    under snapshot-isolated live ingest.
+//  - ServeDecluster: the registry and the serve layer on edge- and
+//    vertex-round-robin clusters — traversals broadcast and match the
+//    in-memory reference, owner-map analyses refuse with a UsageError.
 //  - ServeScheduler: the SLO invariants.  A point lookup queued behind
 //    running scans is admitted ahead of earlier-queued scans; a queued
 //    query expires AT its deadline instead of starving; expiry/rejection
 //    releases slots, budgets and cache-attribution scopes; serve.* and
-//    sched.* counters balance.
+//    sched.* counters balance; only Algorithms 1 and 2 are admitted
+//    exclusively.
 //  - ServeAccounting: plans that fan into several scheduler jobs sum
 //    correctly over their sched.q<id>.* rows, and exact-fit token
 //    budgets complete without a phantom truncation flag.
@@ -27,6 +31,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <random>
 #include <set>
 #include <sstream>
@@ -101,7 +107,6 @@ TEST(QueryLangParse, PlanShapesMatchTheContract) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.plan->query_class, QueryClass::kPoint);
     EXPECT_TRUE(r.plan->steps.empty());  // session-driven point lookup
-    EXPECT_FALSE(r.plan->exclusive);
   }
   {
     // Depth 1 is a point lookup; depth >= 2 is a bounded traversal.
@@ -116,7 +121,10 @@ TEST(QueryLangParse, PlanShapesMatchTheContract) {
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.plan->query_class, QueryClass::kTraversal);
     ASSERT_EQ(r.plan->steps.size(), 3u);
-    for (const auto& step : r.plan->steps) EXPECT_EQ(step.analysis, "cbfs");
+    for (const auto& step : r.plan->steps) {
+      EXPECT_EQ(step.analysis, "cbfs");
+      EXPECT_EQ(step.drop_trailing, 0u);  // the leg reads index 0 only
+    }
     EXPECT_EQ(r.plan->steps[1].params, (std::vector<std::uint64_t>{2, 3}));
   }
   EXPECT_EQ(serve::compile_query("RANK TOP 4").plan->steps.at(0).analysis,
@@ -127,7 +135,7 @@ TEST(QueryLangParse, PlanShapesMatchTheContract) {
   {
     const auto r = serve::compile_query("STATS");
     ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.plan->exclusive);  // the one full-scan exclusive plan
+    EXPECT_EQ(r.plan->steps.at(0).analysis, "stats");
     EXPECT_EQ(r.plan->query_class, QueryClass::kScan);
     EXPECT_FALSE(r.plan->describe().empty());
   }
@@ -558,6 +566,69 @@ TEST(ServeLiveIngest, ConcurrentLookupsSeeCommittedPrefixes) {
   EXPECT_EQ(session.execute("GET 0").values, direct_get(cluster, 0));
 }
 
+// ---- Registry and serve off hash-mod declustering --------------------------
+// Round-robin placement gives no owner(v) = v mod p map: the registry
+// must run its traversals in broadcast mode (same answers as the
+// in-memory reference) and refuse the analyses that need the map.
+
+TEST(ServeDecluster, RegistryAndServeMatchReferenceOffHashMod) {
+  ChungLuConfig gen{.vertices = 250, .edges = 1000, .seed = 131};
+  const auto edges = generate_chung_lu(gen);
+  const MemoryGraph reference(gen.vertices, edges);
+  const auto pairs = sample_random_pairs(reference, 12, 137);
+  ASSERT_FALSE(pairs.empty());
+
+  for (const DeclusterPolicy policy :
+       {DeclusterPolicy::kEdgeRoundRobin, DeclusterPolicy::kVertexRoundRobin}) {
+    SCOPED_TRACE(policy == DeclusterPolicy::kEdgeRoundRobin
+                     ? "edge round-robin"
+                     : "vertex round-robin");
+    ClusterConfig config;
+    config.backend = Backend::kHashMap;
+    config.backend_nodes = 3;
+    config.decluster = policy;
+    MssgCluster cluster(config);
+    cluster.ingest(edges);
+    ServeSession session(cluster);
+
+    for (const auto& pair : pairs) {
+      SCOPED_TRACE(::testing::Message() << pair.src << "->" << pair.dst);
+      const auto expected = static_cast<double>(pair.distance);
+      const std::vector<std::uint64_t> params{pair.src, pair.dst};
+      EXPECT_EQ(cluster.run_analysis("bfs", params).at(0), expected);
+      EXPECT_EQ(cluster.run_analysis("pipelined-bfs", params).at(0), expected);
+      EXPECT_EQ(cluster.run_analysis("cbfs", params).at(0), expected);
+      const QueryOutcome scheduled =
+          cluster.await_query(cluster.submit_analysis("bfs", params));
+      ASSERT_TRUE(scheduled.ok()) << scheduled.error;
+      EXPECT_EQ(scheduled.result.at(0), expected);
+      const ServeResult path = session.execute(
+          "PATH " + std::to_string(pair.src) + " " + std::to_string(pair.dst));
+      ASSERT_TRUE(path.ok()) << path.error;
+      EXPECT_EQ(path.values.at(0), expected);
+      EXPECT_EQ(cluster.run_analysis("khop", {pair.src, 2}).at(0),
+                static_cast<double>(
+                    testing::reference_khop(reference, pair.src, 2)));
+    }
+    EXPECT_EQ(cluster.khop(pairs[0].src, 2).vertices_within,
+              testing::reference_khop(reference, pairs[0].src, 2));
+
+    for (const auto& [name, params] :
+         std::vector<std::pair<std::string, std::vector<std::uint64_t>>>{
+             {"bidir-bfs", {pairs[0].src, pairs[0].dst}},
+             {"cc", {}},
+             {"lp-cc", {}},
+             {"pagerank", {}},
+             {"sssp", {pairs[0].src}}}) {
+      EXPECT_THROW(cluster.run_analysis(name, params), UsageError) << name;
+      EXPECT_FALSE(cluster.await_query(cluster.submit_analysis(name, params))
+                       .ok())
+          << name;
+    }
+    EXPECT_FALSE(session.execute("CC").ok());
+  }
+}
+
 // ---- Scheduler invariants ---------------------------------------------------
 
 /// A cluster job that marks its start, then sleeps.  Used to occupy
@@ -622,6 +693,79 @@ TEST(ServeScheduler, PointLookupOvertakesEarlierQueuedScans) {
   // three: priority ordering beats submission order.
   EXPECT_LT(point_slot.load(), scan1_slot.load());
   EXPECT_LT(point_slot.load(), scan2_slot.load());
+}
+
+TEST(ServeScheduler, OnlyAlgorithms1And2AreAdmittedExclusively) {
+  // Only the analyses that write the metadata (visited) store run alone.
+  MssgCluster cluster(tiny_cluster_config(/*max_inflight=*/4));
+  std::set<std::string> exclusive;
+  for (const std::string& name : cluster.queries().names()) {
+    if (cluster.queries().find(name)->exclusive) exclusive.insert(name);
+  }
+  EXPECT_EQ(exclusive, (std::set<std::string>{"bfs", "pipelined-bfs"}));
+
+  ChungLuConfig gen{.vertices = 120, .edges = 480, .seed = 101};
+  const auto edges = generate_chung_lu(gen);
+  cluster.ingest(edges);
+  const MemoryGraph reference(gen.vertices, edges);
+  const auto pairs = sample_random_pairs(reference, 1, 103);
+  ASSERT_FALSE(pairs.empty());
+
+  struct Case {
+    std::string name;
+    std::vector<std::uint64_t> params;
+    std::size_t wall_clock_tail;  ///< trailing seconds value(s) to ignore
+  };
+  const std::vector<Case> cases{{"stats", {}, 0},
+                                {"khop", {pairs[0].src, 2}, 1},
+                                {"bidir-bfs", {pairs[0].src, pairs[0].dst}, 1},
+                                {"cc", {}, 1}};
+  std::vector<std::vector<double>> expected;
+  for (const Case& c : cases) {
+    expected.push_back(
+        drop_tail(cluster.run_analysis(c.name, c.params), c.wall_clock_tail));
+  }
+
+  // A shared job holds a slot until released.  It releases itself after
+  // a timeout, so an analysis wrongly admitted exclusively (it would
+  // wait for the holder to finish) fails the test instead of hanging it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> started{false};
+  std::atomic<bool> timed_out{false};
+  const auto holder = cluster.submit_job(
+      [&](Communicator&, QueryContext&, GraphDB&) {
+        started.store(true);
+        std::unique_lock lock(mu);
+        if (!cv.wait_for(lock, std::chrono::seconds(10),
+                         [&] { return release; })) {
+          timed_out.store(true);
+        }
+        return std::vector<double>{};
+      },
+      SubmitOptions{});
+  wait_for(started);
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    // EXPECT, not ASSERT: returning early would leave the holder waiting
+    // on locals that are about to be destroyed.
+    const QueryOutcome outcome = cluster.await_query(
+        cluster.submit_analysis(cases[i].name, cases[i].params));
+    EXPECT_TRUE(outcome.ok()) << cases[i].name << ": " << outcome.error;
+    EXPECT_FALSE(timed_out.load())
+        << cases[i].name << " waited for the shared holder to finish";
+    EXPECT_EQ(drop_tail(outcome.result, cases[i].wall_clock_tail),
+              expected[i])
+        << cases[i].name;
+  }
+  {
+    std::lock_guard lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_TRUE(cluster.await_query(holder).ok());
+  EXPECT_FALSE(timed_out.load());
 }
 
 TEST(ServeScheduler, QueuedQueryExpiresAtItsDeadlineInsteadOfStarving) {

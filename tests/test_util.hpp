@@ -6,6 +6,7 @@
 
 #include "common/temp_dir.hpp"
 #include "common/types.hpp"
+#include "gen/memory_graph.hpp"
 #include "graphdb/graphdb.hpp"
 
 namespace mssg::testing {
@@ -32,6 +33,18 @@ inline std::vector<Edge> tiny_graph_directed() {
     edges.push_back(Edge{e.dst, e.src});
   }
   return edges;
+}
+
+/// Reference k-hop count on the in-memory graph: vertices within k hops
+/// of src, src excluded.
+inline std::uint64_t reference_khop(const MemoryGraph& g, VertexId src,
+                                    Metadata k) {
+  const auto levels = g.bfs_levels(src);
+  std::uint64_t count = 0;
+  for (VertexId v = 0; v < g.vertex_count(); ++v) {
+    if (v != src && levels[v] != kUnvisited && levels[v] <= k) ++count;
+  }
+  return count;
 }
 
 /// Sorted copy (adjacency order is backend-specific).

@@ -3,9 +3,9 @@
 //
 //   - engine mechanics: budget exact-fit / truncation semantics and
 //     metrics publication,
-//   - vp-bfs differential equivalence against the legacy metadata-store
-//     search and the in-memory reference, across node counts and wire
-//     formats,
+//   - unit-weight SSSP (hop distances) differential equivalence against
+//     Algorithm 1's metadata-store search and the in-memory reference,
+//     across backends, node counts and wire formats,
 //   - CC label determinism: byte-identical snapshots across 1/2/4-node
 //     runs (the label-tie nondeterminism fix),
 //   - PageRank / k-core / triangles / SSSP against sequential
@@ -191,6 +191,17 @@ std::uint64_t reference_components(const MemoryGraph& g) {
 
 // ---- engine mechanics -------------------------------------------------------
 
+/// Unit-weight SSSP options: every edge weighs 1, so distances are hops.
+SsspOptions unit_sssp(VertexId src, VertexId target,
+                      VertexProgramOptions engine = {}) {
+  SsspOptions options;
+  options.source = src;
+  options.target = target;
+  options.max_weight = 1;
+  options.engine = engine;
+  return options;
+}
+
 TEST(VertexProgramEngine, ExactFitBudgetDoesNotReportTruncation) {
   const auto edges = test_graph(200, 700, 31);
   MiniCluster cluster(Backend::kHashMap, 2, edges);
@@ -202,8 +213,8 @@ TEST(VertexProgramEngine, ExactFitBudgetDoesNotReportTruncation) {
   std::uint64_t total_edges = 0;
   std::mutex mutex;
   run_cluster(cluster.nodes(), [&](Communicator& comm) {
-    const auto stats =
-        vertex_program_bfs(comm, *cluster.dbs[comm.rank()], src, unreachable);
+    const auto stats = parallel_sssp(comm, *cluster.dbs[comm.rank()],
+                                     unit_sssp(src, unreachable));
     std::lock_guard lock(mutex);
     total_edges += stats.edges_scanned;
   });
@@ -213,12 +224,12 @@ TEST(VertexProgramEngine, ExactFitBudgetDoesNotReportTruncation) {
   // spent == limit and must not report truncation (the fixed edge case).
   QueryBudget exact(total_edges);
   run_cluster(cluster.nodes(), [&](Communicator& comm) {
-    VertexProgramOptions options;
-    options.budget = &exact;
-    const auto stats = vertex_program_bfs(
-        comm, *cluster.dbs[comm.rank()], src, unreachable, options);
+    VertexProgramOptions engine;
+    engine.budget = &exact;
+    const auto stats = parallel_sssp(comm, *cluster.dbs[comm.rank()],
+                                     unit_sssp(src, unreachable, engine));
     EXPECT_FALSE(stats.truncated);
-    EXPECT_EQ(stats.distance, kUnvisited);
+    EXPECT_EQ(stats.distance, kInfiniteDistance);
   });
   EXPECT_EQ(exact.spent(), total_edges);
   EXPECT_TRUE(exact.exhausted());  // spent == limit ...
@@ -227,10 +238,10 @@ TEST(VertexProgramEngine, ExactFitBudgetDoesNotReportTruncation) {
   // One token cannot finish level 1: work remains, so THIS truncates.
   QueryBudget tiny(1);
   run_cluster(cluster.nodes(), [&](Communicator& comm) {
-    VertexProgramOptions options;
-    options.budget = &tiny;
-    const auto stats = vertex_program_bfs(
-        comm, *cluster.dbs[comm.rank()], src, unreachable, options);
+    VertexProgramOptions engine;
+    engine.budget = &tiny;
+    const auto stats = parallel_sssp(comm, *cluster.dbs[comm.rank()],
+                                     unit_sssp(src, unreachable, engine));
     EXPECT_TRUE(stats.truncated);
   });
   EXPECT_TRUE(tiny.truncation_noted());
@@ -253,15 +264,15 @@ TEST(VertexProgramEngine, PublishesEngineMetrics) {
   EXPECT_GT(snap.counters.at("vp.messages_delivered"), 0u);
 }
 
-// ---- vp-bfs equivalence -----------------------------------------------------
+// ---- unit-weight SSSP vs Algorithm 1 ----------------------------------------
 
-struct VpBfsCase {
+struct HopCase {
   Backend backend;
   int nodes;
   WireFormat wire;
 };
 
-std::string vp_bfs_case_name(const ::testing::TestParamInfo<VpBfsCase>& info) {
+std::string hop_case_name(const ::testing::TestParamInfo<HopCase>& info) {
   std::string name = to_string(info.param.backend);
   name.erase(std::remove_if(name.begin(), name.end(),
                             [](char c) { return !std::isalnum(c); }),
@@ -272,9 +283,9 @@ std::string vp_bfs_case_name(const ::testing::TestParamInfo<VpBfsCase>& info) {
   return name;
 }
 
-class VpBfsEquivalence : public ::testing::TestWithParam<VpBfsCase> {};
+class UnitSsspHopEquivalence : public ::testing::TestWithParam<HopCase> {};
 
-TEST_P(VpBfsEquivalence, MatchesLegacySearchAndReference) {
+TEST_P(UnitSsspHopEquivalence, MatchesAlgorithm1AndReference) {
   const auto param = GetParam();
   const auto edges = test_graph(300, 1100, 12);
   const MemoryGraph reference(300, edges);
@@ -283,46 +294,51 @@ TEST_P(VpBfsEquivalence, MatchesLegacySearchAndReference) {
   MiniCluster cluster(param.backend, param.nodes, edges);
 
   for (const auto& pair : pairs) {
-    Metadata vp_distance = kUnvisited;
-    Metadata legacy_distance = kUnvisited;
+    std::uint64_t sssp_distance = kInfiniteDistance;
+    Metadata bfs_distance = kUnvisited;
     std::mutex mutex;
     run_cluster(cluster.nodes(), [&](Communicator& comm) {
       GraphDB& db = *cluster.dbs[comm.rank()];
-      VertexProgramOptions options;
-      options.wire = param.wire;
-      const auto vp = vertex_program_bfs(comm, db, pair.src, pair.dst, options);
-      const auto legacy = parallel_oocbfs(comm, db, pair.src, pair.dst);
+      VertexProgramOptions engine;
+      engine.wire = param.wire;
+      BfsOptions bfs_options;
+      bfs_options.wire = param.wire;
+      const auto sssp =
+          parallel_sssp(comm, db, unit_sssp(pair.src, pair.dst, engine));
+      const auto bfs = parallel_oocbfs(comm, db, pair.src, pair.dst,
+                                       bfs_options);
       std::lock_guard lock(mutex);
-      vp_distance = vp.distance;          // globally consistent
-      legacy_distance = legacy.distance;  // globally consistent
+      sssp_distance = sssp.distance;  // globally consistent
+      bfs_distance = bfs.distance;    // globally consistent
     });
-    EXPECT_EQ(vp_distance, pair.distance) << "src=" << pair.src;
-    EXPECT_EQ(vp_distance, legacy_distance)
-        << "vp-bfs diverged from the legacy search, src=" << pair.src;
+    EXPECT_EQ(sssp_distance, static_cast<std::uint64_t>(pair.distance))
+        << "src=" << pair.src;
+    EXPECT_EQ(bfs_distance, pair.distance)
+        << "Algorithm 1 diverged from the reference, src=" << pair.src;
   }
 
-  // Unreachable destination: both report kUnvisited.
-  Metadata unreachable = 0;
+  // Unreachable target: SSSP reports no finite distance.
+  std::uint64_t unreachable = 0;
   std::mutex mutex;
   run_cluster(cluster.nodes(), [&](Communicator& comm) {
-    const auto vp = vertex_program_bfs(comm, *cluster.dbs[comm.rank()],
-                                       pairs[0].src, 99999);
+    const auto sssp = parallel_sssp(comm, *cluster.dbs[comm.rank()],
+                                    unit_sssp(pairs[0].src, 99999));
     std::lock_guard lock(mutex);
-    unreachable = vp.distance;
+    unreachable = sssp.distance;
   });
-  EXPECT_EQ(unreachable, kUnvisited);
+  EXPECT_EQ(unreachable, kInfiniteDistance);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    NodesAndWires, VpBfsEquivalence,
+    NodesAndWires, UnitSsspHopEquivalence,
     ::testing::Values(
-        VpBfsCase{Backend::kHashMap, 1, WireFormat::kDelta},
-        VpBfsCase{Backend::kHashMap, 2, WireFormat::kRaw},
-        VpBfsCase{Backend::kHashMap, 2, WireFormat::kDelta},
-        VpBfsCase{Backend::kHashMap, 4, WireFormat::kDelta},
-        VpBfsCase{Backend::kGrDB, 2, WireFormat::kDelta},
-        VpBfsCase{Backend::kStream, 2, WireFormat::kDelta}),
-    vp_bfs_case_name);
+        HopCase{Backend::kHashMap, 1, WireFormat::kDelta},
+        HopCase{Backend::kHashMap, 2, WireFormat::kRaw},
+        HopCase{Backend::kHashMap, 2, WireFormat::kDelta},
+        HopCase{Backend::kHashMap, 4, WireFormat::kDelta},
+        HopCase{Backend::kGrDB, 2, WireFormat::kDelta},
+        HopCase{Backend::kStream, 2, WireFormat::kDelta}),
+    hop_case_name);
 
 // ---- CC determinism (the label-tie fix) ------------------------------------
 
@@ -550,15 +566,16 @@ TEST_P(AnalyticsScheduler, FiveAnalysesRunConcurrently) {
   MssgCluster cluster(config);
   cluster.ingest(edges);
 
-  // All six kernels in flight at once over one cluster.
+  // The five kernels and a concurrent BFS in flight at once over one
+  // cluster.
   std::map<std::string, QueryScheduler::Ticket> tickets;
   tickets["pagerank"] = cluster.submit_analysis("pagerank", {6});
   tickets["lp-cc"] = cluster.submit_analysis("lp-cc", {});
   tickets["kcore"] = cluster.submit_analysis("kcore", {3});
   tickets["triangles"] = cluster.submit_analysis("triangles", {});
   tickets["sssp"] = cluster.submit_analysis("sssp", {src});
-  tickets["vp-bfs"] = cluster.submit_analysis(
-      "vp-bfs", {pairs.front().src, pairs.front().dst});
+  tickets["cbfs"] = cluster.submit_analysis(
+      "cbfs", {pairs.front().src, pairs.front().dst});
 
   std::map<std::string, QueryOutcome> outcomes;
   for (auto& [name, ticket] : tickets) {
@@ -586,7 +603,7 @@ TEST_P(AnalyticsScheduler, FiveAnalysesRunConcurrently) {
             reference_triangles(reference));
   EXPECT_EQ(static_cast<std::uint64_t>(outcomes["sssp"].result.at(1)),
             sssp_expected.size());
-  EXPECT_EQ(static_cast<Metadata>(outcomes["vp-bfs"].result.at(0)),
+  EXPECT_EQ(static_cast<Metadata>(outcomes["cbfs"].result.at(0)),
             pairs.front().distance);
 
   // Per-query attribution: every submitted query owns a sched.q<id>.*

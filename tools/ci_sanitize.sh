@@ -47,7 +47,7 @@ FILTER+=':IoEngineStress.*'
 # into per-query registries; the scheduler mix runs six analyses at once
 # over the shared cache.  The full analytics label (these suites plus the
 # A14 mixed-workload smoke) also runs via ctest under BOTH presets below.
-FILTER+=':VertexProgramEngine.*:*VpBfsEquivalence*:CcDeterminism.*'
+FILTER+=':VertexProgramEngine.*:*UnitSsspHopEquivalence*:CcDeterminism.*'
 FILTER+=':AnalyticsReference.*:*AnalyticsScheduler*'
 # PR 9: the zero-copy mmap read path — scan threads read MAP_SHARED
 # views while the verified-bitmap latches lazily (fetch_or) and map/unmap
@@ -75,7 +75,7 @@ FILTER+=':*DifferentialTxn*'
 # full serve label (these suites plus the A17 loadgen smoke) also runs
 # via ctest under BOTH presets below.
 FILTER+=':QueryLangParse.*:QueryLangFuzz.*:*QueryLangDifferential*'
-FILTER+=':ServeScheduler.*:ServeAccounting.*:ServeLiveIngest.*'
+FILTER+=':ServeDecluster.*:ServeScheduler.*:ServeAccounting.*:ServeLiveIngest.*'
 export MSSG_CRASH_SWEEP_STRIDE="${MSSG_CRASH_SWEEP_STRIDE:-7}"
 
 run_preset() {
@@ -83,77 +83,52 @@ run_preset() {
   echo "=== [$preset] configure + build ==="
   cmake --preset "$preset"
   cmake --build --preset "$preset" -j "$JOBS"
+  # One sanitizer environment for every run below; each runtime reads
+  # only its own variable.
+  export TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1"
+  export ASAN_OPTIONS="detect_stack_use_after_return=1 strict_string_checks=1"
+  export LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/asan.supp"
+  export UBSAN_OPTIONS="print_stacktrace=1"
   echo "=== [$preset] running filtered suites ==="
-  TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-  ASAN_OPTIONS="detect_stack_use_after_return=1 strict_string_checks=1" \
-  LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/asan.supp" \
-  UBSAN_OPTIONS="print_stacktrace=1" \
-    "$build_dir/tests/mssg_tests" --gtest_filter="$FILTER" \
-    --gtest_brief=1
+  "$build_dir/tests/mssg_tests" --gtest_filter="$FILTER" --gtest_brief=1
   if [ "$preset" = tsan ]; then
     echo "=== [$preset] ctest -L concurrency ==="
-    TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-      ctest --test-dir "$build_dir" -L concurrency --output-on-failure
+    ctest --test-dir "$build_dir" -L concurrency --output-on-failure
   fi
-  # The io label (multi-lane engine, async cache protocols, the A13
-  # smoke) runs under BOTH presets: tsan for the lane handoffs, asan for
-  # the iovec arithmetic in the vectored read/write paths.
-  echo "=== [$preset] ctest -L io ==="
-  TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-  ASAN_OPTIONS="detect_stack_use_after_return=1 strict_string_checks=1" \
-  LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/asan.supp" \
-  UBSAN_OPTIONS="print_stacktrace=1" \
-    ctest --test-dir "$build_dir" -L io --output-on-failure
-  # The analytics label (VertexProgram engine suites + the A14 smoke)
-  # also runs under BOTH presets: tsan for the rank threads racing the
-  # shared budget/cache, asan for the slot/bitset arithmetic in the
-  # engine's frontier machinery.
-  echo "=== [$preset] ctest -L analytics ==="
-  TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-  ASAN_OPTIONS="detect_stack_use_after_return=1 strict_string_checks=1" \
-  LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/asan.supp" \
-  UBSAN_OPTIONS="print_stacktrace=1" \
-    ctest --test-dir "$build_dir" -L analytics --output-on-failure
-  # The mmap label (MappedFile/MappedBlockSource mechanics, mmap-on/off
-  # equivalence, bit-rot parity, the A15 smoke) also runs under BOTH
-  # presets: tsan for the mapped-active/verified-bitmap atomics against
-  # concurrent scans, asan because mmap regions are *not* heap — asan
-  # poisons no redzones around them, so the per-block span bounds in
-  # MappedBlockSource are the only thing standing between a stale block
-  # index and a silent out-of-bounds read; shadow memory for MAP_SHARED
-  # pages is materialized lazily and must not trip intra-object checks.
-  echo "=== [$preset] ctest -L mmap ==="
-  TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-  ASAN_OPTIONS="detect_stack_use_after_return=1 strict_string_checks=1" \
-  LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/asan.supp" \
-  UBSAN_OPTIONS="print_stacktrace=1" \
-    ctest --test-dir "$build_dir" -L mmap --output-on-failure
-  # The txn label (epoch/COW mechanics, snapshot stress, the interleaved
-  # differential harness, the crash-label epoch sweeps' sibling suites,
-  # the A16 smoke) also runs under BOTH presets: tsan because snapshot
-  # isolation IS a cross-thread visibility claim — readers on retired
-  # pins, the version-shelf double-check, the eager-remap handoff — and
-  # asan for the captured pre-image buffers (a version outliving its
-  # block, or a purge racing a reader, shows up as heap-use-after-free
-  # here first).
-  echo "=== [$preset] ctest -L txn ==="
-  TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-  ASAN_OPTIONS="detect_stack_use_after_return=1 strict_string_checks=1" \
-  LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/asan.supp" \
-  UBSAN_OPTIONS="print_stacktrace=1" \
-    ctest --test-dir "$build_dir" -L txn --output-on-failure
-  # The serve label (query-language parse/fuzz/differential, the SLO
-  # scheduler invariants, the A17 loadgen smoke) also runs under BOTH
-  # presets: tsan for the admission queue's waiter set and the open-loop
-  # harness's dispatcher/worker threads, asan-ubsan for the hand-written
-  # lexer over hostile bytes (the fuzz corpus exists to catch exactly
-  # the out-of-bounds reads asan sees first).
-  echo "=== [$preset] ctest -L serve ==="
-  TSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
-  ASAN_OPTIONS="detect_stack_use_after_return=1 strict_string_checks=1" \
-  LSAN_OPTIONS="suppressions=$ROOT/tools/sanitizers/asan.supp" \
-  UBSAN_OPTIONS="print_stacktrace=1" \
-    ctest --test-dir "$build_dir" -L serve --output-on-failure
+  # These labels run under BOTH presets:
+  #  - io (multi-lane engine, async cache protocols, the A13 smoke): tsan
+  #    for the lane handoffs, asan for the iovec arithmetic in the
+  #    vectored read/write paths.
+  #  - analytics (VertexProgram engine suites + the A14 smoke): tsan for
+  #    the rank threads racing the shared budget/cache, asan for the
+  #    slot/bitset arithmetic in the engine's frontier machinery.
+  #  - mmap (MappedFile/MappedBlockSource mechanics, mmap-on/off
+  #    equivalence, bit-rot parity, the A15 smoke): tsan for the
+  #    mapped-active/verified-bitmap atomics against concurrent scans,
+  #    asan because mmap regions are *not* heap — asan poisons no
+  #    redzones around them, so the per-block span bounds in
+  #    MappedBlockSource are the only thing standing between a stale
+  #    block index and a silent out-of-bounds read; shadow memory for
+  #    MAP_SHARED pages is materialized lazily and must not trip
+  #    intra-object checks.
+  #  - txn (epoch/COW mechanics, snapshot stress, the interleaved
+  #    differential harness, the crash-label epoch sweeps' sibling
+  #    suites, the A16 smoke): tsan because snapshot isolation IS a
+  #    cross-thread visibility claim — readers on retired pins, the
+  #    version-shelf double-check, the eager-remap handoff — and asan for
+  #    the captured pre-image buffers (a version outliving its block, or
+  #    a purge racing a reader, shows up as heap-use-after-free here
+  #    first).
+  #  - serve (query-language parse/fuzz/differential, the SLO scheduler
+  #    invariants, the A17 loadgen smoke): tsan for the admission queue's
+  #    waiter set and the open-loop harness's dispatcher/worker threads,
+  #    asan-ubsan for the hand-written lexer over hostile bytes (the fuzz
+  #    corpus exists to catch exactly the out-of-bounds reads asan sees
+  #    first).
+  for label in io analytics mmap txn serve; do
+    echo "=== [$preset] ctest -L $label ==="
+    ctest --test-dir "$build_dir" -L "$label" --output-on-failure
+  done
   echo "=== [$preset] OK ==="
 }
 
