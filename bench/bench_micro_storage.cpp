@@ -1,8 +1,10 @@
 // A5 — storage-substrate microbenchmarks: B+tree point ops, heap-file
-// rows, block-cache hit/miss paths, overflow chains.  These calibrate
-// the substrate underneath the KVStore/Relational backends.
+// rows, block-cache hit/miss paths, overflow chains, and the CRC32C
+// kernels behind every integrity check.  These calibrate the substrate
+// underneath the KVStore/Relational backends and grDB.
 #include <benchmark/benchmark.h>
 
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/temp_dir.hpp"
 #include "storage/btree.hpp"
@@ -165,6 +167,33 @@ void BM_OverflowRoundTrip(benchmark::State& state) {
                           static_cast<std::int64_t>(value.size()));
 }
 BENCHMARK(BM_OverflowRoundTrip)->Arg(8192)->Arg(65536);
+
+// One checksum over a block of grDB's sizes (4, 32 and 256 KB), as the
+// sidecar verify on a cache miss computes it.  "dispatched" is what every
+// integrity check calls; "table" is the byte-at-a-time fallback it runs on
+// a CPU without SSE4.2.  The label says whether this CPU has SSE4.2, and
+// so which kernel "dispatched" runs.
+void BM_Crc32c(benchmark::State& state,
+               std::uint32_t (*kernel)(std::span<const std::byte>,
+                                       std::uint32_t)) {
+  Rng rng(3);
+  std::vector<std::byte> block(static_cast<std::size_t>(state.range(0)));
+  for (auto& b : block) b = static_cast<std::byte>(rng());
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = kernel(block, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+#if defined(__x86_64__)
+  state.SetLabel(__builtin_cpu_supports("sse4.2") ? "cpu:sse4.2"
+                                                  : "cpu:no-sse4.2");
+#endif
+}
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &crc32c)
+    ->Arg(4096)->Arg(32768)->Arg(262144);
+BENCHMARK_CAPTURE(BM_Crc32c, table, &crc32c_table)
+    ->Arg(4096)->Arg(32768)->Arg(262144);
 
 }  // namespace
 

@@ -1,68 +1,26 @@
 // CRC32C (Castagnoli) — the checksum of the storage layer's page
-// trailers and journal records.  Hardware-accelerated via SSE4.2 when the
-// compiler targets it; otherwise a constexpr-generated table fallback.
-// The polynomial matches iSCSI/ext4, so externally written test fixtures
-// can cross-check values.
+// trailers, grDB's sidecar block CRCs, journal records and StreamDB's
+// commit slots.  The kernel is chosen once, at run time: the SSE4.2 crc32
+// instruction over 8-byte words when the CPU has it, else a byte-at-a-time
+// table loop.  Both compute the same function, so checksum values and the
+// on-disk format do not depend on the host.  The polynomial matches
+// iSCSI/ext4, so externally written test fixtures can cross-check values.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
-
-#if defined(__SSE4_2__)
-#include <nmmintrin.h>
-#endif
 
 namespace mssg {
 
-namespace detail {
-
-inline constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;  // reflected
-
-inline constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrc32cPoly : 0u);
-    }
-    table[i] = crc;
-  }
-  return table;
-}
-
-inline constexpr auto kCrc32cTable = make_crc32c_table();
-
-}  // namespace detail
-
 /// One-shot CRC32C.  `seed` chains calls: crc32c(b, crc32c(a)) equals
-/// crc32c(a||b).
-inline std::uint32_t crc32c(std::span<const std::byte> data,
-                            std::uint32_t seed = 0) {
-  std::uint32_t crc = ~seed;
-  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
-  std::size_t n = data.size();
-#if defined(__SSE4_2__)
-  while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, sizeof(word));
-    crc = static_cast<std::uint32_t>(_mm_crc32_u64(crc, word));
-    p += 8;
-    n -= 8;
-  }
-  while (n > 0) {
-    crc = _mm_crc32_u8(crc, *p++);
-    --n;
-  }
-#else
-  while (n > 0) {
-    crc = (crc >> 8) ^ detail::kCrc32cTable[(crc ^ *p++) & 0xFFu];
-    --n;
-  }
-#endif
-  return ~crc;
-}
+/// crc32c(a||b).  Runs the crc32 instruction when the CPU supports
+/// SSE4.2 (checked on the first call), otherwise crc32c_table.
+std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
+
+/// The byte-at-a-time table kernel: the fallback on CPUs without SSE4.2
+/// and the reference the dispatched kernel is tested against.
+std::uint32_t crc32c_table(std::span<const std::byte> data,
+                           std::uint32_t seed = 0);
 
 }  // namespace mssg

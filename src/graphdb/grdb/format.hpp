@@ -88,11 +88,13 @@ inline SubblockAddress locate(const Geometry& geo, int level,
 
 enum class EntryKind { kVertex, kPointer, kEmpty };
 
+/// Entries are read from disk: a tag-7 word other than the sentinel is
+/// corruption, so it throws StorageError.
 inline EntryKind classify(std::uint64_t entry) {
   const auto tag = entry >> kTagShift;
   if (tag == 0) return EntryKind::kVertex;
   if (entry == kEmptySlot) return EntryKind::kEmpty;
-  MSSG_CHECK(tag <= 6);
+  if (tag == 7) throw StorageError("grDB: corrupt entry (tag 7, not empty)");
   return EntryKind::kPointer;
 }
 

@@ -18,7 +18,67 @@ constexpr std::uint64_t kMetaMagic = 0x4d535347'67724442ull;  // "MSSGgrDB"
 // Journal tag of the grdb.meta snapshot.  Block tags are the cache keys
 // (level << 48 | block); no level reaches 0xFFFF, so this can't collide.
 constexpr std::uint64_t kMetaTag = ~std::uint64_t{0};
-}
+// Cache keys, version keys and journal tags hold a block index in 48 bits.
+constexpr std::uint64_t kBlockLimit = std::uint64_t{1} << 48;
+
+/// One vertex's chain walk from its level-0 root.  Pointer entries come
+/// from disk, so each hop is checked before it is taken: a level outside
+/// the geometry, a block index past kBlockLimit or a return to an earlier
+/// sub-block throws StorageError.  The cycle check is Brent's: remember
+/// the position at hops 1, 2, 4, 8, ... and fail when the walk comes back
+/// to it.  It needs no bound on chain length, so snapshot readers walking
+/// next to the writer read none of its allocation state.
+class ChainWalk {
+ public:
+  ChainWalk(const grdb::Geometry& geometry, VertexId v)
+      : geometry_(geometry), vertex_(v), subblock_(v), saved_subblock_(v) {}
+
+  [[nodiscard]] int level() const { return level_; }
+  [[nodiscard]] std::uint64_t subblock() const { return subblock_; }
+
+  /// Moves to the target of `pointer`, an EntryKind::kPointer entry.
+  void follow(std::uint64_t pointer) {
+    const int level = grdb::pointer_level(pointer);
+    const std::uint64_t subblock = grdb::pointer_subblock(pointer);
+    if (level >= geometry_.level_count()) {
+      fail("pointer to level " + std::to_string(level) +
+           " beyond the geometry");
+    }
+    if (subblock / geometry_.levels[level].subblocks_per_block() >=
+        kBlockLimit) {
+      fail("pointer to level " + std::to_string(level) + " sub-block " +
+           std::to_string(subblock) + " past the block index space");
+    }
+    if (level == saved_level_ && subblock == saved_subblock_) {
+      fail("pointer cycle through level " + std::to_string(level) +
+           " sub-block " + std::to_string(subblock));
+    }
+    level_ = level;
+    subblock_ = subblock;
+    if (++hops_ == power_) {
+      saved_level_ = level;
+      saved_subblock_ = subblock;
+      power_ *= 2;
+      hops_ = 0;
+    }
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const {
+    throw StorageError("grDB: vertex " + std::to_string(vertex_) +
+                       " chain: " + what);
+  }
+
+  const grdb::Geometry& geometry_;
+  VertexId vertex_;
+  int level_ = 0;
+  std::uint64_t subblock_;
+  int saved_level_ = 0;
+  std::uint64_t saved_subblock_;
+  std::uint64_t power_ = 1;
+  std::uint64_t hops_ = 0;
+};
+}  // namespace
 
 // ---- SubblockRef -----------------------------------------------------------
 
@@ -735,6 +795,15 @@ std::uint64_t GrDB::allocate_subblock(int level) {
   return subblock;
 }
 
+void GrDB::check_allocated(VertexId v, int level,
+                           std::uint64_t subblock) const {
+  if (level > 0 && subblock >= levels_[level].alloc) {
+    throw StorageError("grDB: vertex " + std::to_string(v) +
+                       " chain: pointer past the allocated extent of level " +
+                       std::to_string(level));
+  }
+}
+
 void GrDB::release_subblock(int level, std::uint64_t subblock) {
   MSSG_CHECK(level >= 1 && level < static_cast<int>(levels_.size()));
   levels_[level].free_list.push_back(subblock);
@@ -744,15 +813,15 @@ void GrDB::release_subblock(int level, std::uint64_t subblock) {
 
 std::pair<int, std::uint64_t> GrDB::find_tail(
     VertexId v, std::vector<std::pair<int, std::uint64_t>>* track) {
-  int level = 0;
-  std::uint64_t subblock = v;
+  ChainWalk walk(options_.geometry, v);
   while (true) {
-    if (track != nullptr) track->emplace_back(level, subblock);
-    SubblockRef ref = pin_subblock(level, subblock);
+    if (track != nullptr) track->emplace_back(walk.level(), walk.subblock());
+    SubblockRef ref = pin_subblock(walk.level(), walk.subblock());
     const std::uint64_t last = ref.get(ref.entries - 1);
-    if (grdb::classify(last) != EntryKind::kPointer) return {level, subblock};
-    level = grdb::pointer_level(last);
-    subblock = grdb::pointer_subblock(last);
+    if (grdb::classify(last) != EntryKind::kPointer) {
+      return {walk.level(), walk.subblock()};
+    }
+    walk.follow(last);
   }
 }
 
@@ -839,10 +908,9 @@ void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
     // extent is untouched (reads as empty anyway).
     return;
   }
-  int level = 0;
-  std::uint64_t subblock = v;
+  ChainWalk walk(options_.geometry, v);
   while (true) {
-    SubblockRef ref = pin_subblock(level, subblock);
+    SubblockRef ref = pin_subblock(walk.level(), walk.subblock());
     bool done = true;
     for (std::uint64_t i = 0; i < ref.entries; ++i) {
       const std::uint64_t entry = ref.get(i);
@@ -853,8 +921,7 @@ void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
         case EntryKind::kEmpty:
           return;  // slots are filled left-to-right; first empty ends it
         case EntryKind::kPointer:
-          level = grdb::pointer_level(entry);
-          subblock = grdb::pointer_subblock(entry);
+          walk.follow(entry);
           done = false;
           i = ref.entries;  // break the for; continue outer loop
           break;
@@ -956,17 +1023,18 @@ void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
   // Walk to the tail, remembering the parent sub-block for copy-up mode.
   int prev_level = -1;
   std::uint64_t prev_subblock = 0;
-  int level = 0;
-  std::uint64_t subblock = v;
+  ChainWalk walk(options_.geometry, v);
   while (true) {
-    SubblockRef ref = pin_subblock(level, subblock);
+    SubblockRef ref = pin_subblock(walk.level(), walk.subblock());
     const std::uint64_t last = ref.get(ref.entries - 1);
     if (grdb::classify(last) != EntryKind::kPointer) break;
-    prev_level = level;
-    prev_subblock = subblock;
-    level = grdb::pointer_level(last);
-    subblock = grdb::pointer_subblock(last);
+    prev_level = walk.level();
+    prev_subblock = walk.subblock();
+    walk.follow(last);
   }
+  int level = walk.level();
+  std::uint64_t subblock = walk.subblock();
+  check_allocated(v, level, subblock);
 
   SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
   std::uint64_t d = ref.entries;
@@ -1200,6 +1268,9 @@ std::uint64_t GrDB::defragment() {
     if (optimal) continue;
 
     // Recycle the old chain (all but the fixed level-0 root)...
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      check_allocated(v, chain[i].first, chain[i].second);
+    }
     for (std::size_t i = 1; i < chain.size(); ++i) {
       release_subblock(chain[i].first, chain[i].second);
     }

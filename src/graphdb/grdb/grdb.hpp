@@ -165,6 +165,11 @@ class GrDB final : public GraphDB {
   File& ensure_file(int level, std::uint64_t file_index);
   std::uint64_t allocate_subblock(int level);
   void release_subblock(int level, std::uint64_t subblock);
+  /// Writer-side check before a chain sub-block is written through or
+  /// recycled: a sub-block at level >= 1 the allocator never handed out
+  /// (a corrupt pointer) throws StorageError instead of steering writes
+  /// anywhere in the block index space.
+  void check_allocated(VertexId v, int level, std::uint64_t subblock) const;
 
   /// Appends neighbors to one vertex's chain.
   void append(VertexId v, std::span<const VertexId> neighbors);

@@ -2,6 +2,8 @@
 // grDB integrity verifier.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/rng.hpp"
 #include "gen/generators.hpp"
 #include "gen/memory_graph.hpp"
@@ -196,6 +198,105 @@ TEST(GrdbVerify, DetectsCorruptedPointer) {
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.errors.front().find("allocated extent"),
             std::string::npos);
+}
+
+// ---- Corrupt chains --------------------------------------------------------
+// Pointer entries planted through poke_entry reseal the block's sidecar CRC,
+// so the bytes pass the checksum and reach the chain decoder.  Every walk
+// (the read, the tail walk and append's) must end in StorageError, never in
+// UB, an abort or a hang.
+
+using Chain = std::vector<std::pair<int, std::uint64_t>>;
+
+/// Stores vertex 0 with a chain through levels 0, 1 and 2 of the tiny
+/// geometry — [1, ptr] -> [2, 3, 4, ptr] -> [5..11, empty] — lets `corrupt`
+/// poke it, then reopens the store so the walks read it back from disk.
+std::unique_ptr<GrDB> corrupt_chain(
+    const TempDir& dir,
+    const std::function<void(GrDB&, const Chain&)>& corrupt) {
+  GraphDBConfig config;
+  config.dir = dir.path();
+  std::filesystem::create_directories(config.dir);
+  {
+    GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+    std::vector<Edge> edges;
+    for (VertexId dst = 1; dst <= 11; ++dst) edges.push_back({0, dst});
+    db.store_edges(edges);
+    const Chain chain = db.chain_of(0);
+    EXPECT_EQ(chain.size(), 3u);
+    corrupt(db, chain);
+    db.flush();
+  }
+  return std::make_unique<GrDB>(config, std::make_unique<InMemoryMetadata>(),
+                                tiny_geometry());
+}
+
+void expect_every_walk_throws(GrDB& db) {
+  std::vector<VertexId> out;
+  EXPECT_THROW(db.get_adjacency(0, out), StorageError);
+  EXPECT_THROW((void)db.chain_of(0), StorageError);
+  EXPECT_THROW(db.store_edges(std::vector<Edge>{{0, 99}}), StorageError);
+}
+
+TEST(GrdbCorruptChain, LevelBeyondGeometry) {
+  TempDir dir;
+  // Tag 5 is a pointer tag, but the tiny geometry has only levels 0-2.
+  auto db = corrupt_chain(dir, [](GrDB& g, const Chain&) {
+    g.poke_entry(0, 0, 1, grdb::make_pointer_entry(5, 0));
+  });
+  expect_every_walk_throws(*db);
+}
+
+TEST(GrdbCorruptChain, BlockIndexPastCacheKey) {
+  TempDir dir;
+  // Level 1 packs 2 sub-blocks per block, so sub-block 2^49 is block
+  // 2^48: one past the 48-bit block field of the cache key.
+  auto db = corrupt_chain(dir, [](GrDB& g, const Chain&) {
+    g.poke_entry(0, 0, 1, grdb::make_pointer_entry(1, std::uint64_t{1} << 49));
+  });
+  expect_every_walk_throws(*db);
+}
+
+TEST(GrdbCorruptChain, TagSevenThatIsNotTheEmptySentinel) {
+  TempDir dir;
+  auto db = corrupt_chain(dir, [](GrDB& g, const Chain&) {
+    g.poke_entry(0, 0, 1, (std::uint64_t{7} << grdb::kTagShift) | 5);
+  });
+  expect_every_walk_throws(*db);
+}
+
+TEST(GrdbCorruptChain, SubblockPointingAtItself) {
+  TempDir dir;
+  auto db = corrupt_chain(dir, [](GrDB& g, const Chain& chain) {
+    const auto [level, subblock] = chain[1];
+    g.poke_entry(level, subblock, 3, grdb::make_pointer_entry(level, subblock));
+  });
+  expect_every_walk_throws(*db);
+}
+
+TEST(GrdbCorruptChain, CycleThroughTwoLevels) {
+  TempDir dir;
+  // The level-2 sub-block's free last slot points back at level 1:
+  // 0 -> 1 -> 2 -> 1 -> 2 -> ...
+  auto db = corrupt_chain(dir, [](GrDB& g, const Chain& chain) {
+    g.poke_entry(chain[2].first, chain[2].second, 7,
+                 grdb::make_pointer_entry(chain[1].first, chain[1].second));
+  });
+  expect_every_walk_throws(*db);
+}
+
+TEST(GrdbCorruptChain, WritersRejectPointerPastAllocatedExtent) {
+  TempDir dir;
+  auto db = corrupt_chain(dir, [](GrDB& g, const Chain&) {
+    g.poke_entry(0, 0, 1, grdb::make_pointer_entry(1, 999));
+  });
+  // Readers see the never-written sub-block as empty.  Writers must neither
+  // append through the pointer nor put its target on a free list.
+  std::vector<VertexId> out;
+  db->get_adjacency(0, out);
+  EXPECT_EQ(out, std::vector<VertexId>{1});
+  EXPECT_THROW(db->store_edges(std::vector<Edge>{{0, 99}}), StorageError);
+  EXPECT_THROW(db->defragment(), StorageError);
 }
 
 TEST(GrdbVerify, DetectsSharedSubblock) {

@@ -3,8 +3,13 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bitset.hpp"
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
@@ -63,6 +68,84 @@ TEST(Rng, SplitmixAdvancesState) {
   const auto a = splitmix64(state);
   const auto b = splitmix64(state);
   EXPECT_NE(a, b);
+}
+
+// ---- Crc32c ----------------------------------------------------------------
+
+using Crc32cKernel = std::uint32_t (*)(std::span<const std::byte>,
+                                       std::uint32_t);
+
+// The dispatched kernel and the table kernel, named so both run on every
+// host (on an SSE4.2 CPU, crc32c alone never reaches the table loop).
+const std::pair<const char*, Crc32cKernel> kCrc32cKernels[] = {
+    {"dispatched", &crc32c}, {"table", &crc32c_table}};
+
+std::vector<std::byte> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::byte> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::byte>(rng());
+  return bytes;
+}
+
+TEST(Crc32c, KnownAnswers) {
+  // RFC 3720 §B.4, plus the usual "123456789" check value.
+  std::vector<std::byte> zeros(32, std::byte{0x00});
+  std::vector<std::byte> ones(32, std::byte{0xFF});
+  std::vector<std::byte> up(32), down(32);
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<std::byte>(i);
+    down[i] = static_cast<std::byte>(31 - i);
+  }
+  const std::string digits = "123456789";
+  const auto check = std::as_bytes(std::span(digits.data(), digits.size()));
+  for (const auto& [name, kernel] : kCrc32cKernels) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(kernel(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(kernel(ones, 0), 0x62A8AB43u);
+    EXPECT_EQ(kernel(up, 0), 0x46DD794Eu);
+    EXPECT_EQ(kernel(down, 0), 0x113FDB5Cu);
+    EXPECT_EQ(kernel(check, 0), 0xE3069283u);
+    EXPECT_EQ(kernel({}, 0), 0u);
+  }
+}
+
+TEST(Crc32c, DispatchedMatchesTableKernel) {
+  constexpr std::size_t kMax = 300 * 1024;
+  Rng rng(0xC3C32);
+  // Room for every start offset 0-7 in front of the largest length.
+  const auto bytes = random_bytes(rng, kMax + 8);
+  // Word-boundary lengths, grDB's block sizes (4, 32 and 256 KB) and the
+  // 300 KB maximum, then random lengths up to it.
+  std::vector<std::size_t> lengths = {0,    1,    7,     8,      9,
+                                      15,   16,   17,    255,    256,
+                                      4096, 4097, 32768, 262144, kMax};
+  for (int i = 0; i < 8; ++i) lengths.push_back(rng.below(kMax + 1));
+  for (const std::size_t length : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::span<const std::byte> data(bytes.data() + offset, length);
+      const auto seed = static_cast<std::uint32_t>(rng());
+      EXPECT_EQ(crc32c(data), crc32c_table(data))
+          << "length " << length << " offset " << offset;
+      EXPECT_EQ(crc32c(data, seed), crc32c_table(data, seed))
+          << "length " << length << " offset " << offset << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32c, ChainedCallsEqualOneShot) {
+  Rng rng(77);
+  const auto bytes = random_bytes(rng, 64 * 1024);
+  const std::span<const std::byte> all(bytes);
+  for (int i = 0; i < 32; ++i) {
+    const std::size_t split = rng.below(bytes.size() + 1);
+    const auto a = all.first(split);
+    const auto b = all.subspan(split);
+    for (const auto& [name, kernel] : kCrc32cKernels) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(kernel(b, kernel(a, 0)), kernel(all, 0)) << "split " << split;
+    }
+    // Either kernel can continue the other's checksum.
+    EXPECT_EQ(crc32c_table(b, crc32c(a)), crc32c(all)) << "split " << split;
+  }
 }
 
 // ---- Serialization ---------------------------------------------------------

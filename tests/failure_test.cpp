@@ -83,9 +83,9 @@ TEST(FailureInjection, GrdbRejectsTruncatedMetaFile) {
 
 TEST(FailureInjection, GrdbCorruptPointerTagDetected) {
   // A sub-block entry with tag 7 that is not the all-ones sentinel is
-  // structurally impossible; classify() must reject it.
+  // structurally impossible; classify() must reject it as corrupt data.
   const std::uint64_t bogus = (std::uint64_t{7} << 61) | 0x1234;
-  EXPECT_THROW(grdb::classify(bogus), UsageError);
+  EXPECT_THROW(grdb::classify(bogus), StorageError);
 }
 
 }  // namespace
