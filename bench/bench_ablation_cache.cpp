@@ -23,11 +23,12 @@ int main(int argc, char** argv) {
           bench::run_search_bucket(state, w, spec, /*distance=*/5);
           // Report the aggregate hit rate of the whole cluster so far.
           auto& ready = bench::cluster_for(w, spec);
-          const auto io = ready.cluster->total_io();
-          const auto accesses = io.cache_hits + io.cache_misses;
+          const auto io = ready.cluster->metrics_snapshot();
+          const auto hits = io.counter("io.cache_hits");
+          const auto accesses = hits + io.counter("io.cache_misses");
           state.counters["hit_pct"] =
               accesses == 0 ? 0
-                            : 100.0 * static_cast<double>(io.cache_hits) /
+                            : 100.0 * static_cast<double>(hits) /
                                   static_cast<double>(accesses);
         })
         ->Unit(benchmark::kMillisecond);

@@ -22,7 +22,7 @@ void defrag_bench(benchmark::State& state, const bench::Workload& w,
                                                w.directed_bytes() / 16);
     GrDBOptions options;
     options.growth = growth;
-    GrDB db(config, std::make_unique<InMemoryMetadata>(), options);
+    GrDB db(config, options);
 
     // Tiny batches maximize incremental growth (and fragmentation).
     std::vector<Edge> directed;

@@ -49,7 +49,7 @@ void geometry_bench(benchmark::State& state, const bench::Workload& w,
                                                w.directed_bytes() / 16);
     GrDBOptions options;
     options.geometry = make_geometry(geometry_name);
-    GrDB db(config, std::make_unique<InMemoryMetadata>(), options);
+    GrDB db(config, options);
 
     Timer ingest_timer;
     std::vector<Edge> directed;
@@ -78,15 +78,17 @@ void geometry_bench(benchmark::State& state, const bench::Workload& w,
       entries += out.size();
     }
     const double read_s = read_timer.seconds();
-    const auto io = db.io_stats();
+    const MetricsSnapshot io = db.metrics().snapshot();
 
     state.counters["ingest_s"] = ingest_s;
     state.counters["read_us_per_vertex"] = 1e6 * read_s / kReads;
     state.counters["entries_read"] = static_cast<double>(entries);
-    state.counters["disk_blocks"] = static_cast<double>(io.reads + io.writes);
-    state.counters["bytes_io"] =
-        static_cast<double>(io.bytes_read + io.bytes_written);
-    state.counters["cache_miss"] = static_cast<double>(io.cache_misses);
+    state.counters["disk_blocks"] =
+        static_cast<double>(io.counter("io.reads") + io.counter("io.writes"));
+    state.counters["bytes_io"] = static_cast<double>(
+        io.counter("io.bytes_read") + io.counter("io.bytes_written"));
+    state.counters["cache_miss"] =
+        static_cast<double>(io.counter("io.cache_misses"));
   }
 }
 

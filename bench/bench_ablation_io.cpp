@@ -63,14 +63,15 @@ const std::filesystem::path& sweep_dir() {
 void engine_sweep(benchmark::State& state, std::size_t workers,
                   std::size_t max_merge) {
   const std::size_t blocks = sweep_blocks_per_file();
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   std::vector<std::unique_ptr<File>> files;
   for (std::size_t f = 0; f < kSweepFiles; ++f) {
     files.push_back(std::make_unique<File>(
-        File::open(sweep_dir() / ("sweep" + std::to_string(f)))));
+        File::open(sweep_dir() / ("sweep" + std::to_string(f)), &stats)));
   }
 
   constexpr std::size_t kChunk = 32;  // contiguous blocks per file per batch
-  IoStats polled;
   std::uint64_t batches = 0;
   for (auto _ : state) {
     // Cold means the device: evict the sweep files from the OS page
@@ -81,6 +82,7 @@ void engine_sweep(benchmark::State& state, std::size_t workers,
     IoEngineOptions options;
     options.workers = workers;
     options.max_merge = max_merge;
+    options.stats = &stats;
     IoEngine engine(options);
     for (std::size_t start = 0; start < blocks; start += kChunk) {
       // The block cache's prefetch shape: one sorted batch spanning all
@@ -102,16 +104,15 @@ void engine_sweep(benchmark::State& state, std::size_t workers,
       engine.submit(std::move(batch));
       ++batches;
       // Keep the completion queue bounded, like the cache's adopt loop.
-      if (batches % 8 == 0) (void)engine.poll_completions(&polled);
+      if (batches % 8 == 0) (void)engine.poll_completions();
     }
     engine.drain();
-    (void)engine.poll_completions(&polled);
+    (void)engine.poll_completions();
   }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(polled.bytes_read.load()));
-  state.counters["syscall_reads"] = static_cast<double>(polled.reads);
+  state.SetBytesProcessed(static_cast<std::int64_t>(stats.bytes_read.load()));
+  state.counters["syscall_reads"] = static_cast<double>(stats.reads);
   state.counters["vectored_merges"] =
-      static_cast<double>(polled.vectored_merges);
+      static_cast<double>(stats.vectored_merges);
   state.counters["blocks"] =
       static_cast<double>(kSweepFiles * blocks * state.iterations());
   // Wall time on this harness is bounded by one machine and the host's
@@ -121,8 +122,8 @@ void engine_sweep(benchmark::State& state, std::size_t workers,
   // equal-sized, so W lanes divide the device time by min(W, files).
   state.counters["modeled_device_ms"] =
       1e3 *
-      (static_cast<double>(polled.reads) * 8e-3 +
-       static_cast<double>(polled.bytes_read) / 50e6) /
+      (static_cast<double>(stats.reads) * 8e-3 +
+       static_cast<double>(stats.bytes_read) / 50e6) /
       static_cast<double>(std::min(workers, kSweepFiles)) /
       static_cast<double>(state.iterations());
 }
@@ -166,21 +167,19 @@ void ingest_sliced(benchmark::State& state, const bench::Workload& w,
       seconds += report.seconds;
     }
 
-    IoStats io;
-    for (int n = 0; n < kIngestBackends; ++n) {
-      io += cluster.node_db(n).io_stats();
-    }
+    MetricsSnapshot io;
+    for (const auto& node : bench::node_counters(cluster)) io.merge(node);
     state.counters["edges_stored"] = static_cast<double>(stored);
     state.counters["wall_edges_per_s"] =
         seconds == 0 ? 0 : static_cast<double>(stored) / seconds;
-    state.counters["writes"] = static_cast<double>(io.writes);
-    state.counters["syncs"] = static_cast<double>(io.syncs);
+    state.counters["writes"] = static_cast<double>(io.counter("io.writes"));
+    state.counters["syncs"] = static_cast<double>(io.counter("io.syncs"));
     state.counters["journal_records"] =
-        static_cast<double>(io.journal_records);
+        static_cast<double>(io.counter("storage.journal_records"));
     state.counters["group_commits"] =
-        static_cast<double>(io.journal_group_commits);
+        static_cast<double>(io.counter("journal.group_commits"));
     state.counters["deferred_flushes"] =
-        static_cast<double>(io.journal_deferred_flushes);
+        static_cast<double>(io.counter("journal.deferred_flushes"));
   }
   base.db.journal = saved_journal;
   base.db.journal_sync_interval = saved_interval;

@@ -24,16 +24,15 @@ void ingest_once(benchmark::State& state, const bench::Workload& w,
     config.db.journal = journal;
     MssgCluster cluster(config);
     const auto report = cluster.ingest(w.edges);
-
-    IoStats io;
-    for (int n = 0; n < kBackends; ++n) io += cluster.node_db(n).io_stats();
+    MetricsSnapshot io;
+    for (const auto& node : bench::node_counters(cluster)) io.merge(node);
     state.counters["edges_stored"] = static_cast<double>(report.edges_stored);
     state.counters["wall_edges_per_s"] =
         static_cast<double>(report.edges_stored) / report.seconds;
-    state.counters["writes"] = static_cast<double>(io.writes);
-    state.counters["syncs"] = static_cast<double>(io.syncs);
+    state.counters["writes"] = static_cast<double>(io.counter("io.writes"));
+    state.counters["syncs"] = static_cast<double>(io.counter("io.syncs"));
     state.counters["journal_records"] =
-        static_cast<double>(io.journal_records);
+        static_cast<double>(io.counter("storage.journal_records"));
   }
 }
 

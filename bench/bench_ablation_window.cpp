@@ -25,12 +25,14 @@ void window_bench(benchmark::State& state, const bench::Workload& w,
     config.db.max_vertices = w.spec.vertices;
     MssgCluster cluster(config);
     const auto report = cluster.ingest(w.edges);
-    const auto io = cluster.total_io();
+    const auto io = cluster.metrics_snapshot();
     state.counters["wall_edges_per_s"] =
         static_cast<double>(report.edges_stored) / report.seconds;
     state.counters["imbalance"] = report.imbalance();
-    state.counters["disk_writes"] = static_cast<double>(io.writes);
-    state.counters["bytes_written"] = static_cast<double>(io.bytes_written);
+    state.counters["disk_writes"] =
+        static_cast<double>(io.counter("io.writes"));
+    state.counters["bytes_written"] =
+        static_cast<double>(io.counter("io.bytes_written"));
   }
 }
 

@@ -23,9 +23,7 @@ void ingest_once(benchmark::State& state, const bench::Workload& w,
     config.db.max_vertices = w.spec.vertices;
     MssgCluster cluster(config);
     const auto report = cluster.ingest(w.edges);
-
-    std::vector<IoStats> io(backends);
-    for (int n = 0; n < backends; ++n) io[n] = cluster.node_db(n).io_stats();
+    const auto io = bench::node_counters(cluster);
     state.counters["edges_stored"] =
         static_cast<double>(report.edges_stored);
     state.counters["wall_edges_per_s"] =

@@ -111,7 +111,8 @@ BENCHMARK(BM_HeapRead);
 
 void BM_CacheHit(benchmark::State& state) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   File file = File::open(dir.path() / "c.bin", &stats);
   BlockCache cache(1u << 20, &stats);
   const auto store = cache.register_store(
@@ -133,7 +134,8 @@ BENCHMARK(BM_CacheHit);
 
 void BM_CacheMissEvict(benchmark::State& state) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   File file = File::open(dir.path() / "c.bin", &stats);
   BlockCache cache(4096, &stats);  // one resident block: every get evicts
   const auto store = cache.register_store(

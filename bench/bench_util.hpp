@@ -158,6 +158,26 @@ inline ReadyCluster& cluster_for(const Workload& w, const ClusterSpec& spec) {
   return *slot;
 }
 
+// ---- Per-node counters -----------------------------------------------------
+
+/// Every back-end node's counters (rank-indexed), minus `before[n]` when
+/// given — so a call before and one after some work yield what each
+/// node counted during it, and a call alone everything since the node
+/// opened.  The benches read io.* and storage.* off these.
+inline std::vector<MetricsSnapshot> node_counters(
+    MssgCluster& cluster, std::span<const MetricsSnapshot> before = {}) {
+  std::vector<MetricsSnapshot> out(cluster.backend_nodes());
+  for (std::size_t n = 0; n < out.size(); ++n) {
+    out[n] = cluster.node_metrics(static_cast<int>(n)).snapshot();
+    out[n].histograms.clear();
+    if (n >= before.size()) continue;
+    for (auto& [name, value] : out[n].counters) {
+      value -= before[n].counter(name);
+    }
+  }
+  return out;
+}
+
 // ---- Cost model ------------------------------------------------------------
 
 /// 2006-era hardware constants (dual-Opteron nodes, SATA RAID0, GigE).
@@ -171,18 +191,22 @@ struct CostModel {
 /// Modeled parallel execution time of one distributed query, computed
 /// from measured per-node counters: max over nodes of local work plus a
 /// per-level synchronization charge.
-inline double modeled_search_seconds(const ClusterQueryResult& result,
-                                     std::span<const IoStats> per_node_io,
-                                     const CostModel& model = {}) {
+inline double modeled_search_seconds(
+    const ClusterQueryResult& result,
+    std::span<const MetricsSnapshot> per_node_io,
+    const CostModel& model = {}) {
   double slowest = 0;
   for (std::size_t n = 0; n < result.per_node.size(); ++n) {
     const auto& stats = result.per_node[n];
     double node = static_cast<double>(stats.edges_scanned) *
                   model.edge_seconds;
     if (n < per_node_io.size()) {
-      const auto& io = per_node_io[n];
-      node += static_cast<double>(io.reads + io.writes) * model.seek_seconds;
-      node += static_cast<double>(io.bytes_read + io.bytes_written) /
+      const MetricsSnapshot& io = per_node_io[n];
+      node += static_cast<double>(io.counter("io.reads") +
+                                  io.counter("io.writes")) *
+              model.seek_seconds;
+      node += static_cast<double>(io.counter("io.bytes_read") +
+                                  io.counter("io.bytes_written")) /
               model.disk_bandwidth;
     }
     slowest = std::max(slowest, node);
@@ -195,17 +219,20 @@ inline double modeled_search_seconds(const ClusterQueryResult& result,
 
 /// Modeled parallel ingestion time from the per-backend edge counts and
 /// per-node I/O: the slowest node bounds the pipeline.
-inline double modeled_ingest_seconds(const IngestReport& report,
-                                     std::span<const IoStats> per_node_io,
-                                     const CostModel& model = {}) {
+inline double modeled_ingest_seconds(
+    const IngestReport& report, std::span<const MetricsSnapshot> per_node_io,
+    const CostModel& model = {}) {
   double slowest = 0;
   for (std::size_t n = 0; n < report.per_backend.size(); ++n) {
     double node = static_cast<double>(report.per_backend[n]) *
                   model.edge_seconds;
     if (n < per_node_io.size()) {
-      const auto& io = per_node_io[n];
-      node += static_cast<double>(io.reads + io.writes) * model.seek_seconds;
-      node += static_cast<double>(io.bytes_read + io.bytes_written) /
+      const MetricsSnapshot& io = per_node_io[n];
+      node += static_cast<double>(io.counter("io.reads") +
+                                  io.counter("io.writes")) *
+              model.seek_seconds;
+      node += static_cast<double>(io.counter("io.bytes_read") +
+                                  io.counter("io.bytes_written")) /
               model.disk_bandwidth;
     }
     slowest = std::max(slowest, node);
@@ -251,31 +278,18 @@ inline void report_cluster_metrics(benchmark::State& state,
   report_metrics(state, cluster.metrics_snapshot());
 }
 
-/// Runs one query and returns (result, per-node I/O delta).
+/// Runs one query and returns (result, per-node counter delta).
 struct QueryRun {
   ClusterQueryResult result;
-  std::vector<IoStats> io_delta;
+  std::vector<MetricsSnapshot> io_delta;
 };
 
 inline QueryRun run_query(MssgCluster& cluster, const QueryPair& pair,
                           const BfsOptions& options = {}) {
-  const int nodes = cluster.backend_nodes();
-  std::vector<IoStats> before(nodes);
-  for (int n = 0; n < nodes; ++n) before[n] = cluster.node_db(n).io_stats();
+  const auto before = node_counters(cluster);
   QueryRun run;
   run.result = cluster.bfs(pair.src, pair.dst, options);
-  run.io_delta.resize(nodes);
-  for (int n = 0; n < nodes; ++n) {
-    const auto after = cluster.node_db(n).io_stats();
-    IoStats delta;
-    delta.reads = after.reads - before[n].reads;
-    delta.writes = after.writes - before[n].writes;
-    delta.bytes_read = after.bytes_read - before[n].bytes_read;
-    delta.bytes_written = after.bytes_written - before[n].bytes_written;
-    delta.cache_hits = after.cache_hits - before[n].cache_hits;
-    delta.cache_misses = after.cache_misses - before[n].cache_misses;
-    run.io_delta[n] = delta;
-  }
+  run.io_delta = node_counters(cluster, before);
   return run;
 }
 

@@ -47,19 +47,20 @@ int main(int argc, char** argv) {
     for (const auto& pair : pairs) {
       search_seconds += cluster.bfs(pair.src, pair.dst).seconds;
     }
-    const auto io = cluster.total_io();
+    const MetricsSnapshot io = cluster.metrics_snapshot();
+    const auto hits = io.counter("io.cache_hits");
+    const auto accesses = hits + io.counter("io.cache_misses");
     const double hit_rate =
-        io.cache_hits + io.cache_misses == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(io.cache_hits) /
-                  static_cast<double>(io.cache_hits + io.cache_misses);
+        accesses == 0 ? 0.0
+                      : 100.0 * static_cast<double>(hits) /
+                            static_cast<double>(accesses);
 
     std::cout << std::left << std::setw(22) << to_string(backend)
               << std::right << std::fixed << std::setw(12)
               << std::setprecision(3) << ingest.seconds << std::setw(12)
-              << search_seconds << std::setw(14) << io.reads << std::setw(14)
-              << io.writes << std::setw(11) << std::setprecision(1)
-              << hit_rate << "%\n";
+              << search_seconds << std::setw(14) << io.counter("io.reads")
+              << std::setw(14) << io.counter("io.writes") << std::setw(11)
+              << std::setprecision(1) << hit_rate << "%\n";
   }
 
   std::cout << "\n(in-memory backends report zero disk I/O; StreamDB's "

@@ -67,7 +67,10 @@ int main(int argc, char** argv) {
   }
 
   // The small-world effect: long-path queries touch most of the graph.
-  const auto io = cluster.total_io();
-  std::cout << "\naggregate I/O: " << io << "\n";
+  const MetricsSnapshot io = cluster.metrics_snapshot();
+  std::cout << "\naggregate I/O: reads=" << io.counter("io.reads")
+            << " writes=" << io.counter("io.writes")
+            << " cache_hits=" << io.counter("io.cache_hits")
+            << " cache_misses=" << io.counter("io.cache_misses") << "\n";
   return 0;
 }

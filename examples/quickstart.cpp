@@ -60,7 +60,10 @@ int main(int argc, char** argv) {
   }
 
   // 5. Inspect the storage layer.
-  const auto io = cluster.total_io();
-  std::cout << "aggregate grDB I/O: " << io << "\n";
+  const MetricsSnapshot io = cluster.metrics_snapshot();
+  std::cout << "aggregate grDB I/O: reads=" << io.counter("io.reads")
+            << " writes=" << io.counter("io.writes")
+            << " cache_hits=" << io.counter("io.cache_hits")
+            << " cache_misses=" << io.counter("io.cache_misses") << "\n";
   return 0;
 }

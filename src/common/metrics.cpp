@@ -40,6 +40,56 @@ std::uint64_t HistogramData::quantile_bound(double q) const {
   return max;
 }
 
+namespace {
+
+// min/max as relaxed compare-exchange loops (std::atomic has no
+// fetch_min before C++26).
+void store_min(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
+  std::uint64_t seen = slot.load(std::memory_order_relaxed);
+  while (value < seen &&
+         !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+void store_max(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
+  std::uint64_t seen = slot.load(std::memory_order_relaxed);
+  while (value > seen &&
+         !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace
+
+void Histogram::record(std::uint64_t value) {
+  count_.fetch_add(1, std::memory_order_relaxed);
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  store_min(min_, value);
+  store_max(max_, value);
+  buckets_[std::bit_width(value)].fetch_add(1, std::memory_order_relaxed);
+}
+
+void Histogram::add(const HistogramData& data) {
+  count_.fetch_add(data.count, std::memory_order_relaxed);
+  sum_.fetch_add(data.sum, std::memory_order_relaxed);
+  store_min(min_, data.min);
+  store_max(max_, data.max);
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i].fetch_add(data.buckets[i], std::memory_order_relaxed);
+  }
+}
+
+HistogramData Histogram::load() const {
+  HistogramData data;
+  data.count = count_.load(std::memory_order_relaxed);
+  data.sum = sum_.load(std::memory_order_relaxed);
+  data.min = min_.load(std::memory_order_relaxed);
+  data.max = max_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    data.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+  }
+  return data;
+}
+
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
   const auto it = counters.find(std::string(name));
   return it == counters.end() ? 0 : it->second;
@@ -134,16 +184,18 @@ void TraceSpan::finish() {
   micros_ = nullptr;
 }
 
-std::uint64_t& MetricsRegistry::counter(std::string_view name) {
+Counter& MetricsRegistry::counter(std::string_view name) {
+  std::lock_guard lock(mu_);
   const auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;
-  return counters_.emplace(std::string(name), 0).first->second;
+  return counters_.try_emplace(std::string(name)).first->second;
 }
 
-HistogramData& MetricsRegistry::histogram(std::string_view name) {
+Histogram& MetricsRegistry::histogram(std::string_view name) {
+  std::lock_guard lock(mu_);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(std::string(name), HistogramData{}).first->second;
+  return histograms_.try_emplace(std::string(name)).first->second;
 }
 
 TraceSpan MetricsRegistry::span(std::string_view name) {
@@ -151,16 +203,21 @@ TraceSpan MetricsRegistry::span(std::string_view name) {
   return TraceSpan(&counter(base), &histogram(base + ".us"));
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  snap.counters.insert(counters_.begin(), counters_.end());
-  snap.histograms.insert(histograms_.begin(), histograms_.end());
-  return snap;
+void MetricsRegistry::merge(const MetricsSnapshot& snap) {
+  for (const auto& [name, value] : snap.counters) counter(name) += value;
+  for (const auto& [name, hist] : snap.histograms) histogram(name).add(hist);
 }
 
-void MetricsRegistry::reset() {
-  counters_.clear();
-  histograms_.clear();
+MetricsSnapshot MetricsRegistry::snapshot() const {
+  MetricsSnapshot snap;
+  std::lock_guard lock(mu_);
+  for (const auto& [name, value] : counters_) {
+    snap.counters.emplace_hint(snap.counters.end(), name, value.load());
+  }
+  for (const auto& [name, hist] : histograms_) {
+    snap.histograms.emplace_hint(snap.histograms.end(), name, hist.load());
+  }
+  return snap;
 }
 
 }  // namespace mssg

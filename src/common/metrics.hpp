@@ -2,30 +2,38 @@
 // count the experiments report (fringe messages, blocks read, cache
 // hits, ingestion windows, defrag passes).
 //
-// Three pieces:
+// Four pieces:
 //
-//  - MetricsRegistry: a per-node registry of named monotonic counters
-//    and power-of-two-bucket histograms.  Registration (the first
-//    `counter(name)` call) may allocate; the returned reference is a
-//    stable raw slot, so hot-path updates are plain integer increments.
-//    Like IoStats, a registry is *not thread-safe by design*: each
-//    simulated cluster node owns one and the harness merges snapshots
-//    after joining the node threads.
+//  - Counter / Histogram: the live slots.  A counter is one relaxed
+//    atomic; a histogram is a set of them (power-of-two buckets), so
+//    any thread may bump either without a lock.
+//  - MetricsRegistry: named counters and histograms, safe to use from
+//    any thread.  Registration (the first `counter(name)` call) and
+//    snapshot() take an internal lock; the returned reference is a
+//    stable handle, so a hot path resolves it once and then pays one
+//    relaxed add per update and no name lookup.  Each cluster node owns
+//    one (GraphDB::metrics()); storage counts into it through IoStats'
+//    handles, queries through their options, while readers snapshot it
+//    at any moment.
 //  - TraceSpan: an RAII span (BFS level, ingestion window, defrag pass)
 //    recording an occurrence count plus a duration histogram.  Span
 //    counts are deterministic across same-seed runs; durations are not,
 //    which is why they live in histograms, not counters.
-//  - MetricsSnapshot: a merged, serializable view (JSON / CSV) unifying
-//    registry contents with the legacy per-layer stats (IoStats,
-//    CommWorld traffic, BfsStats).  `deterministic_string()` renders
-//    counters only, in canonical order — the byte-comparable form the
-//    reproducibility tests assert on.
+//  - MetricsSnapshot: a merged, serializable plain-data view (JSON /
+//    CSV) of one or more registries plus gauges read from live state.
+//    `deterministic_string()` renders counters only, in canonical order
+//    — the byte-comparable form the reproducibility tests assert on.
+//    A snapshot taken while work runs sees each counter at some recent
+//    value; counters are independent, so two of them need not come from
+//    the same instant.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -33,9 +41,9 @@
 
 namespace mssg {
 
-/// Histogram over uint64 values with one bucket per power of two
-/// (bucket i counts values whose bit width is i; value 0 lands in
-/// bucket 0).  Fixed footprint, allocation-free recording.
+/// Plain-data histogram over uint64 values with one bucket per power of
+/// two (bucket i counts values whose bit width is i; value 0 lands in
+/// bucket 0) — the snapshot form of a Histogram.
 struct HistogramData {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
@@ -83,6 +91,44 @@ struct MetricsSnapshot {
   [[nodiscard]] std::string deterministic_string() const;
 };
 
+/// A monotonic counter slot: one relaxed atomic.  Relaxed ordering is
+/// enough — every counter is independent, and readers only need each
+/// value to be some recent total.
+class Counter {
+ public:
+  Counter& operator+=(std::uint64_t n) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    return *this;
+  }
+  Counter& operator++() { return *this += 1; }
+
+  [[nodiscard]] std::uint64_t load() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+  operator std::uint64_t() const { return load(); }  // NOLINT
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
+};
+
+/// The live twin of HistogramData: record() is lock-free and safe from
+/// any thread.  load() reads each field on its own, so a load racing a
+/// record may see the count without the sum of the same value.
+class Histogram {
+ public:
+  void record(std::uint64_t value);
+  /// Folds in a snapshot's contents (MetricsRegistry::merge).
+  void add(const HistogramData& data);
+  [[nodiscard]] HistogramData load() const;
+
+ private:
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> min_{std::numeric_limits<std::uint64_t>::max()};
+  std::atomic<std::uint64_t> max_{0};
+  std::array<std::atomic<std::uint64_t>, 65> buckets_{};
+};
+
 class MetricsRegistry;
 
 /// RAII span handle from MetricsRegistry::span().  On destruction adds
@@ -103,42 +149,46 @@ class TraceSpan {
 
  private:
   friend class MetricsRegistry;
-  TraceSpan(std::uint64_t* count, HistogramData* micros)
+  TraceSpan(Counter* count, Histogram* micros)
       : count_(count), micros_(micros) {}
 
-  std::uint64_t* count_ = nullptr;
-  HistogramData* micros_ = nullptr;
+  Counter* count_ = nullptr;
+  Histogram* micros_ = nullptr;
   Timer timer_;
 };
 
-/// Per-node metrics registry.  NOT thread-safe: one per simulated
-/// cluster node, merged via snapshot() after the node threads join.
+/// Named counters and histograms, safe to use from any thread (see the
+/// file comment).  Entries are never removed, so handles stay valid for
+/// the registry's lifetime.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Stable reference to the named monotonic counter, created zeroed on
-  /// first use.  Updates through the reference never allocate.
-  std::uint64_t& counter(std::string_view name);
+  /// Handle to the named monotonic counter, created zeroed on first use.
+  /// Takes the registry lock: resolve once, outside per-block loops.
+  Counter& counter(std::string_view name);
 
-  /// Stable reference to the named histogram.
-  HistogramData& histogram(std::string_view name);
+  /// Handle to the named histogram (same rules as counter()).
+  Histogram& histogram(std::string_view name);
 
   /// Opens a trace span: counts into "span.<name>" and records
   /// microseconds into histogram "span.<name>.us".
   [[nodiscard]] TraceSpan span(std::string_view name);
 
-  [[nodiscard]] MetricsSnapshot snapshot() const;
+  /// Adds a snapshot's counters and histograms into this registry.
+  void merge(const MetricsSnapshot& snap);
 
-  void reset();
+  /// Every entry's current value; safe while writers run.
+  [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
   // std::map nodes give the stable addresses counter()/histogram()
   // hand out; transparent comparison avoids a string copy on lookup.
-  std::map<std::string, std::uint64_t, std::less<>> counters_;
-  std::map<std::string, HistogramData, std::less<>> histograms_;
+  mutable std::mutex mu_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 }  // namespace mssg

@@ -23,8 +23,8 @@ namespace mssg {
 
 class ArrayDB final : public GraphDB {
  public:
-  ArrayDB(const GraphDBConfig& config, std::unique_ptr<MetadataStore> metadata)
-      : GraphDB(std::move(metadata)), snapshots_enabled_(config.snapshots) {}
+  explicit ArrayDB(const GraphDBConfig& config)
+      : GraphDB(config), snapshots_enabled_(config.snapshots) {}
 
   void store_edges(std::span<const Edge> edges) override;
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;

@@ -10,21 +10,8 @@
 
 namespace mssg {
 
-namespace {
-std::unique_ptr<MetadataStore> make_metadata(const GraphDBConfig& config) {
-  if (config.external_metadata) {
-    std::filesystem::create_directories(config.dir);
-    return std::make_unique<ExternalMetadata>(config.dir / "metadata.dat",
-                                              config.max_vertices,
-                                              /*cache_bytes=*/1u << 20);
-  }
-  return std::make_unique<InMemoryMetadata>();
-}
-}  // namespace
-
 std::unique_ptr<GraphDB> make_graphdb(Backend backend,
                                       const GraphDBConfig& config) {
-  auto metadata = make_metadata(config);
   const bool on_disk = backend == Backend::kRelational ||
                        backend == Backend::kKVStore ||
                        backend == Backend::kStream || backend == Backend::kGrDB;
@@ -32,17 +19,17 @@ std::unique_ptr<GraphDB> make_graphdb(Backend backend,
 
   switch (backend) {
     case Backend::kArray:
-      return std::make_unique<ArrayDB>(config, std::move(metadata));
+      return std::make_unique<ArrayDB>(config);
     case Backend::kHashMap:
-      return std::make_unique<HashMapDB>(config, std::move(metadata));
+      return std::make_unique<HashMapDB>(config);
     case Backend::kRelational:
-      return std::make_unique<RelationalDB>(config, std::move(metadata));
+      return std::make_unique<RelationalDB>(config);
     case Backend::kKVStore:
-      return std::make_unique<KVStoreDB>(config, std::move(metadata));
+      return std::make_unique<KVStoreDB>(config);
     case Backend::kStream:
-      return std::make_unique<StreamDB>(config, std::move(metadata));
+      return std::make_unique<StreamDB>(config);
     case Backend::kGrDB:
-      return std::make_unique<GrDB>(config, std::move(metadata));
+      return std::make_unique<GrDB>(config);
   }
   throw UsageError("unknown Backend");
 }

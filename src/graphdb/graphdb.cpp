@@ -4,6 +4,22 @@
 
 namespace mssg {
 
+namespace {
+std::unique_ptr<MetadataStore> make_metadata(const GraphDBConfig& config,
+                                             IoStats* stats) {
+  if (config.external_metadata) {
+    std::filesystem::create_directories(config.dir);
+    return std::make_unique<ExternalMetadata>(config.dir / "metadata.dat",
+                                              config.max_vertices,
+                                              /*cache_bytes=*/1u << 20, stats);
+  }
+  return std::make_unique<InMemoryMetadata>();
+}
+}  // namespace
+
+GraphDB::GraphDB(const GraphDBConfig& config)
+    : metadata_(make_metadata(config, &stats_)) {}
+
 bool GraphDB::metadata_matches(Metadata lhs, Metadata rhs, MetadataOp op) {
   switch (op) {
     case MetadataOp::kAll:
@@ -43,7 +59,7 @@ void GraphDB::set_metadata(VertexId v, Metadata metadata) {
 void GraphDB::clear_metadata(Metadata fill) { metadata_->clear(fill); }
 
 void GraphDB::publish_metrics(MetricsSnapshot& snap) const {
-  publish_io(io_stats(), snap);
+  snap.merge(metrics_.snapshot());
 }
 
 std::string to_string(Backend backend) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/types.hpp"
 #include "graphdb/metadata_store.hpp"
 #include "storage/io_stats.hpp"
@@ -31,6 +32,8 @@ enum class MetadataOp : int {
   kGreater = 1,    ///< neighbor's metadata >  input
   kLess = 2,       ///< neighbor's metadata <  input
 };
+
+struct GraphDBConfig;
 
 class GraphDB {
  public:
@@ -111,24 +114,33 @@ class GraphDB {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Disk accounting (zeroes for in-memory backends).
-  [[nodiscard]] virtual IoStats io_stats() const { return {}; }
+  /// This node's registry, the one place its counts live: the storage
+  /// layers (metadata store included) count into it through `stats_`,
+  /// the IoEngine workers through the same handles, and analyses run
+  /// against this node through their `metrics` option (bfs.*, span.*,
+  /// ...).  Thread-safe; readable while work runs.
+  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
-  /// Publishes this backend's counters into a merged snapshot.  Every
-  /// backend contributes the shared "io.*" counters (zeroes for
-  /// in-memory backends); overrides may add backend-specific ones but
-  /// must call the base implementation.
+  /// Publishes this node into a merged snapshot: the registry (every
+  /// backend carries the full io.* set, zeroes for in-memory ones) plus
+  /// gauges read from backend state.  Overrides add gauges and must call
+  /// the base implementation.
   virtual void publish_metrics(MetricsSnapshot& snap) const;
 
   /// Direct access to the metadata store (the BFS analyses use it).
   [[nodiscard]] MetadataStore& metadata_store() { return *metadata_; }
 
  protected:
-  explicit GraphDB(std::unique_ptr<MetadataStore> metadata)
-      : metadata_(std::move(metadata)) {}
+  /// Builds the metadata store `config` asks for (in-memory, or the
+  /// external store counting into `stats_`).
+  explicit GraphDB(const GraphDBConfig& config);
 
   static bool metadata_matches(Metadata lhs, Metadata rhs, MetadataOp op);
 
+  // Declared first, destroyed last: every member below and every
+  // backend member counts through these handles until it is gone.
+  MetricsRegistry metrics_;
+  IoStats stats_{metrics_};
   std::unique_ptr<MetadataStore> metadata_;
 };
 

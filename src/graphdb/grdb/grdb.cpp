@@ -99,9 +99,8 @@ void GrDB::SubblockRef::set(std::uint64_t i, std::uint64_t value) {
 
 // ---- Construction / persistence -------------------------------------------
 
-GrDB::GrDB(const GraphDBConfig& config,
-           std::unique_ptr<MetadataStore> metadata, GrDBOptions options)
-    : GraphDB(std::move(metadata)),
+GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
+    : GraphDB(config),
       options_(std::move(options)),
       dir_(config.dir),
       cache_(config.cache_enabled ? config.cache_bytes : 0, &stats_) {
@@ -857,7 +856,6 @@ std::uint64_t GrDB::allocated_subblocks(int level) const {
 
 void GrDB::publish_metrics(MetricsSnapshot& snap) const {
   GraphDB::publish_metrics(snap);
-  snap.merge(cache_.async_metrics());
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     const std::string prefix = "grdb.level" + std::to_string(l);
     snap.add(prefix + ".subblocks", allocated_subblocks(static_cast<int>(l)));

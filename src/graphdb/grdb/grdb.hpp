@@ -41,8 +41,7 @@ struct GrDBOptions {
 
 class GrDB final : public GraphDB {
  public:
-  GrDB(const GraphDBConfig& config, std::unique_ptr<MetadataStore> metadata,
-       GrDBOptions options = {});
+  explicit GrDB(const GraphDBConfig& config, GrDBOptions options = {});
   ~GrDB() override;
 
   void store_edges(std::span<const Edge> edges) override;
@@ -74,12 +73,13 @@ class GrDB final : public GraphDB {
   void prefetch(std::span<const VertexId> vertices) override;
 
   [[nodiscard]] std::string name() const override { return "grDB"; }
-  [[nodiscard]] IoStats io_stats() const override { return stats_; }
 
-  /// Adds per-level sub-block allocation and free-list depth counters
-  /// ("grdb.level<l>.subblocks" / ".free") on top of the shared io.*
-  /// set, plus mmap page-cache residency (mincore sampling) while the
-  /// sealed mapping is live.
+  /// Adds per-level sub-block allocation and free-list depth gauges
+  /// ("grdb.level<l>.subblocks" / ".free") on top of the registry, plus
+  /// mmap page-cache residency (mincore sampling) while the sealed
+  /// mapping is live.  The level gauges read writer-owned state without
+  /// the writer lock: safe next to queries, not next to a concurrent
+  /// store_edges/flush (live ingest) or defragment().
   void publish_metrics(MetricsSnapshot& snap) const override;
 
   /// Evicts every file in the storage directory (level files, meta,
@@ -228,7 +228,6 @@ class GrDB final : public GraphDB {
 
   GrDBOptions options_;
   std::filesystem::path dir_;
-  IoStats stats_;
   // levels_ (the File handles) and journal_ are declared before cache_
   // so the cache — whose destructor drains the async engine and writes
   // dirty blocks back through those files, capturing undo pre-images

@@ -25,9 +25,8 @@ namespace mssg {
 
 class HashMapDB final : public GraphDB {
  public:
-  HashMapDB(const GraphDBConfig& config,
-            std::unique_ptr<MetadataStore> metadata)
-      : GraphDB(std::move(metadata)), snapshots_enabled_(config.snapshots) {}
+  explicit HashMapDB(const GraphDBConfig& config)
+      : GraphDB(config), snapshots_enabled_(config.snapshots) {}
 
   void store_edges(std::span<const Edge> edges) override {
     std::unique_lock<std::shared_mutex> lock(mu_, std::defer_lock);

@@ -9,9 +9,8 @@ namespace {
 constexpr std::size_t kPageBytes = 4096;
 }
 
-KVStoreDB::KVStoreDB(const GraphDBConfig& config,
-                     std::unique_ptr<MetadataStore> metadata)
-    : GraphDB(std::move(metadata)),
+KVStoreDB::KVStoreDB(const GraphDBConfig& config)
+    : GraphDB(config),
       snapshots_enabled_(config.snapshots),
       pager_(config.dir / "kvstore.db", kPageBytes,
              config.cache_enabled ? config.cache_bytes : 0, &stats_,
@@ -138,7 +137,6 @@ void KVStoreDB::prefetch(std::span<const VertexId> vertices) {
 
 void KVStoreDB::publish_metrics(MetricsSnapshot& snap) const {
   GraphDB::publish_metrics(snap);
-  snap.merge(pager_.async_metrics());
   if (snapshots_enabled_) {
     const TxnState txn = txn_state();
     snap.add("txn.epochs_live", txn.live_snapshots);

@@ -28,8 +28,7 @@ namespace mssg {
 
 class KVStoreDB final : public GraphDB {
  public:
-  KVStoreDB(const GraphDBConfig& config,
-            std::unique_ptr<MetadataStore> metadata);
+  explicit KVStoreDB(const GraphDBConfig& config);
 
   void store_edges(std::span<const Edge> edges) override;
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;
@@ -47,9 +46,9 @@ class KVStoreDB final : public GraphDB {
   [[nodiscard]] std::string name() const override {
     return "KVStore(BerkeleyDB)";
   }
-  [[nodiscard]] IoStats io_stats() const override { return stats_; }
 
-  /// Adds the pager's I/O-engine metrics on top of the shared io.* set.
+  /// Adds the snapshot gauges (txn.epochs_live, ...) when snapshots are
+  /// on.
   void publish_metrics(MetricsSnapshot& snap) const override;
 
   void drop_os_page_cache() const override { pager_.drop_page_cache(); }
@@ -75,7 +74,6 @@ class KVStoreDB final : public GraphDB {
   mutable std::mutex mu_;  ///< snapshot mode only; pager isn't reentrant
   VertexSnapshots txn_;
   bool dirty_ = false;
-  IoStats stats_;
   Pager pager_;
   BTree tree_;
   Backend backend_;

@@ -66,7 +66,10 @@ class InMemoryMetadata final : public MetadataStore {
 /// reconstructible by re-running the query, so a page that fails
 /// verification after a crash is simply reset to zero (stamp 0 never
 /// matches `generation_`, which starts at 1) and reads as fill.  The
-/// corruption is still counted in `storage.checksum_failures`.
+/// corruption is still counted in `storage.checksum_failures` of the
+/// `stats` it is given — GraphDB gives it its node's, so the store's
+/// preads, pwrites and cache traffic land in the node's io.* counters
+/// too (with null stats nothing is counted).
 class ExternalMetadata final : public MetadataStore {
  public:
   ExternalMetadata(const std::filesystem::path& path, VertexId max_vertices,

@@ -108,9 +108,8 @@ void RelationalDB::Backend::put_chunk(VertexId v, std::uint32_t chunk,
   }
 }
 
-RelationalDB::RelationalDB(const GraphDBConfig& config,
-                           std::unique_ptr<MetadataStore> metadata)
-    : GraphDB(std::move(metadata)),
+RelationalDB::RelationalDB(const GraphDBConfig& config)
+    : GraphDB(config),
       snapshots_enabled_(config.snapshots),
       pager_(config.dir / "relational.db", kPageBytes,
              config.cache_enabled ? config.cache_bytes : 0, &stats_,

@@ -28,8 +28,7 @@ namespace mssg {
 
 class RelationalDB final : public GraphDB {
  public:
-  RelationalDB(const GraphDBConfig& config,
-               std::unique_ptr<MetadataStore> metadata);
+  explicit RelationalDB(const GraphDBConfig& config);
 
   void store_edges(std::span<const Edge> edges) override;
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;
@@ -43,17 +42,6 @@ class RelationalDB final : public GraphDB {
   [[nodiscard]] std::string name() const override {
     return "Relational(MySQL)";
   }
-  [[nodiscard]] IoStats io_stats() const override { return stats_; }
-
-  /// Adds the pager's I/O-engine metrics (io.engine.lanes, queue-depth
-  /// histograms) on top of the shared io.* set — parity with KVStoreDB;
-  /// before this override they were collected but never published, so
-  /// `mssg_tool --metrics` silently dropped them for this backend.
-  void publish_metrics(MetricsSnapshot& snap) const override {
-    GraphDB::publish_metrics(snap);
-    snap.merge(pager_.async_metrics());
-  }
-
   void drop_os_page_cache() const override { pager_.drop_page_cache(); }
 
  private:
@@ -74,7 +62,6 @@ class RelationalDB final : public GraphDB {
   mutable std::mutex mu_;  ///< snapshot mode only; pager isn't reentrant
   VertexSnapshots txn_;
   bool dirty_ = false;
-  IoStats stats_;
   Pager pager_;
   BTree index_;   // (vertex, chunk) -> RowId, pager meta slots 0-1
   HeapFile heap_;  // rows, pager meta slots 2-4

@@ -22,9 +22,8 @@ std::uint32_t slot_crc(std::uint64_t length, std::uint64_t seq) {
 }
 }  // namespace
 
-StreamDB::StreamDB(const GraphDBConfig& config,
-                   std::unique_ptr<MetadataStore> metadata)
-    : GraphDB(std::move(metadata)),
+StreamDB::StreamDB(const GraphDBConfig& config)
+    : GraphDB(config),
       snapshots_enabled_(config.snapshots),
       log_(File::open(config.dir / "stream.log", &stats_)) {
   std::uint64_t bytes = log_.size();

@@ -41,8 +41,7 @@ namespace mssg {
 
 class StreamDB final : public GraphDB {
  public:
-  StreamDB(const GraphDBConfig& config,
-           std::unique_ptr<MetadataStore> metadata);
+  explicit StreamDB(const GraphDBConfig& config);
 
   void store_edges(std::span<const Edge> edges) override;
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;
@@ -64,7 +63,6 @@ class StreamDB final : public GraphDB {
   [[nodiscard]] TxnState txn_state() const override;
 
   [[nodiscard]] std::string name() const override { return "StreamDB"; }
-  [[nodiscard]] IoStats io_stats() const override { return stats_; }
 
   void drop_os_page_cache() const override {
     if (log_.is_open()) log_.drop_page_cache();
@@ -92,7 +90,6 @@ class StreamDB final : public GraphDB {
   const bool snapshots_enabled_;
   std::mutex mu_;  ///< writer side (buffer, flush); snapshot mode only
   EpochManager epochs_;
-  IoStats stats_;
   File log_;
   File commit_;  ///< dual-slot commit sidecar (invalid when journal off)
   std::atomic<std::uint64_t> log_bytes_{0};  ///< committed log extent

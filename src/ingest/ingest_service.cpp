@@ -33,17 +33,14 @@ class FrontEndFilter final : public Filter {
  public:
   FrontEndFilter(std::vector<std::unique_ptr<EdgeSource>>& sources,
                  Partitioner& partitioner, const IngestOptions& options,
-                 std::vector<std::unique_ptr<MetricsRegistry>>& registries)
+                 MetricsRegistry& metrics)
       : sources_(sources),
         partitioner_(partitioner),
         options_(options),
-        registries_(registries) {}
+        metrics_(metrics) {}
 
   void run(FilterContext& ctx) override {
     EdgeSource& source = *sources_[ctx.copy_index()];
-    // Each filter copy runs on its own thread and owns its registry; the
-    // registries merge into the report after the pipeline joins.
-    MetricsRegistry& reg = *registries_[ctx.copy_index()];
     const auto backends = ctx.output_width("edges");
 
     std::vector<Edge> window;
@@ -52,8 +49,8 @@ class FrontEndFilter final : public Filter {
     std::vector<std::vector<VertexPair>> outgoing(backends);
 
     while (source.next_block(options_.window_edges, window)) {
-      const TraceSpan window_span = reg.span("ingest.window");
-      reg.counter("ingest.windows") += 1;
+      const TraceSpan window_span = metrics_.span("ingest.window");
+      metrics_.counter("ingest.windows") += 1;
       // Build the routed block: undirected inputs contribute both
       // orientations, each routed by its own source endpoint.
       block.clear();
@@ -63,7 +60,7 @@ class FrontEndFilter final : public Filter {
       }
       targets.assign(block.size(), 0);
       partitioner_.route(block, targets);
-      reg.counter("ingest.edges_routed") += block.size();
+      metrics_.counter("ingest.edges_routed") += block.size();
 
       for (auto& bucket : outgoing) bucket.clear();
       for (std::size_t i = 0; i < block.size(); ++i) {
@@ -75,8 +72,8 @@ class FrontEndFilter final : public Filter {
         if (outgoing[b].empty()) continue;
         const std::size_t raw_bytes = raw_pair_wire_bytes(outgoing[b].size());
         std::vector<std::byte> encoded = encode_pair_set(outgoing[b]);
-        reg.counter("ingest.payload_bytes_raw") += raw_bytes;
-        reg.counter("ingest.payload_bytes_encoded") += encoded.size();
+        metrics_.counter("ingest.payload_bytes_raw") += raw_bytes;
+        metrics_.counter("ingest.payload_bytes_encoded") += encoded.size();
         ctx.output("edges", static_cast<int>(b)).put(std::move(encoded));
       }
     }
@@ -86,20 +83,18 @@ class FrontEndFilter final : public Filter {
   std::vector<std::unique_ptr<EdgeSource>>& sources_;
   Partitioner& partitioner_;
   const IngestOptions& options_;
-  std::vector<std::unique_ptr<MetricsRegistry>>& registries_;
+  MetricsRegistry& metrics_;
 };
 
 /// Back-end storage node: drain edge blocks into the local GraphDB.
 class BackEndFilter final : public Filter {
  public:
   BackEndFilter(std::span<GraphDB* const> backends,
-                std::vector<std::uint64_t>& counts,
-                std::vector<std::unique_ptr<MetricsRegistry>>& registries)
-      : backends_(backends), counts_(counts), registries_(registries) {}
+                std::vector<std::uint64_t>& counts, MetricsRegistry& metrics)
+      : backends_(backends), counts_(counts), metrics_(metrics) {}
 
   void run(FilterContext& ctx) override {
     GraphDB& db = *backends_[ctx.copy_index()];
-    MetricsRegistry& reg = *registries_[ctx.copy_index()];
     DataStream& in = ctx.input("edges");
     std::uint64_t count = 0;
     std::vector<Edge> batch;
@@ -124,12 +119,12 @@ class BackEndFilter final : public Filter {
 
       Timer store_timer;
       db.store_edges(batch);
-      reg.histogram("ingest.store.us")
+      metrics_.histogram("ingest.store.us")
           .record(static_cast<std::uint64_t>(store_timer.seconds() * 1e6));
-      reg.histogram("ingest.coalesced_buffers").record(buffers);
+      metrics_.histogram("ingest.coalesced_buffers").record(buffers);
       count += batch.size();
-      reg.counter("ingest.batches") += buffers;
-      reg.counter("ingest.edges_stored") += batch.size();
+      metrics_.counter("ingest.batches") += buffers;
+      metrics_.counter("ingest.edges_stored") += batch.size();
     }
     db.finalize_ingest();
     counts_[ctx.copy_index()] = count;
@@ -138,7 +133,7 @@ class BackEndFilter final : public Filter {
  private:
   std::span<GraphDB* const> backends_;
   std::vector<std::uint64_t>& counts_;
-  std::vector<std::unique_ptr<MetricsRegistry>>& registries_;
+  MetricsRegistry& metrics_;
 };
 
 }  // namespace
@@ -153,30 +148,23 @@ IngestReport run_ingestion(std::vector<std::unique_ptr<EdgeSource>> sources,
   IngestReport report;
   report.per_backend.assign(backends.size(), 0);
 
-  // One registry per filter copy (each copy is one thread); merged below
-  // after graph.run() joins every thread.
-  std::vector<std::unique_ptr<MetricsRegistry>> frontend_registries;
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    frontend_registries.push_back(std::make_unique<MetricsRegistry>());
-  }
-  std::vector<std::unique_ptr<MetricsRegistry>> backend_registries;
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    backend_registries.push_back(std::make_unique<MetricsRegistry>());
-  }
+  // One registry for the run; every filter copy (one thread each)
+  // counts into it.
+  MetricsRegistry metrics;
 
   FilterGraph graph;
   graph.add_filter(
       "frontend",
       [&] {
         return std::make_unique<FrontEndFilter>(sources, partitioner, options,
-                                                frontend_registries);
+                                                metrics);
       },
       static_cast<int>(sources.size()));
   graph.add_filter(
       "backend",
       [&] {
         return std::make_unique<BackEndFilter>(backends, report.per_backend,
-                                               backend_registries);
+                                               metrics);
       },
       static_cast<int>(backends.size()));
   graph.connect("frontend", "edges", "backend", "edges",
@@ -186,12 +174,7 @@ IngestReport run_ingestion(std::vector<std::unique_ptr<EdgeSource>> sources,
   graph.run();
   report.seconds = timer.seconds();
   for (const auto n : report.per_backend) report.edges_stored += n;
-  for (const auto& reg : frontend_registries) {
-    report.metrics.merge(reg->snapshot());
-  }
-  for (const auto& reg : backend_registries) {
-    report.metrics.merge(reg->snapshot());
-  }
+  report.metrics = metrics.snapshot();
   return report;
 }
 

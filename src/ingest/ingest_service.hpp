@@ -30,10 +30,10 @@ struct IngestReport {
   std::uint64_t edges_stored = 0;  ///< directed edges written to GraphDBs
   std::vector<std::uint64_t> per_backend;
 
-  /// Merged metrics of the run: "ingest.*" counters plus the
-  /// "span.ingest.window" / "span.ingest.store" traces.  Each filter
-  /// copy publishes into its own registry while running (the per-node
-  /// threading rule); the merge happens after the pipeline joins.
+  /// Metrics of the run: "ingest.*" counters plus the
+  /// "span.ingest.window" / "span.ingest.store" traces, counted by every
+  /// filter copy into one registry and snapshotted after the pipeline
+  /// joins.
   MetricsSnapshot metrics;
 
   /// Max/min back-end edge-count ratio — the load-balance number the

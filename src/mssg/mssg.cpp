@@ -9,7 +9,7 @@
 namespace mssg {
 
 MssgCluster::MssgCluster(ClusterConfig config)
-    : config_(std::move(config)), world_(config_.backend_nodes) {
+    : config_(std::move(config)), world_(config_.backend_nodes, metrics_) {
   MSSG_CHECK(config_.frontend_nodes >= 1);
   MSSG_CHECK(config_.backend_nodes >= 1);
 
@@ -38,12 +38,10 @@ MssgCluster::MssgCluster(ClusterConfig config)
   }
 
   dbs_.reserve(b);
-  registries_.reserve(b);
   for (int node = 0; node < b; ++node) {
     GraphDBConfig db_config = config_.db;
     db_config.dir = config_.storage_root / ("node" + std::to_string(node));
     dbs_.push_back(make_graphdb(config_.backend, db_config));
-    registries_.push_back(std::make_unique<MetricsRegistry>());
   }
   scheduler_ = std::make_unique<QueryScheduler>(world_, config_.scheduler);
 }
@@ -64,7 +62,7 @@ IngestReport MssgCluster::ingest(
   for (const auto& db : dbs_) backends.push_back(db.get());
   IngestReport report = run_ingestion(std::move(sources), *partitioner_,
                                       backends, config_.ingest);
-  ingest_metrics_.merge(report.metrics);
+  metrics_.merge(report.metrics);
   return report;
 }
 
@@ -76,7 +74,7 @@ ClusterQueryResult MssgCluster::bfs(VertexId src, VertexId dst,
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
     BfsOptions node_options = options;
-    node_options.metrics = registries_[comm.rank()].get();
+    node_options.metrics = &dbs_[comm.rank()]->metrics();
     const BfsStats stats =
         parallel_oocbfs(comm, *dbs_[comm.rank()], src, dst, node_options);
     std::lock_guard lock(merge_mutex);
@@ -179,7 +177,7 @@ MsBfsStats MssgCluster::ms_bfs(std::span<const VertexId> sources, VertexId dst,
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
     MsBfsOptions node_options = options;
-    node_options.metrics = registries_[comm.rank()].get();
+    node_options.metrics = &dbs_[comm.rank()]->metrics();
     const MsBfsStats stats =
         parallel_msbfs(comm, *dbs_[comm.rank()], sources, dst, node_options);
     std::lock_guard lock(merge_mutex);
@@ -210,7 +208,7 @@ ClusterQueryResult MssgCluster::bidirectional_bfs(VertexId src, VertexId dst,
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
     BfsOptions node_options = options;
-    node_options.metrics = registries_[comm.rank()].get();
+    node_options.metrics = &dbs_[comm.rank()]->metrics();
     const BfsStats stats =
         bidirectional_oocbfs(comm, *dbs_[comm.rank()], src, dst, node_options);
     std::lock_guard lock(merge_mutex);
@@ -230,7 +228,7 @@ DistributedGraphStats MssgCluster::graph_stats() {
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
     const auto stats = parallel_graph_stats(comm, *dbs_[comm.rank()]);
-    registries_[comm.rank()]->counter("stats.runs") += 1;
+    dbs_[comm.rank()]->metrics().counter("stats.runs") += 1;
     if (comm.rank() == 0) {
       std::lock_guard lock(merge_mutex);
       result = stats;  // globally consistent
@@ -245,7 +243,7 @@ CcStats MssgCluster::connected_components() {
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
     const auto stats = parallel_label_cc(comm, *dbs_[comm.rank()]);
-    MetricsRegistry& reg = *registries_[comm.rank()];
+    MetricsRegistry& reg = dbs_[comm.rank()]->metrics();
     reg.counter("cc.runs") += 1;
     reg.counter("cc.iterations") += stats.iterations;
     reg.counter("cc.edges_scanned") += stats.edges_scanned;
@@ -263,7 +261,7 @@ std::uint64_t MssgCluster::defragment_all() {
   std::uint64_t rewritten = 0;
   for (std::size_t node = 0; node < dbs_.size(); ++node) {
     if (auto* grdb = dynamic_cast<GrDB*>(dbs_[node].get())) {
-      MetricsRegistry& reg = *registries_[node];
+      MetricsRegistry& reg = grdb->metrics();
       const TraceSpan pass_span = reg.span("defrag.pass");
       const std::uint64_t chains = grdb->defragment();
       reg.counter("defrag.chains_rewritten") += chains;
@@ -273,21 +271,13 @@ std::uint64_t MssgCluster::defragment_all() {
   return rewritten;
 }
 
-IoStats MssgCluster::total_io() const {
-  IoStats total;
-  for (const auto& db : dbs_) total += db->io_stats();
-  return total;
-}
-
 void MssgCluster::drop_storage_page_caches() const {
   for (const auto& db : dbs_) db->drop_os_page_cache();
 }
 
 MetricsSnapshot MssgCluster::metrics_snapshot() const {
-  MetricsSnapshot snap = ingest_metrics_;
-  for (const auto& reg : registries_) snap.merge(reg->snapshot());
+  MetricsSnapshot snap = metrics_.snapshot();
   for (const auto& db : dbs_) db->publish_metrics(snap);
-  world_.publish_metrics(snap);
   snap.merge(scheduler_->metrics_snapshot());
   return snap;
 }

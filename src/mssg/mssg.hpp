@@ -186,27 +186,27 @@ class MssgCluster {
   [[nodiscard]] QueryScheduler& scheduler() { return *scheduler_; }
   [[nodiscard]] Partitioner& partitioner() { return *partitioner_; }
 
-  /// Aggregate disk statistics over all back-end nodes.
-  [[nodiscard]] IoStats total_io() const;
-
   /// Best-effort eviction of every node's on-disk storage from the OS
   /// page cache (GraphDB::drop_os_page_cache per node) — how cold-leg
   /// benches make "cold" mean the device rather than memory.  Call only
   /// while no query is in flight.
   void drop_storage_page_caches() const;
 
-  /// Per-node metrics registry (rank-indexed).  Each registry is only
-  /// written by its node's thread while a query runs; read or merged
-  /// only between queries, after run_cluster has joined every thread.
+  /// Node `node`'s registry (its GraphDB's): storage counters (io.*,
+  /// storage.*, ...) and the analyses run on that node (bfs.*, cc.*,
+  /// span.*, ...).  Thread-safe.
   [[nodiscard]] MetricsRegistry& node_metrics(int node) {
-    return *registries_.at(node);
+    return dbs_.at(node)->metrics();
   }
 
-  /// One unified snapshot of everything the cluster counts: per-node
-  /// registries (bfs.*, cc.*, span.*, ...), GraphDB I/O and cache
-  /// counters (io.*, grdb.*), CommWorld traffic (comm.*), and the
-  /// accumulated ingestion metrics (ingest.*).  Safe to call whenever no
-  /// query is in flight.
+  /// One unified snapshot of everything the cluster counts: every node's
+  /// registry plus its GraphDB gauges (grdb.*, txn.epochs_live, ...),
+  /// the cluster registry (comm.* traffic, accumulated ingest.*), and
+  /// the scheduler's aggregate (sched.*, completed queries).  Safe while
+  /// searches and scheduled analyses run; backend gauges read
+  /// writer-owned state (grDB's grdb.level*.subblocks/.free), so do not
+  /// overlap a call with live_ingest(), commit_all(), ingest() or
+  /// defragment_all().
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
  private:
@@ -227,8 +227,7 @@ class MssgCluster {
   std::shared_ptr<SharedVertexMap> vertex_map_;
   std::unique_ptr<Partitioner> partitioner_;
   std::vector<std::unique_ptr<GraphDB>> dbs_;
-  std::vector<std::unique_ptr<MetricsRegistry>> registries_;
-  MetricsSnapshot ingest_metrics_;
+  MetricsRegistry metrics_;  ///< cluster-wide: comm.* and merged ingest.*
   CommWorld world_;
   QueryService queries_;
   // Last member: runner threads reference the world and DBs, so the

@@ -53,8 +53,8 @@ struct BfsOptions {
   /// Safety bound on levels (small-world graphs stay well under this).
   Metadata max_levels = 64;
   /// When set, the search publishes its counters ("bfs.*") and a trace
-  /// span per level into this rank's registry.  Must be the registry of
-  /// the calling rank's node — registries are single-threaded by design.
+  /// span per level into this registry (the calling rank's node's, or a
+  /// scheduled query's own).
   MetricsRegistry* metrics = nullptr;
 };
 

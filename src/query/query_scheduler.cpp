@@ -10,17 +10,15 @@
 namespace mssg {
 
 struct QueryScheduler::Ticket::State {
-  State(std::uint64_t query_id, std::uint64_t token_budget, int ranks)
-      : id(query_id),
-        budget(token_budget),
-        registries(static_cast<std::size_t>(ranks)) {}
+  State(std::uint64_t query_id, std::uint64_t token_budget)
+      : id(query_id), budget(token_budget) {}
 
   const std::uint64_t id;
   const std::chrono::steady_clock::time_point submitted =
       std::chrono::steady_clock::now();
   QueryBudget budget;
   CacheAttribution attribution;
-  std::vector<MetricsRegistry> registries;  // one per rank: never shared
+  MetricsRegistry metrics;  // shared by the query's rank threads
   QueryOutcome outcome;
 
   std::thread runner;
@@ -59,7 +57,7 @@ QueryScheduler::Ticket QueryScheduler::submit(QueryJob job,
   std::shared_ptr<Ticket::State> state;
   {
     std::lock_guard<std::mutex> lock(states_mu_);
-    state = std::make_shared<Ticket::State>(next_id_++, budget, world_.size());
+    state = std::make_shared<Ticket::State>(next_id_++, budget);
     states_.push_back(state);
   }
   // The admission ticket is drawn HERE, not on the runner thread: within
@@ -158,7 +156,7 @@ void QueryScheduler::run_query(const std::shared_ptr<Ticket::State>& state,
   } else if (!admit(waiter, deadline, has_deadline)) {
     // Expired in the admission queue: the query never ran, holds no
     // budget tokens and no cache attribution — only its (empty)
-    // registries and the sched.* accounting below.
+    // registry and the sched.* accounting below.
     out.queue_seconds = since_submit();
     out.expired = true;
     std::ostringstream msg;
@@ -179,10 +177,8 @@ void QueryScheduler::run_query(const std::shared_ptr<Ticket::State>& state,
         // throws, so a failed query cannot leak its attribution onto
         // whatever runs on this thread next.
         CacheAttributionScope cache_scope(&state->attribution);
-        QueryContext ctx{
-            state->id, &state->budget,
-            &state->registries[static_cast<std::size_t>(comm.rank())],
-            &state->attribution};
+        QueryContext ctx{state->id, &state->budget, &state->metrics,
+                         &state->attribution};
         std::vector<double> result = job(comm, ctx);
         if (comm.rank() == 0) out.result = std::move(result);
       });
@@ -200,10 +196,9 @@ void QueryScheduler::run_query(const std::shared_ptr<Ticket::State>& state,
   }
 
   // Shared epilogue — success, mid-run failure, admission rejection and
-  // queue expiry all land here, so every submitted query merges its
-  // per-(query, rank) registries into the outcome and shows up in the
-  // sched.* aggregates; a query that dies half-way keeps the work it
-  // already counted.
+  // queue expiry all land here, so every submitted query snapshots its
+  // registry into the outcome and shows up in the sched.* aggregates; a
+  // query that dies half-way keeps the work it already counted.
   //
   // Truncation comes from the budget's explicit flag (set by an analysis
   // that actually cut work short), NOT from exhausted(): a budget of
@@ -214,9 +209,7 @@ void QueryScheduler::run_query(const std::shared_ptr<Ticket::State>& state,
   out.cache_hits = state->attribution.hits.load(std::memory_order_relaxed);
   out.cache_misses = state->attribution.misses.load(std::memory_order_relaxed);
   out.cache_hit_ratio = state->attribution.hit_ratio();
-  for (const MetricsRegistry& reg : state->registries) {
-    out.metrics.merge(reg.snapshot());
-  }
+  out.metrics = state->metrics.snapshot();
   record_completion(*state, rejected);
 
   {
@@ -229,7 +222,6 @@ void QueryScheduler::run_query(const std::shared_ptr<Ticket::State>& state,
 void QueryScheduler::record_completion(const Ticket::State& state,
                                        bool rejected) {
   const QueryOutcome& out = state.outcome;
-  std::lock_guard<std::mutex> lock(metrics_mu_);
   sched_.counter("sched.queries") += 1;
   if (out.truncated) sched_.counter("sched.truncated") += 1;
   if (!out.ok()) sched_.counter("sched.failed") += 1;
@@ -252,14 +244,11 @@ void QueryScheduler::record_completion(const Ticket::State& state,
   sched_.counter(prefix + ".tokens_spent") += state.budget.spent();
   sched_.counter(prefix + ".queue_us") +=
       static_cast<std::uint64_t>(out.queue_seconds * 1e6);
-  completed_.merge(out.metrics);
+  sched_.merge(out.metrics);
 }
 
 MetricsSnapshot QueryScheduler::metrics_snapshot() const {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
-  MetricsSnapshot snap = sched_.snapshot();
-  snap.merge(completed_);
-  return snap;
+  return sched_.snapshot();
 }
 
 }  // namespace mssg

@@ -17,9 +17,9 @@
 //    interleaved queries cannot cross message streams.
 //  - Per-query token budgets (query/query_budget.hpp): analyses charge
 //    work tokens and truncate cooperatively at level boundaries.
-//  - Per-query MetricsRegistry scoping: every (query, rank) pair gets a
-//    private registry (registries are single-threaded by design), merged
-//    into the query's outcome and the scheduler aggregate on completion.
+//  - Per-query metrics: each query's rank threads count into one shared
+//    registry of its own, snapshotted into the query's outcome and
+//    merged into the scheduler aggregate on completion.
 //  - Per-query cache attribution: the query's rank threads run under a
 //    CacheAttributionScope, so the shared 2Q BlockCache splits its
 //    hit/miss counts per query ("sched.q<id>.cache_hits", hit ratios).
@@ -62,9 +62,8 @@ struct QuerySchedulerConfig {
   std::uint64_t token_budget = 0;
 };
 
-/// Hands an admitted analysis its per-query resources.  `metrics` is the
-/// calling rank's query-private registry; `budget` and `attribution` are
-/// shared by all ranks of the query.
+/// Hands an admitted analysis its per-query resources, all shared by the
+/// query's ranks: `metrics` is the query's own registry.
 struct QueryContext {
   std::uint64_t query_id = 0;
   QueryBudget* budget = nullptr;
@@ -94,7 +93,7 @@ struct QueryOutcome {
   double seconds = 0.0;        ///< execution wall time
   std::uint64_t tokens_spent = 0;  ///< budget tokens charged by the query
   std::string error;           ///< empty on success
-  MetricsSnapshot metrics;     ///< merged over the query's rank registries
+  MetricsSnapshot metrics;     ///< the query's registry, all ranks
 
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
@@ -153,7 +152,7 @@ class QueryScheduler {
   /// `token_budget` overrides the config's per-query budget for this
   /// query only.  An explicit budget of 0 FAILS ADMISSION cleanly: the
   /// query never runs a superstep, its outcome carries an error, and its
-  /// (empty) registries and sched.q<id>.* rows are still recorded so the
+  /// (empty) registry and sched.q<id>.* rows are still recorded so the
   /// scheduler aggregates balance.  (The config-level 0 keeps its
   /// documented "unlimited" meaning.)
   Ticket submit(QueryJob job, bool exclusive = false,
@@ -185,8 +184,8 @@ class QueryScheduler {
 
   /// Scheduler aggregate: sched.* counters/histograms (queries, queue
   /// wait, per-query cache attribution) plus every completed query's
-  /// merged analysis metrics.  Call while no query is being awaited for
-  /// a stable view.
+  /// analysis metrics.  Safe at any moment; a query's metrics appear
+  /// once it completes.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
  private:
@@ -231,9 +230,7 @@ class QueryScheduler {
   std::set<Waiter, WaiterOrder> waiters_;
 
   // Completed-query accounting.
-  mutable std::mutex metrics_mu_;
   MetricsRegistry sched_;
-  MetricsSnapshot completed_;
 
   // Every submitted query, for the destructor's final join.
   std::mutex states_mu_;

@@ -6,12 +6,15 @@
 
 namespace mssg {
 
-CommWorld::CommWorld(int size)
-    : CommWorld(size, std::make_shared<TrafficCounters>(), 0) {}
-
-CommWorld::CommWorld(int size, std::shared_ptr<TrafficCounters> traffic,
-                     std::uint64_t stream_id)
-    : size_(size), stream_id_(stream_id), traffic_(std::move(traffic)) {
+CommWorld::CommWorld(int size, MetricsRegistry& metrics)
+    : size_(size),
+      metrics_(metrics),
+      messages_sent_(metrics.counter("comm.messages_sent")),
+      bytes_sent_(metrics.counter("comm.bytes_sent")),
+      payload_bytes_raw_(metrics.counter("comm.payload_bytes_raw")),
+      payload_bytes_encoded_(metrics.counter("comm.payload_bytes_encoded")),
+      broadcast_copies_avoided_(
+          metrics.counter("comm.broadcast_copies_avoided")) {
   MSSG_CHECK(size >= 1);
   mailboxes_.reserve(size);
   for (int i = 0; i < size; ++i) {
@@ -23,37 +26,14 @@ CommWorld::CommWorld(int size, std::shared_ptr<TrafficCounters> traffic,
 
 std::unique_ptr<CommWorld> CommWorld::split(std::uint64_t stream_id) {
   // Private mailboxes/barrier/scratch, shared traffic accounting.
-  return std::unique_ptr<CommWorld>(
-      new CommWorld(size_, traffic_, stream_id));
+  auto sub = std::make_unique<CommWorld>(size_, metrics_);
+  sub->stream_id_ = stream_id;
+  return sub;
 }
 
 Communicator CommWorld::comm(Rank rank) {
   MSSG_CHECK(rank >= 0 && rank < size_);
   return Communicator(this, rank);
-}
-
-std::uint64_t CommWorld::messages_sent() const {
-  return traffic_->messages_sent.load(std::memory_order_relaxed);
-}
-std::uint64_t CommWorld::bytes_sent() const {
-  return traffic_->bytes_sent.load(std::memory_order_relaxed);
-}
-std::uint64_t CommWorld::payload_bytes_raw() const {
-  return traffic_->payload_bytes_raw.load(std::memory_order_relaxed);
-}
-std::uint64_t CommWorld::payload_bytes_encoded() const {
-  return traffic_->payload_bytes_encoded.load(std::memory_order_relaxed);
-}
-std::uint64_t CommWorld::broadcast_copies_avoided() const {
-  return traffic_->broadcast_copies_avoided.load(std::memory_order_relaxed);
-}
-
-void CommWorld::publish_metrics(MetricsSnapshot& snap) const {
-  snap.add("comm.messages_sent", messages_sent());
-  snap.add("comm.bytes_sent", bytes_sent());
-  snap.add("comm.payload_bytes_raw", payload_bytes_raw());
-  snap.add("comm.payload_bytes_encoded", payload_bytes_encoded());
-  snap.add("comm.broadcast_copies_avoided", broadcast_copies_avoided());
 }
 
 void CommWorld::barrier_wait() {
@@ -71,9 +51,8 @@ void CommWorld::barrier_wait() {
 
 void Communicator::send(Rank dest, int tag, PayloadBuffer payload) const {
   MSSG_CHECK(dest >= 0 && dest < size());
-  world_->traffic_->messages_sent.fetch_add(1, std::memory_order_relaxed);
-  world_->traffic_->bytes_sent.fetch_add(payload.size(),
-                                         std::memory_order_relaxed);
+  ++world_->messages_sent_;
+  world_->bytes_sent_ += payload.size();
   world_->mailboxes_[dest]->push(Message{tag, rank_, std::move(payload)});
 }
 
@@ -85,16 +64,13 @@ void Communicator::broadcast(int tag, PayloadBuffer payload) const {
     if (r == rank_) continue;
     send(r, tag, payload);
   }
-  world_->traffic_->broadcast_copies_avoided.fetch_add(
-      static_cast<std::uint64_t>(size() - 1), std::memory_order_relaxed);
+  world_->broadcast_copies_avoided_ += static_cast<std::uint64_t>(size() - 1);
 }
 
 void Communicator::record_payload_encoding(std::size_t raw_bytes,
                                            std::size_t encoded_bytes) const {
-  world_->traffic_->payload_bytes_raw.fetch_add(raw_bytes,
-                                                std::memory_order_relaxed);
-  world_->traffic_->payload_bytes_encoded.fetch_add(encoded_bytes,
-                                                    std::memory_order_relaxed);
+  world_->payload_bytes_raw_ += raw_bytes;
+  world_->payload_bytes_encoded_ += encoded_bytes;
 }
 
 std::uint64_t Communicator::allreduce_sum(std::uint64_t value) const {
@@ -142,9 +118,8 @@ std::vector<PayloadBuffer> Communicator::allgather(
   // Each rank deposits its payload exactly once; the fan-out to the
   // other p-1 ranks is reference sharing, not wire traffic, so the
   // collective charges one message of contribution-size bytes per rank.
-  world_->traffic_->messages_sent.fetch_add(1, std::memory_order_relaxed);
-  world_->traffic_->bytes_sent.fetch_add(contribution.size(),
-                                         std::memory_order_relaxed);
+  ++world_->messages_sent_;
+  world_->bytes_sent_ += contribution.size();
   world_->gather_slots_[rank_] = std::move(contribution);
   barrier();
   std::vector<PayloadBuffer> all = world_->gather_slots_;
@@ -182,7 +157,8 @@ void run_cluster(CommWorld& world,
 }
 
 void run_cluster(int size, const std::function<void(Communicator&)>& body) {
-  CommWorld world(size);
+  MetricsRegistry traffic;
+  CommWorld world(size, traffic);
   run_cluster(world, body);
 }
 

@@ -13,7 +13,6 @@
 // a B-byte collective costs O(B) memory total instead of O(p*B).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -32,9 +31,17 @@ class Communicator;
 
 /// Shared state for a group of ranks.  Create once, then hand each rank a
 /// Communicator via comm(rank).
+///
+/// Traffic is counted straight into the registry given at construction
+/// (relaxed atomics, readable while senders run): "comm.messages_sent",
+/// "comm.bytes_sent", "comm.broadcast_copies_avoided", and the codec's
+/// "comm.payload_bytes_raw" / "comm.payload_bytes_encoded" — what the
+/// shipped payloads would have cost raw vs what they cost encoded (see
+/// common/vertex_codec.hpp).
 class CommWorld {
  public:
-  explicit CommWorld(int size);
+  /// `metrics` must outlive the world and every split() of it.
+  CommWorld(int size, MetricsRegistry& metrics);
 
   CommWorld(const CommWorld&) = delete;
   CommWorld& operator=(const CommWorld&) = delete;
@@ -45,33 +52,14 @@ class CommWorld {
   /// Derives a sub-world with the same rank count but PRIVATE mailboxes,
   /// barrier, and collective scratch — the isolation the concurrent
   /// query engine needs so interleaved queries cannot cross message
-  /// streams or collide inside a collective.  Traffic counters stay
-  /// shared with the parent, so cluster-level comm.* metrics keep
+  /// streams or collide inside a collective.  Traffic counts into the
+  /// parent's registry, so cluster-level comm.* metrics keep
   /// accumulating across every stream.  `stream_id` labels the split for
   /// diagnostics.
   [[nodiscard]] std::unique_ptr<CommWorld> split(std::uint64_t stream_id);
 
   /// 0 for a root world; the id passed to split() otherwise.
   [[nodiscard]] std::uint64_t stream_id() const { return stream_id_; }
-
-  /// Total messages pushed since construction (for experiment reporting).
-  /// Safe to call while sender threads are in flight: the counters are
-  /// relaxed atomics, so a concurrent read sees some recent total.
-  [[nodiscard]] std::uint64_t messages_sent() const;
-  [[nodiscard]] std::uint64_t bytes_sent() const;
-
-  /// Wire-codec accounting (see common/vertex_codec.hpp): what the
-  /// shipped payloads would have cost raw vs what they cost encoded, and
-  /// how many broadcast deep copies the shared PayloadBuffer replaced
-  /// with references.
-  [[nodiscard]] std::uint64_t payload_bytes_raw() const;
-  [[nodiscard]] std::uint64_t payload_bytes_encoded() const;
-  [[nodiscard]] std::uint64_t broadcast_copies_avoided() const;
-
-  /// Adds the traffic counters to a merged snapshot ("comm.messages_sent",
-  /// "comm.bytes_sent", "comm.payload_bytes_raw",
-  /// "comm.payload_bytes_encoded", "comm.broadcast_copies_avoided").
-  void publish_metrics(MetricsSnapshot& snap) const;
 
   /// Bytes currently retained in the allgather scratch slots.  Zero when
   /// no collective is in flight (slots release their references once
@@ -85,21 +73,6 @@ class CommWorld {
 
  private:
   friend class Communicator;
-
-  // Traffic counters.  Monotonic sums read by monitoring code while
-  // senders run; relaxed atomics — no ordering is implied between them,
-  // only that each read sees a valid total.  Shared (via shared_ptr)
-  // between a root world and every sub-world split() derives from it.
-  struct TrafficCounters {
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> payload_bytes_raw{0};
-    std::atomic<std::uint64_t> payload_bytes_encoded{0};
-    std::atomic<std::uint64_t> broadcast_copies_avoided{0};
-  };
-
-  CommWorld(int size, std::shared_ptr<TrafficCounters> traffic,
-            std::uint64_t stream_id);
 
   void barrier_wait();
 
@@ -127,7 +100,13 @@ class CommWorld {
   std::vector<ReduceSlot> reduce_slots_;
   std::vector<PayloadBuffer> gather_slots_;
 
-  std::shared_ptr<TrafficCounters> traffic_;
+  // Traffic handles into metrics_ (see the class comment).
+  MetricsRegistry& metrics_;
+  Counter& messages_sent_;
+  Counter& bytes_sent_;
+  Counter& payload_bytes_raw_;
+  Counter& payload_bytes_encoded_;
+  Counter& broadcast_copies_avoided_;
 };
 
 /// A rank's endpoint.  Cheap to copy; all state lives in the CommWorld.
@@ -202,10 +181,11 @@ class Communicator {
 
 /// Runs `body(comm)` on `size` threads, one per rank, propagating the
 /// first exception thrown by any rank.  This is the simulated cluster
-/// job launcher (mpirun analogue).
+/// job launcher (mpirun analogue).  The throwaway world's traffic is
+/// counted nowhere anyone can read.
 void run_cluster(int size, const std::function<void(Communicator&)>& body);
 
-/// Variant reusing an existing world (so traffic counters accumulate).
+/// Variant reusing an existing world (so its registry sees the traffic).
 void run_cluster(CommWorld& world,
                  const std::function<void(Communicator&)>& body);
 

@@ -78,7 +78,6 @@ ServeResult ServeSession::execute(std::string_view text) {
     result.parse_error = true;
     result.error = compiled.error.to_string();
     result.error_position = compiled.error.position;
-    std::lock_guard<std::mutex> lock(metrics_mu_);
     serve_.counter("serve.parse_errors") += 1;
     return result;
   }
@@ -221,7 +220,6 @@ void ServeSession::absorb(ServeResult& result, const QueryOutcome& outcome,
 }
 
 void ServeSession::record(const ServeResult& result) {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
   const std::string prefix =
       std::string("serve.") + to_string(result.query_class);
   serve_.counter(prefix + ".queries") += 1;
@@ -236,7 +234,6 @@ void ServeSession::record(const ServeResult& result) {
 }
 
 MetricsSnapshot ServeSession::metrics_snapshot() const {
-  std::lock_guard<std::mutex> lock(metrics_mu_);
   return serve_.snapshot();
 }
 

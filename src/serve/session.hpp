@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -106,7 +105,6 @@ class ServeSession {
 
   MssgCluster& cluster_;
   const ServeConfig config_;
-  mutable std::mutex metrics_mu_;  // MetricsRegistry is not thread-safe
   MetricsRegistry serve_;
 };
 

@@ -117,9 +117,9 @@ void BlockCache::enable_async_io(std::size_t workers) {
   if (engine_ != nullptr || capacity_bytes_ == 0) return;
   IoEngineOptions options;
   options.workers = workers == 0 ? 1 : workers;
-  // Accounting of completions nobody polled before shutdown (and their
-  // dropped-error count) lands in the node's stats instead of vanishing.
-  options.sink = stats_;
+  // The engine counts its merges, batches and dropped errors next to
+  // the cache's own counters.
+  options.stats = stats_;
   engine_ = std::make_unique<IoEngine>(options);
 }
 
@@ -174,7 +174,7 @@ void BlockCache::poll_async() {
 
 void BlockCache::poll_async_locked() {
   if (engine_ == nullptr || !engine_->has_completions()) return;
-  std::vector<IoRequest> done = engine_->poll_completions(stats_);
+  std::vector<IoRequest> done = engine_->poll_completions();
   bool adopted = false;
   for (IoRequest& req : done) {
     if (req.kind == IoRequest::Kind::kWrite) {
@@ -587,13 +587,6 @@ int BlockCache::pin_count(std::uint16_t store, std::uint64_t block) const {
       (static_cast<std::uint64_t>(store) << kStoreShift) | block;
   const auto it = map_.find(key);
   return it == map_.end() ? 0 : it->second->pins;
-}
-
-MetricsSnapshot BlockCache::async_metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Unadopted completions stay queued for the next poll_async(); the
-  // engine's own registry is quiescent once drained.
-  return engine_ == nullptr ? MetricsSnapshot{} : engine_->metrics();
 }
 
 }  // namespace mssg

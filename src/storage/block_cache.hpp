@@ -280,11 +280,6 @@ class BlockCache {
   /// refuse operations on in-use blocks (e.g. Pager::free_page).
   [[nodiscard]] int pin_count(std::uint16_t store, std::uint64_t block) const;
 
-  /// Drains the engine and snapshots its internal metrics
-  /// (span.io.engine.batch, io.engine.queue_depth, ...) without
-  /// resetting them.  Empty snapshot when async I/O is off.
-  [[nodiscard]] MetricsSnapshot async_metrics() const;
-
   [[nodiscard]] std::size_t resident_bytes() const {
     std::lock_guard<std::mutex> lock(mu_);
     return resident_bytes_;

@@ -52,8 +52,8 @@ File File::open_readonly(const std::filesystem::path& path, IoStats* stats) {
   return File(fd, stats, path.string());
 }
 
-std::size_t File::read_at(std::uint64_t offset, std::span<std::byte> buffer,
-                          IoStats* stats) const {
+std::size_t File::read_at(std::uint64_t offset,
+                          std::span<std::byte> buffer) const {
   MSSG_CHECK(is_open());
   std::size_t want = buffer.size();
   if (FaultInjector::instance().enabled()) {
@@ -76,15 +76,15 @@ std::size_t File::read_at(std::uint64_t offset, std::span<std::byte> buffer,
   if (done < buffer.size()) {
     std::memset(buffer.data() + done, 0, buffer.size() - done);
   }
-  if (stats != nullptr) {
-    ++stats->reads;
-    stats->bytes_read += buffer.size();
+  if (stats_ != nullptr) {
+    ++stats_->reads;
+    stats_->bytes_read += buffer.size();
   }
   return done;
 }
 
-void File::write_at(std::uint64_t offset, std::span<const std::byte> buffer,
-                    IoStats* stats) const {
+void File::write_at(std::uint64_t offset,
+                    std::span<const std::byte> buffer) const {
   MSSG_CHECK(is_open());
   std::size_t allow = buffer.size();
   if (FaultInjector::instance().enabled()) {
@@ -101,9 +101,9 @@ void File::write_at(std::uint64_t offset, std::span<const std::byte> buffer,
     }
     done += static_cast<std::size_t>(n);
   }
-  if (stats != nullptr) {
-    ++stats->writes;
-    stats->bytes_written += done;
+  if (stats_ != nullptr) {
+    ++stats_->writes;
+    stats_->bytes_written += done;
   }
   if (allow < buffer.size()) {
     // The torn prefix is on disk; the caller sees the write fail, as a
@@ -115,8 +115,7 @@ void File::write_at(std::uint64_t offset, std::span<const std::byte> buffer,
 }
 
 void File::read_vectored(std::uint64_t offset,
-                         std::span<const std::span<std::byte>> buffers,
-                         IoStats* stats) const {
+                         std::span<const std::span<std::byte>> buffers) const {
   MSSG_CHECK(is_open());
   if (buffers.empty()) return;
   if (FaultInjector::instance().enabled()) {
@@ -124,7 +123,7 @@ void File::read_vectored(std::uint64_t offset,
     // exactly like the unmerged path.
     std::uint64_t pos = offset;
     for (const auto& buf : buffers) {
-      read_at(pos, buf, stats);
+      read_at(pos, buf);
       pos += buf.size();
     }
     return;
@@ -164,21 +163,21 @@ void File::read_vectored(std::uint64_t offset,
       std::memset(iov[i].iov_base, 0, iov[i].iov_len);
     }
   }
-  if (stats != nullptr) {
-    ++stats->reads;
-    stats->bytes_read += total;
+  if (stats_ != nullptr) {
+    ++stats_->reads;
+    stats_->bytes_read += total;
   }
 }
 
-void File::write_vectored(std::uint64_t offset,
-                          std::span<const std::span<const std::byte>> buffers,
-                          IoStats* stats) const {
+void File::write_vectored(
+    std::uint64_t offset,
+    std::span<const std::span<const std::byte>> buffers) const {
   MSSG_CHECK(is_open());
   if (buffers.empty()) return;
   if (FaultInjector::instance().enabled()) {
     std::uint64_t pos = offset;
     for (const auto& buf : buffers) {
-      write_at(pos, buf, stats);
+      write_at(pos, buf);
       pos += buf.size();
     }
     return;
@@ -212,9 +211,9 @@ void File::write_vectored(std::uint64_t offset,
       if (iov[skip].iov_len == 0) ++skip;
     }
   }
-  if (stats != nullptr) {
-    ++stats->writes;
-    stats->bytes_written += done;
+  if (stats_ != nullptr) {
+    ++stats_->writes;
+    stats_->bytes_written += done;
   }
 }
 

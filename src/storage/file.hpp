@@ -27,8 +27,9 @@ class File {
   ~File();
 
   /// Opens (creating if necessary) a read/write file.  `stats` may be
-  /// null; when set, every operation is accounted there.  The pointer
-  /// must outlive the File.
+  /// null; when set, every operation is accounted there — from whichever
+  /// thread issues it (IoEngine workers included).  The pointer must
+  /// outlive the File.
   static File open(const std::filesystem::path& path, IoStats* stats = nullptr);
 
   /// Opens an existing file read-only; throws StorageError if missing.
@@ -40,24 +41,10 @@ class File {
   /// Reads exactly buffer.size() bytes at `offset`.  Bytes beyond EOF
   /// read as zero (grDB files are sparse: blocks are addressed before
   /// they are first written).  Returns the number of real bytes read.
-  std::size_t read_at(std::uint64_t offset, std::span<std::byte> buffer) const {
-    return read_at(offset, buffer, stats_);
-  }
-
-  /// read_at accounting into an explicit stats block instead of the one
-  /// bound at open().  The IoEngine worker uses this so cross-thread I/O
-  /// never touches the owning node's (non-thread-safe) IoStats.
-  std::size_t read_at(std::uint64_t offset, std::span<std::byte> buffer,
-                      IoStats* stats) const;
+  std::size_t read_at(std::uint64_t offset, std::span<std::byte> buffer) const;
 
   /// Writes exactly buffer.size() bytes at `offset`, extending the file.
-  void write_at(std::uint64_t offset, std::span<const std::byte> buffer) const {
-    write_at(offset, buffer, stats_);
-  }
-
-  /// write_at with explicit accounting (see the read_at overload).
-  void write_at(std::uint64_t offset, std::span<const std::byte> buffer,
-                IoStats* stats) const;
+  void write_at(std::uint64_t offset, std::span<const std::byte> buffer) const;
 
   /// Fills `buffers` from the contiguous byte range starting at
   /// `offset` with a single preadv (EOF zero-fills, like read_at).  The
@@ -66,14 +53,12 @@ class File {
   /// read_at per buffer, so fault/kill-point indices stay exactly the
   /// per-request ones the crash sweeps were calibrated against.
   void read_vectored(std::uint64_t offset,
-                     std::span<const std::span<std::byte>> buffers,
-                     IoStats* stats) const;
+                     std::span<const std::span<std::byte>> buffers) const;
 
   /// Writes `buffers` back-to-back starting at `offset` with a single
   /// pwritev (see read_vectored for the FaultInjector fallback).
   void write_vectored(std::uint64_t offset,
-                      std::span<const std::span<const std::byte>> buffers,
-                      IoStats* stats) const;
+                      std::span<const std::span<const std::byte>> buffers) const;
 
   [[nodiscard]] std::uint64_t size() const;
   void truncate(std::uint64_t new_size) const;

@@ -26,9 +26,14 @@ std::size_t lane_of(const File* file, std::size_t lanes) {
 IoEngine::IoEngine(IoEngineOptions options) : options_(options) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_merge == 0) options_.max_merge = 1;
-  // Published once, before any worker exists — part of the quiescent
-  // snapshot contract.
-  metrics_.counter("io.engine.lanes") = options_.workers;
+  if (options_.stats != nullptr) {
+    MetricsRegistry& reg = options_.stats->registry;
+    reg.counter("io.engine.lanes") += options_.workers;
+    batches_ = &reg.counter("span.io.engine.batch");
+    batch_micros_ = &reg.histogram("span.io.engine.batch.us");
+    queue_depth_ = &reg.histogram("io.engine.queue_depth");
+    batch_requests_ = &reg.histogram("io.engine.batch_requests");
+  }
   lanes_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
@@ -49,10 +54,9 @@ IoEngine::~IoEngine() {
   }
   for (auto& lane : lanes_) lane->work_cv.notify_all();
   for (auto& lane : lanes_) lane->worker.join();
-  // Workers are gone; completed_/worker_stats_ are plain data now.  A
-  // failed final write's error sitting here unpolled must not vanish
-  // silently (the old engine's bug): log each, count them, and spill
-  // the accounting to the sink so node totals stay truthful.
+  // Workers are gone; completed_ is plain data now.  A failed final
+  // write's error sitting here unpolled must not vanish silently (the
+  // old engine's bug): log each and count them.
   std::uint64_t dropped = 0;
   for (const IoRequest& req : completed_) {
     if (req.error.empty()) continue;
@@ -60,8 +64,9 @@ IoEngine::~IoEngine() {
     MSSG_LOG(kWarn) << "IoEngine destroyed with unpolled I/O error (key "
                     << req.key << "): " << req.error;
   }
-  worker_stats_.engine_dropped_errors += dropped;
-  if (options_.sink != nullptr) *options_.sink += worker_stats_;
+  if (options_.stats != nullptr) {
+    options_.stats->engine_dropped_errors += dropped;
+  }
   // Destroying an engine without polling a failed request is a caller
   // bug — the error had nowhere to surface.  (MSSG_CHECK throws, which a
   // destructor cannot; assert matches the BlockCache leak check.)
@@ -101,12 +106,10 @@ void IoEngine::submit(std::vector<IoRequest> batch) {
   }
 }
 
-std::vector<IoRequest> IoEngine::poll_completions(IoStats* stats) {
+std::vector<IoRequest> IoEngine::poll_completions() {
   std::vector<IoRequest> done;
   std::unique_lock lock(mutex_);
   done.swap(completed_);
-  if (stats != nullptr) *stats += worker_stats_;
-  worker_stats_.reset();
   completions_ready_.store(0, std::memory_order_release);
   return done;
 }
@@ -129,23 +132,12 @@ void IoEngine::drain() const {
                 [this] { return queued_batches_ == 0 && busy_workers_ == 0; });
 }
 
-MetricsSnapshot IoEngine::metrics() const {
-  // Quiesce and snapshot under ONE critical section: releasing the lock
-  // between the two (the old drain()-then-snapshot) let a concurrent
-  // submit() wake a worker that writes the registry mid-snapshot.
-  std::unique_lock lock(mutex_);
-  done_cv_.wait(lock,
-                [this] { return queued_batches_ == 0 && busy_workers_ == 0; });
-  return metrics_.snapshot();
-}
-
 std::size_t IoEngine::queue_depth() const {
   std::unique_lock lock(mutex_);
   return queued_batches_;
 }
 
-void IoEngine::execute_batch(std::vector<IoRequest>& batch,
-                             IoStats& local) const {
+void IoEngine::execute_batch(std::vector<IoRequest>& batch) const {
   // Fuse runs of adjacent requests (same file, same kind, byte ranges
   // touching) into one vectored op.  The batch is (file, offset)-sorted,
   // so runs are maximal by construction; same-offset duplicates are
@@ -180,9 +172,9 @@ void IoEngine::execute_batch(std::vector<IoRequest>& batch,
     try {
       if (run == 1) {
         if (head.kind == IoRequest::Kind::kRead) {
-          head.file->read_at(head.offset, head.buffer, &local);
+          head.file->read_at(head.offset, head.buffer);
         } else {
-          head.file->write_at(head.offset, head.buffer, &local);
+          head.file->write_at(head.offset, head.buffer);
         }
       } else if (head.kind == IoRequest::Kind::kRead) {
         std::vector<std::span<std::byte>> spans;
@@ -190,16 +182,17 @@ void IoEngine::execute_batch(std::vector<IoRequest>& batch,
         for (std::size_t j = 0; j < run; ++j) {
           spans.emplace_back(batch[i + j].buffer);
         }
-        head.file->read_vectored(head.offset, spans, &local);
-        local.vectored_merges += run - 1;
+        head.file->read_vectored(head.offset, spans);
       } else {
         std::vector<std::span<const std::byte>> spans;
         spans.reserve(run);
         for (std::size_t j = 0; j < run; ++j) {
           spans.emplace_back(batch[i + j].buffer);
         }
-        head.file->write_vectored(head.offset, spans, &local);
-        local.vectored_merges += run - 1;
+        head.file->write_vectored(head.offset, spans);
+      }
+      if (run > 1 && options_.stats != nullptr) {
+        options_.stats->vectored_merges += run - 1;
       }
     } catch (const std::exception& e) {
       for (std::size_t j = 0; j < run; ++j) {
@@ -221,7 +214,7 @@ void IoEngine::worker_loop(Lane& lane) {
         if (stop_) return;
         continue;
       }
-      metrics_.histogram("io.engine.queue_depth").record(queued_batches_);
+      if (queue_depth_ != nullptr) queue_depth_->record(queued_batches_);
       batch = std::move(lane.queue.front());
       lane.queue.pop_front();
       --queued_batches_;
@@ -232,21 +225,20 @@ void IoEngine::worker_loop(Lane& lane) {
     }
 
     Timer timer;
-    IoStats local;
-    execute_batch(batch, local);
-    const std::uint64_t micros = timer.nanos() / 1000;
+    execute_batch(batch);
+    // Counted before the handoff below, so a drain() that returns has
+    // seen this batch's accounting.
+    if (batches_ != nullptr) {
+      ++*batches_;
+      batch_micros_->record(timer.nanos() / 1000);
+      batch_requests_->record(batch.size());
+    }
 
     {
       std::unique_lock lock(mutex_);
-      // Span bookkeeping moved under the lock: with N workers the
-      // registry would otherwise be written concurrently.
-      metrics_.counter("span.io.engine.batch") += 1;
-      metrics_.histogram("span.io.engine.batch.us").record(micros);
-      metrics_.histogram("io.engine.batch_requests").record(batch.size());
       completed_.insert(completed_.end(),
                         std::make_move_iterator(batch.begin()),
                         std::make_move_iterator(batch.end()));
-      worker_stats_ += local;
       --busy_workers_;
       ++completion_seq_;
       completions_ready_.store(completed_.size(), std::memory_order_release);

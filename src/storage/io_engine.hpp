@@ -20,14 +20,16 @@
 // preadv/pwritev ("merging I/O requests into larger ones"), counted in
 // IoStats::vectored_merges.
 //
-// Threading contract (the reason the rest of the storage layer can stay
-// "single-threaded by design"): workers touch ONLY the File objects
-// named in requests, via the explicit-stats read/write overloads
-// (positional I/O on a shared fd is thread-safe).  All store metadata —
-// cache maps, grDB level bitmaps, file-handle tables — is resolved by
-// the owning thread at submit time.  Completions, I/O accounting, and
-// the engine's own metrics flow back to the owning thread through
-// poll_completions()/metrics(); the queue mutex orders the handoff.
+// Threading contract: workers touch ONLY the File objects named in
+// requests (positional I/O on a shared fd is thread-safe).  All store
+// metadata — cache maps, grDB level bitmaps, file-handle tables — is
+// resolved by the owning thread at submit time, and completions flow
+// back to it through poll_completions(); the queue mutex orders the
+// handoff.  Accounting does not wait for the poll: a worker's I/O is
+// counted when it runs, in the IoStats bound to each File, and the
+// engine records its own counters and histograms (below) into the
+// registry of `IoEngineOptions::stats` — all relaxed atomics, readable
+// at any moment.
 //
 // drain() (and the destructor) block until every submitted request has
 // executed, so flush-time durability is preserved: nothing the engine
@@ -47,7 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/metrics.hpp"
 #include "storage/file.hpp"
 #include "storage/io_stats.hpp"
 
@@ -77,10 +78,13 @@ struct IoEngineOptions {
   /// Max requests fused into one vectored preadv/pwritev; 1 disables
   /// merging.  Kept well under IOV_MAX.
   std::size_t max_merge = 16;
-  /// Where destructor-time accounting spills: worker stats (and the
-  /// dropped-error count) of completions nobody polled are folded here
-  /// instead of vanishing.  May be null.  Must outlive the engine.
-  IoStats* sink = nullptr;
+  /// Where the engine counts: vectored_merges and engine_dropped_errors,
+  /// plus, in the same registry, "io.engine.lanes", one
+  /// "span.io.engine.batch" (+ ".us" duration histogram) per executed
+  /// sub-batch, and the "io.engine.queue_depth" /
+  /// "io.engine.batch_requests" histograms.  May be null (nothing is
+  /// counted).  Must outlive the engine.
+  IoStats* stats = nullptr;
 };
 
 class IoEngine {
@@ -93,9 +97,8 @@ class IoEngine {
 
   /// Drains all queued requests (write-behind durability), then joins
   /// the workers.  Unpolled completions are discarded — except their
-  /// accounting and errors, which spill into `options.sink` (see
-  /// IoEngineOptions); debug builds assert that no *failed* request is
-  /// dropped this way.
+  /// errors, which are logged and counted in `options.stats`; debug
+  /// builds assert that no *failed* request is dropped this way.
   ~IoEngine();
 
   /// Queues a batch.  The batch is stably sorted by (file, offset),
@@ -110,10 +113,9 @@ class IoEngine {
     return completions_ready_.load(std::memory_order_acquire) != 0;
   }
 
-  /// Takes every finished request, in execution order, and folds the
-  /// workers' I/O accounting into `stats` (dropped when null).  Owning
-  /// thread only.
-  std::vector<IoRequest> poll_completions(IoStats* stats);
+  /// Takes every finished request, in execution order.  Owning thread
+  /// only.
+  std::vector<IoRequest> poll_completions();
 
   /// Blocks until the engine is idle, or at least one batch completes
   /// after the call began (whichever first).  The progress condition is
@@ -128,15 +130,6 @@ class IoEngine {
   /// still need polling afterwards.  Logically const: observes the queue
   /// without altering any request.
   void drain() const;
-
-  /// Waits for quiescence and snapshots the engine's internal metrics
-  /// (monotonic, no reset) WITHOUT releasing the lock in between — a
-  /// concurrent submit() cannot wake a worker into the registry
-  /// mid-snapshot.  Includes "span.io.engine.batch" (+ duration
-  /// histogram) per sub-batch, the "io.engine.queue_depth" /
-  /// "io.engine.batch_requests" histograms, and the "io.engine.lanes"
-  /// counter.
-  [[nodiscard]] MetricsSnapshot metrics() const;
 
   /// Sub-batches not yet picked up by a worker, across all lanes
   /// (approximate; for tests).
@@ -157,22 +150,21 @@ class IoEngine {
 
   void worker_loop(Lane& lane);
   /// Executes one sub-batch (sorted by file/offset), fusing adjacent
-  /// same-file same-kind runs into vectored ops.  Runs without the
-  /// lock; all accounting goes to `local`.
-  void execute_batch(std::vector<IoRequest>& batch, IoStats& local) const;
+  /// same-file same-kind runs into vectored ops.  Runs without the lock.
+  void execute_batch(std::vector<IoRequest>& batch) const;
 
   IoEngineOptions options_;
+  // Handles into options_.stats->registry, resolved once (null when
+  // options_.stats is).
+  Counter* batches_ = nullptr;
+  Histogram* batch_micros_ = nullptr;
+  Histogram* queue_depth_ = nullptr;
+  Histogram* batch_requests_ = nullptr;
   mutable std::mutex mutex_;
-  // mutable like the mutex: drain()/metrics() are logically const but
-  // wait here.
+  // mutable like the mutex: drain() is logically const but waits here.
   mutable std::condition_variable done_cv_;  ///< completion / idleness
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<IoRequest> completed_;
-  IoStats worker_stats_;  ///< worker accounting awaiting poll (guarded)
-  // Written by workers only while holding mutex_ and read by the owning
-  // thread only at quiescence while still holding mutex_ — see
-  // metrics().
-  MetricsRegistry metrics_;
   std::size_t queued_batches_ = 0;  ///< sub-batches across all lanes
   std::size_t busy_workers_ = 0;
   std::uint64_t completion_seq_ = 0;  ///< bumped per executed sub-batch

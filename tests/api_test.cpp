@@ -27,7 +27,8 @@ TEST(QueryServiceApi, BuiltInAnalysesListed) {
 
 TEST(QueryServiceApi, BfsAnalysisValidatesParams) {
   QueryService service;
-  CommWorld world(1);
+  MetricsRegistry traffic;
+  CommWorld world(1, traffic);
   auto comm = world.comm(0);
   TempDir dir;
   auto db = testing::make_db(Backend::kHashMap, dir);
@@ -48,7 +49,8 @@ TEST(QueryServiceApi, ReRegisteringReplacesAnalysis) {
                                       QueryContext&) {
     return std::vector<double>{42.0};
   });
-  CommWorld world(1);
+  MetricsRegistry traffic;
+  CommWorld world(1, traffic);
   auto comm = world.comm(0);
   TempDir dir;
   auto db = testing::make_db(Backend::kHashMap, dir);

@@ -67,16 +67,17 @@ struct RunOutcome {
 
 RunOutcome run_one(WireCluster& cluster, VertexId src, VertexId dst,
                    const BfsOptions& options) {
-  CommWorld world(kNodes);
+  MetricsRegistry traffic;
+  CommWorld world(kNodes, traffic);
   RunOutcome out;
   run_cluster(world, [&](Communicator& comm) {
     out.per_rank[comm.rank()] =
         parallel_oocbfs(comm, *cluster.dbs[comm.rank()], src, dst, options);
   });
-  out.messages_sent = world.messages_sent();
-  out.bytes_sent = world.bytes_sent();
-  out.payload_raw = world.payload_bytes_raw();
-  out.payload_encoded = world.payload_bytes_encoded();
+  out.messages_sent = traffic.counter("comm.messages_sent").load();
+  out.bytes_sent = traffic.counter("comm.bytes_sent").load();
+  out.payload_raw = traffic.counter("comm.payload_bytes_raw").load();
+  out.payload_encoded = traffic.counter("comm.payload_bytes_encoded").load();
   return out;
 }
 

@@ -149,7 +149,7 @@ TEST(GrdbVerify, CleanInstancePasses) {
   GraphDBConfig config;
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   Rng rng(31);
   std::vector<Edge> edges;
   for (int i = 0; i < 3000; ++i) {
@@ -167,7 +167,7 @@ TEST(GrdbVerify, CleanAfterDefragment) {
   GraphDBConfig config;
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   for (std::uint64_t i = 1; i <= 40; ++i) {
     db.store_edges(std::vector<Edge>{{3, 100 + i}, {7, 200 + i}});
   }
@@ -184,7 +184,7 @@ TEST(GrdbVerify, DetectsCorruptedPointer) {
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+    GrDB db(config, tiny_geometry());
     db.store_edges(std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {0, 4}});
     // Vertex 0's level-0 sub-block has a level-1 pointer in its second
     // entry.  Point it past level 1's allocated extent — through the
@@ -193,7 +193,7 @@ TEST(GrdbVerify, DetectsCorruptedPointer) {
     db.poke_entry(0, 0, 1, grdb::make_pointer_entry(1, 999));
     db.flush();
   }
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   const auto report = db.verify();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.errors.front().find("allocated extent"),
@@ -218,7 +218,7 @@ std::unique_ptr<GrDB> corrupt_chain(
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+    GrDB db(config, tiny_geometry());
     std::vector<Edge> edges;
     for (VertexId dst = 1; dst <= 11; ++dst) edges.push_back({0, dst});
     db.store_edges(edges);
@@ -227,8 +227,7 @@ std::unique_ptr<GrDB> corrupt_chain(
     corrupt(db, chain);
     db.flush();
   }
-  return std::make_unique<GrDB>(config, std::make_unique<InMemoryMetadata>(),
-                                tiny_geometry());
+  return std::make_unique<GrDB>(config, tiny_geometry());
 }
 
 void expect_every_walk_throws(GrDB& db) {
@@ -305,7 +304,7 @@ TEST(GrdbVerify, DetectsSharedSubblock) {
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+    GrDB db(config, tiny_geometry());
     // Two vertices with level-1 chains.
     for (std::uint64_t i = 1; i <= 4; ++i) {
       db.store_edges(std::vector<Edge>{{0, 10 + i}, {1, 20 + i}});
@@ -319,7 +318,7 @@ TEST(GrdbVerify, DetectsSharedSubblock) {
     db.poke_entry(0, 1, 1, grdb::make_pointer_entry(1, target_subblock));
     db.flush();
   }
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   const auto report = db.verify();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.errors.front().find("two chains"), std::string::npos);
@@ -331,7 +330,7 @@ TEST(GrdbVerify, ReportsOutOfBandDiskPatchAsChecksumFinding) {
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+    GrDB db(config, tiny_geometry());
     db.store_edges(std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {0, 4}});
     db.flush();
   }
@@ -345,7 +344,7 @@ TEST(GrdbVerify, ReportsOutOfBandDiskPatchAsChecksumFinding) {
     f.seekp(8);
     f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
   }
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   const auto report = db.verify();
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.errors.front().find("sidecar checksum"), std::string::npos);

@@ -84,7 +84,8 @@ TEST(ConcurrencyStress, BlockCacheSharedByEightReaderThreads) {
 }
 
 TEST(ConcurrencyStress, SchedulerNeverExceedsMaxInflight) {
-  CommWorld world(2);
+  MetricsRegistry traffic;
+  CommWorld world(2, traffic);
   QuerySchedulerConfig config;
   config.max_inflight = 3;
   QueryScheduler scheduler(world, config);
@@ -120,7 +121,8 @@ TEST(ConcurrencyStress, SchedulerNeverExceedsMaxInflight) {
 }
 
 TEST(ConcurrencyStress, ExclusiveQueriesRunAloneAndDoNotStarve) {
-  CommWorld world(2);
+  MetricsRegistry traffic;
+  CommWorld world(2, traffic);
   QuerySchedulerConfig config;
   config.max_inflight = 4;
   QueryScheduler scheduler(world, config);
@@ -159,7 +161,8 @@ TEST(ConcurrencyStress, ExclusiveQueriesRunAloneAndDoNotStarve) {
 }
 
 TEST(ConcurrencyStress, JobExceptionSurfacesAsOutcomeError) {
-  CommWorld world(2);
+  MetricsRegistry traffic;
+  CommWorld world(2, traffic);
   QueryScheduler scheduler(world);
   const QueryOutcome out =
       scheduler.run([](Communicator& comm, QueryContext&) -> std::vector<double> {
@@ -209,8 +212,9 @@ TEST(ConcurrencyStress, EightSearchesShareOneClusterCache) {
   // the shared cache reports its 2Q split.
   const auto snap = cluster.metrics_snapshot();
   EXPECT_EQ(snap.counters.at("sched.queries"), 8u);
-  const auto io = cluster.total_io();
-  EXPECT_GT(io.cache_probation_hits + io.cache_protected_hits, 0u);
+  EXPECT_GT(snap.counter("cache.qprobation_hits") +
+                snap.counter("cache.qprotected_hits"),
+            0u);
 }
 
 TEST(ConcurrencyStress, SchedulerBudgetTruncatesConcurrentQuery) {

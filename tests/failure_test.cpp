@@ -56,12 +56,12 @@ TEST(FailureInjection, GrdbRejectsCorruptMetaFile) {
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>());
+    GrDB db(config);
     db.store_edges(std::vector<Edge>{{1, 2}, {2, 3}});
     db.flush();
   }
   overwrite_bytes(dir.path() / "grdb.meta", 0, "NOTMAGIC");
-  EXPECT_THROW(GrDB(config, std::make_unique<InMemoryMetadata>()),
+  EXPECT_THROW(GrDB{config},
                StorageError);
 }
 
@@ -71,13 +71,13 @@ TEST(FailureInjection, GrdbRejectsTruncatedMetaFile) {
   config.dir = dir.path();
   std::filesystem::create_directories(config.dir);
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>());
+    GrDB db(config);
     db.store_edges(std::vector<Edge>{{1, 2}});
     db.flush();
   }
   // Truncate the meta file mid-structure.
   std::filesystem::resize_file(dir.path() / "grdb.meta", 12);
-  EXPECT_THROW(GrDB(config, std::make_unique<InMemoryMetadata>()),
+  EXPECT_THROW(GrDB{config},
                FormatError);
 }
 

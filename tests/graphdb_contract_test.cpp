@@ -182,7 +182,7 @@ TEST_P(GraphDBContract, NameIsStable) {
 
 // Every backend — in-memory or disk-backed — must publish its IoStats
 // into the shared "io.*" counters of a MetricsSnapshot, and the values
-// must match io_stats() exactly.
+// must match its registry exactly.
 TEST_P(GraphDBContract, PublishesIoCountersIntoSharedRegistry) {
   db_->store_edges(tiny_graph_directed());
   db_->finalize_ingest();
@@ -193,13 +193,13 @@ TEST_P(GraphDBContract, PublishesIoCountersIntoSharedRegistry) {
   MetricsSnapshot snap;
   db_->publish_metrics(snap);
 
-  const IoStats io = db_->io_stats();
-  EXPECT_EQ(snap.counter("io.reads"), io.reads);
-  EXPECT_EQ(snap.counter("io.writes"), io.writes);
-  EXPECT_EQ(snap.counter("io.bytes_read"), io.bytes_read);
-  EXPECT_EQ(snap.counter("io.bytes_written"), io.bytes_written);
-  EXPECT_EQ(snap.counter("io.cache_hits"), io.cache_hits);
-  EXPECT_EQ(snap.counter("io.cache_misses"), io.cache_misses);
+  const MetricsSnapshot io = db_->metrics().snapshot();
+  EXPECT_EQ(snap.counter("io.reads"), io.counter("io.reads"));
+  EXPECT_EQ(snap.counter("io.writes"), io.counter("io.writes"));
+  EXPECT_EQ(snap.counter("io.bytes_read"), io.counter("io.bytes_read"));
+  EXPECT_EQ(snap.counter("io.bytes_written"), io.counter("io.bytes_written"));
+  EXPECT_EQ(snap.counter("io.cache_hits"), io.counter("io.cache_hits"));
+  EXPECT_EQ(snap.counter("io.cache_misses"), io.counter("io.cache_misses"));
   // The schema keys exist even when a backend's values are zero, so
   // downstream consumers can rely on the full set being present.
   EXPECT_TRUE(snap.counters.contains("io.reads"));
@@ -321,8 +321,10 @@ TEST_P(GraphDBNoCache, NoCacheMatchesCached) {
     ASSERT_EQ(sorted(a), sorted(b)) << v;
   }
   // And the raw instance really did more disk I/O.
-  EXPECT_GT(raw->io_stats().reads + raw->io_stats().writes,
-            cached->io_stats().reads + cached->io_stats().writes);
+  const auto disk_ops = [](GraphDB& db) -> std::uint64_t {
+    return db.metrics().counter("io.reads") + db.metrics().counter("io.writes");
+  };
+  EXPECT_GT(disk_ops(*raw), disk_ops(*cached));
 }
 
 INSTANTIATE_TEST_SUITE_P(CachedBackends, GraphDBNoCache,

@@ -107,8 +107,7 @@ std::unique_ptr<GrDB> make_grdb(const TempDir& dir, GrDBOptions options,
   config.dir = dir.path();
   config.cache_bytes = cache_bytes;
   std::filesystem::create_directories(config.dir);
-  return std::make_unique<GrDB>(config, std::make_unique<InMemoryMetadata>(),
-                                std::move(options));
+  return std::make_unique<GrDB>(config, std::move(options));
 }
 
 std::vector<Edge> star_edges(VertexId center, std::uint64_t degree) {
@@ -326,7 +325,7 @@ TEST(Grdb, StandardGeometryHubCrossesAllLevels) {
   config.dir = dir.path();
   config.cache_bytes = 4u << 20;
   std::filesystem::create_directories(config.dir);
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), GrDBOptions{});
+  GrDB db(config, GrDBOptions{});
   // Degree 20000: the link chain holds 1+3+15+255+4095 = 4369 entries in
   // levels 0-4 and the remaining 15631 fit one level-5 sub-block.
   std::vector<Edge> edges;

@@ -1,6 +1,6 @@
 // Multi-worker IoEngine stress — the tsan drill for the parallel lane
 // rewrite.  Several submitter threads, a dedicated poller, waiters, and
-// a metrics reader hammer one engine across several files at once; the
+// a registry reader hammer one engine across several files at once; the
 // invariants checked (no request lost, no request failed, every byte
 // where it belongs, accounting totals reconcile) must hold under every
 // interleaving.  Runs under both sanitizers via the `io` ctest label
@@ -35,16 +35,17 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
   constexpr std::size_t kTotal = kSubmitters * kBatches * kPerBatch;
 
   TempDir dir;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   std::vector<std::unique_ptr<File>> files;
   for (std::size_t f = 0; f < kFiles; ++f) {
     files.push_back(std::make_unique<File>(
-        File::open(dir.path() / ("data" + std::to_string(f)))));
+        File::open(dir.path() / ("data" + std::to_string(f)), &stats)));
   }
 
-  IoStats sink;
   IoEngineOptions options;
   options.workers = 4;
-  options.sink = &sink;
+  options.stats = &stats;
   IoEngine engine(options);
 
   // Every request gets a globally unique index; file and offset derive
@@ -78,10 +79,9 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
   // it was submitted with.
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> polled{0};
-  IoStats polled_stats;
   std::thread poller([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      for (IoRequest& req : engine.poll_completions(&polled_stats)) {
+      for (IoRequest& req : engine.poll_completions()) {
         EXPECT_TRUE(req.error.empty()) << req.error;
         EXPECT_LT(req.key, kTotal);
         polled.fetch_add(1, std::memory_order_relaxed);
@@ -95,15 +95,15 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
   stop.store(true, std::memory_order_release);
   poller.join();
   // Whatever the poller's last pass missed is still queued as completed.
-  for (IoRequest& req : engine.poll_completions(&polled_stats)) {
+  for (IoRequest& req : engine.poll_completions()) {
     EXPECT_TRUE(req.error.empty()) << req.error;
     polled.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Nothing lost, everything accounted.
+  // Nothing lost, everything accounted (as it ran, on the workers).
   EXPECT_EQ(polled.load(), kTotal);
-  EXPECT_EQ(polled_stats.bytes_written, kTotal * kBlock);
-  EXPECT_EQ(polled_stats.engine_dropped_errors, 0u);
+  EXPECT_EQ(stats.bytes_written, kTotal * kBlock);
+  EXPECT_EQ(stats.engine_dropped_errors, 0u);
 
   // Every byte where it belongs, regardless of which lane carried it.
   std::vector<std::byte> out(kBlock);
@@ -126,7 +126,7 @@ TEST(IoEngineStress, WaitForCompletionSurvivesConcurrentPoller) {
   std::atomic<bool> stop{false};
   std::thread poller([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      (void)engine.poll_completions(nullptr);
+      (void)engine.poll_completions();
     }
   });
 
@@ -146,19 +146,23 @@ TEST(IoEngineStress, WaitForCompletionSurvivesConcurrentPoller) {
   poller.join();
 }
 
-// metrics() must quiesce and snapshot atomically while submitters keep
-// racing it: the snapshot totals can only grow between calls, and tsan
-// must see no registry access outside the lock.
+// The engine's registry is read live, with no quiescing, while a
+// submitter keeps the workers busy: totals can only grow between
+// snapshots, tsan must see no unsynchronized access, and once drained
+// the counts reconcile with what was submitted.
 TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
   TempDir dir;
-  File file = File::open(dir.path() / "data");
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
+  File file = File::open(dir.path() / "data", &stats);
   IoEngineOptions options;
   options.workers = 2;
+  options.stats = &stats;
   IoEngine engine(options);
 
   std::atomic<bool> stop{false};
+  std::uint64_t n = 0;  // batches submitted (one write each)
   std::thread submitter([&] {
-    std::uint64_t n = 0;
     while (!stop.load(std::memory_order_acquire)) {
       std::vector<IoRequest> batch;
       IoRequest req;
@@ -173,7 +177,7 @@ TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
 
   std::uint64_t last = 0;
   for (int i = 0; i < 50; ++i) {
-    const MetricsSnapshot snap = engine.metrics();
+    const MetricsSnapshot snap = metrics.snapshot();
     const std::uint64_t batches = snap.counter("span.io.engine.batch");
     EXPECT_GE(batches, last);
     EXPECT_EQ(snap.counter("io.engine.lanes"), 2u);
@@ -182,7 +186,10 @@ TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
   stop.store(true, std::memory_order_release);
   submitter.join();
   engine.drain();
-  (void)engine.poll_completions(nullptr);
+  (void)engine.poll_completions();
+  const MetricsSnapshot final_counts = metrics.snapshot();
+  EXPECT_EQ(final_counts.counter("span.io.engine.batch"), n);
+  EXPECT_EQ(final_counts.counter("io.writes"), n);
 }
 
 }  // namespace

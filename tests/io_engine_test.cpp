@@ -36,13 +36,14 @@ std::vector<std::byte> pattern_block(std::uint8_t tag) {
 
 TEST(IoEngine, ExecutesBatchSortedByOffset) {
   TempDir dir;
-  IoStats file_stats;
+  MetricsRegistry metrics;
+  IoStats file_stats(metrics);
   File file = File::open(dir.path() / "data", &file_stats);
   for (std::uint8_t i = 0; i < 8; ++i) {
     file.write_at(i * kBlock, pattern_block(i));
   }
 
-  IoEngine engine;
+  IoEngine engine({.stats = &file_stats});
   std::vector<IoRequest> batch;
   // Submit in deliberately shuffled offset order.
   for (const std::uint64_t block : {5u, 1u, 7u, 0u, 3u, 6u, 2u, 4u}) {
@@ -57,8 +58,7 @@ TEST(IoEngine, ExecutesBatchSortedByOffset) {
   engine.submit(std::move(batch));
   engine.drain();
 
-  IoStats worker_stats;
-  const auto done = engine.poll_completions(&worker_stats);
+  const auto done = engine.poll_completions();
   ASSERT_EQ(done.size(), 8u);
   for (std::size_t i = 0; i < done.size(); ++i) {
     // Completions come back in execution order == ascending offset.
@@ -66,17 +66,19 @@ TEST(IoEngine, ExecutesBatchSortedByOffset) {
     EXPECT_EQ(done[i].key, i);
     EXPECT_EQ(done[i].buffer, pattern_block(static_cast<std::uint8_t>(i)));
   }
-  // The worker accounted its I/O into the explicit stats, not the file's
-  // — and coalesced the 8 byte-contiguous blocks into ONE vectored read.
-  EXPECT_EQ(worker_stats.reads, 1u);
-  EXPECT_EQ(worker_stats.bytes_read, 8u * kBlock);
-  EXPECT_EQ(worker_stats.vectored_merges, 7u);
+  // The worker counted its I/O into the file's own stats as it ran —
+  // and coalesced the 8 byte-contiguous blocks into ONE vectored read.
+  EXPECT_EQ(file_stats.reads, 1u);
+  EXPECT_EQ(file_stats.bytes_read, 8u * kBlock);
+  EXPECT_EQ(file_stats.vectored_merges, 7u);
 }
 
 TEST(IoEngine, VectoredWriteMergesContiguousRunsOnly) {
   TempDir dir;
-  File file = File::open(dir.path() / "data");
-  IoEngine engine;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
+  File file = File::open(dir.path() / "data", &stats);
+  IoEngine engine({.stats = &stats});
   std::vector<IoRequest> batch;
   // Blocks 0-2 are byte-contiguous, then a two-block hole, then 5-6:
   // exactly two pwritev calls, never one spanning the hole.
@@ -90,8 +92,7 @@ TEST(IoEngine, VectoredWriteMergesContiguousRunsOnly) {
   }
   engine.submit(std::move(batch));
   engine.drain();
-  IoStats stats;
-  ASSERT_EQ(engine.poll_completions(&stats).size(), 5u);
+  ASSERT_EQ(engine.poll_completions().size(), 5u);
   EXPECT_EQ(stats.writes, 2u);
   EXPECT_EQ(stats.vectored_merges, 3u);
   EXPECT_EQ(stats.bytes_written, 5u * kBlock);
@@ -185,11 +186,10 @@ TEST(IoEngine, DestructorSpillsDroppedErrorsIntoSink) {
   FaultInjector::instance().parse_spec(
       "path=" + (dir.path() / "data").string() + ",op=write,kind=fail,nth=0");
 
-  IoStats sink;
+  MetricsRegistry metrics;
+  IoStats sink(metrics);
   {
-    IoEngineOptions options;
-    options.sink = &sink;
-    IoEngine engine(options);
+    IoEngine engine({.stats = &sink});
     std::vector<IoRequest> batch;
     IoRequest req;
     req.kind = IoRequest::Kind::kWrite;
@@ -209,7 +209,9 @@ TEST(IoEngine, DestructorSpillsDroppedErrorsIntoSink) {
 }
 
 TEST(IoEngine, NullFileRequestCompletesWithoutIo) {
-  IoEngine engine;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
+  IoEngine engine({.stats = &stats});
   std::vector<IoRequest> batch;
   IoRequest req;
   req.kind = IoRequest::Kind::kRead;
@@ -218,8 +220,7 @@ TEST(IoEngine, NullFileRequestCompletesWithoutIo) {
   batch.push_back(std::move(req));
   engine.submit(std::move(batch));
   engine.drain();
-  IoStats stats;
-  const auto done = engine.poll_completions(&stats);
+  const auto done = engine.poll_completions();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].key, 42u);
   EXPECT_EQ(stats.reads, 0u);
@@ -244,7 +245,7 @@ TEST(IoEngine, WorkerErrorsPropagateToOwningThread) {
   engine.submit(std::move(batch));
   engine.drain();  // the worker must survive the throw, not terminate
 
-  const auto done = engine.poll_completions(nullptr);
+  const auto done = engine.poll_completions();
   FaultInjector::instance().clear();
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].key, 7u);
@@ -266,7 +267,9 @@ TEST(IoEngine, WaitForCompletionReturnsWhenIdle) {
 TEST(IoEngine, MetricsCountBatches) {
   TempDir dir;
   File file = File::open(dir.path() / "data");
-  IoEngine engine;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
+  IoEngine engine({.workers = 2, .stats = &stats});
   for (int b = 0; b < 3; ++b) {
     std::vector<IoRequest> batch;
     IoRequest req;
@@ -277,14 +280,18 @@ TEST(IoEngine, MetricsCountBatches) {
     batch.push_back(std::move(req));
     engine.submit(std::move(batch));
   }
-  const MetricsSnapshot snap = engine.metrics();  // drains first
+  // Counted in the registry of the stats it was given, as each batch
+  // finishes: once drain() returns, all three are there.
+  engine.drain();
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter("io.engine.lanes"), 2u);
   EXPECT_EQ(snap.counter("span.io.engine.batch"), 3u);
   ASSERT_TRUE(snap.histograms.contains("io.engine.batch_requests"));
   EXPECT_EQ(snap.histograms.at("io.engine.batch_requests").count, 3u);
   EXPECT_TRUE(snap.histograms.contains("io.engine.queue_depth"));
   // Non-destructive: a second snapshot reports the same totals.
-  EXPECT_EQ(engine.metrics().counter("span.io.engine.batch"), 3u);
-  (void)engine.poll_completions(nullptr);
+  EXPECT_EQ(metrics.snapshot().counter("span.io.engine.batch"), 3u);
+  (void)engine.poll_completions();
 }
 
 // ---- BlockCache async protocols --------------------------------------------
@@ -320,7 +327,8 @@ struct FileStore {
 
 TEST(AsyncIo, PrefetchedBlocksAreAdoptedAsHits) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   FileStore fs(dir.path() / "store", &stats, 1u << 20);
   for (std::uint8_t b = 0; b < 4; ++b) fs.file.write_at(b * kBlock, pattern_block(b));
   fs.cache.enable_async_io();
@@ -348,7 +356,8 @@ TEST(AsyncIo, PrefetchedBlocksAreAdoptedAsHits) {
 
 TEST(AsyncIo, PrefetchSkipsCachedAndInflightBlocks) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   FileStore fs(dir.path() / "store", &stats, 1u << 20);
   fs.file.write_at(0, pattern_block(1));
   fs.cache.enable_async_io();
@@ -365,7 +374,8 @@ TEST(AsyncIo, PrefetchSkipsCachedAndInflightBlocks) {
 
 TEST(AsyncIo, GetDuringInflightPrefetchWaitsAndReadsOnce) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   FileStore fs(dir.path() / "store", &stats, 1u << 20);
   for (std::uint8_t b = 0; b < 16; ++b) {
     fs.file.write_at(b * kBlock, pattern_block(b));
@@ -388,7 +398,8 @@ TEST(AsyncIo, GetDuringInflightPrefetchWaitsAndReadsOnce) {
 
 TEST(AsyncIo, WriteBehindNeverServesStaleBytes) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   // Capacity of exactly two blocks forces eviction traffic.
   FileStore fs(dir.path() / "store", &stats, 2 * kBlock);
   fs.cache.enable_async_io();
@@ -411,7 +422,8 @@ TEST(AsyncIo, FlushAndDestructorDrainWriteBehind) {
   TempDir dir;
   const auto path = dir.path() / "store";
   {
-    IoStats stats;
+    MetricsRegistry metrics;
+    IoStats stats(metrics);
     FileStore fs(path, &stats, 2 * kBlock);
     fs.cache.enable_async_io();
     for (std::uint64_t b = 0; b < 6; ++b) {
@@ -431,7 +443,8 @@ TEST(AsyncIo, FlushAndDestructorDrainWriteBehind) {
 
 TEST(AsyncIo, WriteBehindErrorSurfacesAsStorageError) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   FileStore fs(dir.path() / "store", &stats, 2 * kBlock);
   fs.cache.enable_async_io();
   FaultInjector::instance().clear();
@@ -457,7 +470,8 @@ TEST(AsyncIo, WriteBehindErrorSurfacesAsStorageError) {
 
 TEST(AsyncIo, LocatorNulloptFallsBackToSyncReader) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   File file = File::open(dir.path() / "store", &stats);
   file.write_at(0, pattern_block(7));
   BlockCache cache(1u << 20, &stats);
@@ -489,7 +503,8 @@ TEST(AsyncIo, LocatorNulloptFallsBackToSyncReader) {
 }
 
 TEST(AsyncIo, CapacityZeroCacheNeverEnablesAsync) {
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   BlockCache cache(0, &stats);
   cache.enable_async_io();
   // With nothing retained between unpins there is nothing to prefetch
@@ -499,7 +514,8 @@ TEST(AsyncIo, CapacityZeroCacheNeverEnablesAsync) {
 
 TEST(AsyncIo, PagerPrefetchWarmsPages) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   Pager pager(dir.path() / "pages.db", 4096, 1u << 20, &stats,
               /*async_io=*/true);
   ASSERT_TRUE(pager.async_enabled());
@@ -512,7 +528,7 @@ TEST(AsyncIo, PagerPrefetchWarmsPages) {
   pager.flush();
 
   pager.prefetch(pages);  // already resident: all skipped
-  const auto issued_resident = stats.prefetch_issued;
+  const std::uint64_t issued_resident = stats.prefetch_issued;
   EXPECT_EQ(issued_resident, 0u);
 
   // Invalid/out-of-range ids are filtered, duplicates deduped — no throw.
@@ -702,21 +718,25 @@ TEST(AsyncIo, GrdbPublishesEngineMetrics) {
   for (VertexId v = 0; v < 4000; v += 3) fringe.push_back(v);
   db->prefetch(fringe);
 
-  const IoStats stats = db->io_stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
+  // The engine counts a batch when a worker finishes it, not when the
+  // snapshot is taken; flush() drains the engine first.
+  db->flush();
+  const MetricsSnapshot stats = db->metrics().snapshot();
+  EXPECT_GT(stats.counter("io.prefetch_issued"), 0u);
 
   MetricsSnapshot snap;
   db->publish_metrics(snap);
-  EXPECT_EQ(snap.counter("io.prefetch_issued"), stats.prefetch_issued);
+  EXPECT_EQ(snap.counter("io.prefetch_issued"),
+            stats.counter("io.prefetch_issued"));
   EXPECT_GT(snap.counter("span.io.engine.batch"), 0u);
   EXPECT_TRUE(snap.histograms.contains("io.engine.batch_requests"));
 
   // The warmed blocks satisfy the reads that follow without stalling.
-  const auto stalls_before = stats.read_stalls;
+  const auto stalls_before = stats.counter("io.read_stalls");
   std::vector<VertexId> out;
   for (const VertexId v : fringe) db->get_adjacency(v, out);
-  EXPECT_GT(db->io_stats().prefetch_hits, 0u);
-  EXPECT_EQ(db->io_stats().read_stalls, stalls_before);
+  EXPECT_GT(db->metrics().counter("io.prefetch_hits"), 0u);
+  EXPECT_EQ(db->metrics().counter("io.read_stalls"), stalls_before);
 }
 
 TEST(AsyncIo, KvstorePrefetchWarmsChunkLeaves) {
@@ -739,7 +759,7 @@ TEST(AsyncIo, KvstorePrefetchWarmsChunkLeaves) {
   std::vector<VertexId> fringe;
   for (VertexId v = 0; v < 3000; v += 5) fringe.push_back(v);
   db->prefetch(fringe);
-  EXPECT_GT(db->io_stats().prefetch_issued, 0u);
+  EXPECT_GT(db->metrics().counter("io.prefetch_issued"), 0u);
 
   std::vector<VertexId> out;
   for (const VertexId v : fringe) {
@@ -747,7 +767,7 @@ TEST(AsyncIo, KvstorePrefetchWarmsChunkLeaves) {
     db->get_adjacency(v, out);
     EXPECT_EQ(out.size(), 2u) << "vertex " << v;
   }
-  EXPECT_GT(db->io_stats().prefetch_hits, 0u);
+  EXPECT_GT(db->metrics().counter("io.prefetch_hits"), 0u);
 }
 
 }  // namespace

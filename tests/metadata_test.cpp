@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "common/temp_dir.hpp"
+#include "graphdb/graphdb.hpp"
 #include "graphdb/metadata_store.hpp"
 
 namespace mssg {
@@ -70,7 +73,8 @@ TEST(ExternalMetadata, ManyClearsStayCorrect) {
 
 TEST(ExternalMetadata, SmallCacheStillCorrect) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   // Cache of a single page: every page switch is an eviction.
   ExternalMetadata store(dir.path() / "meta.dat", 100'000, 4096, &stats);
   for (VertexId v = 0; v < 100'000; v += 1017) {
@@ -80,6 +84,44 @@ TEST(ExternalMetadata, SmallCacheStillCorrect) {
     EXPECT_EQ(store.get(v), static_cast<Metadata>(v % 1000));
   }
   EXPECT_GT(stats.writes, 0u);  // evictions really hit the disk
+}
+
+// In the Figs 5.8/5.9 configuration the visited store is part of its
+// node: its preads and cache traffic land in the node's io.* counters,
+// and a page that fails its checksum on a later open is reset (reads as
+// fill) AND counted in storage.checksum_failures.
+TEST(ExternalMetadata, NodeCountsVisitedStoreIoAndCorruption) {
+  for (const Backend backend : {Backend::kHashMap, Backend::kGrDB}) {
+    SCOPED_TRACE(to_string(backend));
+    TempDir dir;
+    GraphDBConfig config;
+    config.dir = dir.path();
+    config.external_metadata = true;
+    config.max_vertices = 1000;
+    {
+      auto db = make_graphdb(backend, config);
+      db->set_metadata(5, 3);
+      EXPECT_EQ(db->get_metadata(5), 3);
+    }  // page 0 is written back when the store closes
+    {
+      // Flip one payload word of page 0 (vertex 0's slot).
+      std::fstream f(dir.path() / "metadata.dat",
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.is_open());
+      char word[4];
+      f.read(word, sizeof(word));
+      for (char& c : word) c = static_cast<char>(~c);
+      f.seekp(0);
+      f.write(word, sizeof(word));
+    }
+    auto db = make_graphdb(backend, config);
+    EXPECT_EQ(db->get_metadata(5), kUnvisited);  // self-repaired to fill
+    MetricsSnapshot snap;
+    db->publish_metrics(snap);
+    EXPECT_EQ(snap.counter("storage.checksum_failures"), 1u);
+    EXPECT_GT(snap.counter("io.reads"), 0u);
+    EXPECT_GT(snap.counter("io.cache_misses"), 0u);
+  }
 }
 
 TEST(ExternalMetadata, OutOfRangeRejected) {

@@ -3,10 +3,17 @@
 // same-seed cluster runs must produce byte-identical counter snapshots.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <set>
+#include <string_view>
+#include <thread>
 
 #include "common/metrics.hpp"
+#include "common/temp_dir.hpp"
 #include "gen/generators.hpp"
+#include "gen/memory_graph.hpp"
+#include "gen/pairs.hpp"
 #include "mssg/mssg.hpp"
 
 namespace mssg {
@@ -16,7 +23,7 @@ namespace {
 
 TEST(Metrics, CounterReferenceIsStableAcrossRegistrations) {
   MetricsRegistry reg;
-  std::uint64_t& a = reg.counter("a");
+  Counter& a = reg.counter("a");
   a += 3;
   // Force rebalancing/allocation with many more registrations.
   for (int i = 0; i < 100; ++i) {
@@ -149,6 +156,160 @@ TEST(MetricsDeterminism, SameSeedRunsProduceIdenticalSnapshots) {
   EXPECT_GT(first.counter("io.reads") + first.counter("io.writes"), 0u);
   EXPECT_GT(first.counter("comm.messages_sent"), 0u);
   EXPECT_GT(first.counter("grdb.level0.subblocks"), 0u);
+}
+
+// ---- Counter-name contract -------------------------------------------------
+
+// Every counter name published before IoStats became a set of registry
+// handles, generated then from seeded_run() plus one snapshots-on grDB
+// node.  perfbench/driver.cpp reads io.*, storage.*, comm.*, bfs.* and
+// txn.* by name, and a renamed counter would read as 0 there without
+// failing anything, so none of these may go missing.
+constexpr std::string_view kContractNames[] = {
+    "bfs.discovered_owned", "bfs.edges_scanned", "bfs.found",
+    "bfs.fringe_messages", "bfs.levels", "bfs.queries", "bfs.vertices_expanded",
+    "cache.qprobation_hits", "cache.qprotected_hits",
+    "comm.broadcast_copies_avoided", "comm.bytes_sent", "comm.messages_sent",
+    "comm.payload_bytes_encoded", "comm.payload_bytes_raw", "grdb.level0.free",
+    "grdb.level0.subblocks", "grdb.level1.free", "grdb.level1.subblocks",
+    "grdb.level2.free", "grdb.level2.subblocks", "grdb.level3.free",
+    "grdb.level3.subblocks", "grdb.level4.free", "grdb.level4.subblocks",
+    "grdb.level5.free", "grdb.level5.subblocks", "ingest.batches",
+    "ingest.edges_routed", "ingest.edges_stored",
+    "ingest.payload_bytes_encoded", "ingest.payload_bytes_raw",
+    "ingest.windows", "io.bytes_read", "io.bytes_written", "io.cache_evictions",
+    "io.cache_hits", "io.cache_misses", "io.cache_pin_leaks",
+    "io.engine.dropped_errors", "io.engine.lanes", "io.prefetch_hits",
+    "io.prefetch_issued", "io.read_stalls", "io.reads", "io.syncs",
+    "io.vectored_merges", "io.writes", "journal.deferred_flushes",
+    "journal.group_commits", "mmap.fallbacks", "mmap.lazy_verifies",
+    "mmap.mapped_bytes", "mmap.maps", "mmap.zero_copy_reads", "span.bfs.level",
+    "span.ingest.window", "storage.checksum_failures", "storage.checksum_torn",
+    "storage.journal_records", "storage.journal_replays", "txn.committed_epoch",
+    "txn.cow_pages", "txn.epochs_live", "txn.snapshot_reads",
+    "txn.versions_held",
+};
+
+// The storage rows every backend publishes (zeroes when in memory).
+constexpr std::string_view kStorageNames[] = {
+    "cache.qprobation_hits", "cache.qprotected_hits", "io.bytes_read",
+    "io.bytes_written", "io.cache_evictions", "io.cache_hits",
+    "io.cache_misses", "io.cache_pin_leaks", "io.engine.dropped_errors",
+    "io.prefetch_hits", "io.prefetch_issued", "io.read_stalls", "io.reads",
+    "io.syncs", "io.vectored_merges", "io.writes", "journal.deferred_flushes",
+    "journal.group_commits", "mmap.fallbacks", "mmap.lazy_verifies",
+    "mmap.mapped_bytes", "mmap.maps", "mmap.zero_copy_reads",
+    "storage.checksum_failures", "storage.checksum_torn",
+    "storage.journal_records", "storage.journal_replays", "txn.cow_pages",
+    "txn.snapshot_reads",
+};
+
+TEST(MetricsContract, EveryCounterNameIsStillPublished) {
+  std::set<std::string, std::less<>> names;
+  for (const auto& [name, value] : seeded_run().counters) names.insert(name);
+  {
+    TempDir dir;
+    GraphDBConfig config;
+    config.dir = dir.path();
+    config.snapshots = true;
+    auto db = make_graphdb(Backend::kGrDB, config);
+    db->store_edges(std::vector<Edge>{{1, 2}, {2, 3}});
+    db->flush();
+    MetricsSnapshot snap;
+    db->publish_metrics(snap);
+    for (const auto& [name, value] : snap.counters) names.insert(name);
+  }
+  for (const std::string_view name : kContractNames) {
+    EXPECT_TRUE(names.contains(name)) << name << " is no longer published";
+  }
+}
+
+TEST(MetricsContract, InMemoryBackendsPublishStorageRowsAsZeros) {
+  for (const Backend backend : {Backend::kArray, Backend::kHashMap}) {
+    TempDir dir;
+    GraphDBConfig config;
+    config.dir = dir.path();
+    auto db = make_graphdb(backend, config);
+    db->store_edges(std::vector<Edge>{{1, 2}, {2, 3}});
+    db->finalize_ingest();
+    std::vector<VertexId> out;
+    db->get_adjacency(1, out);
+    MetricsSnapshot snap;
+    db->publish_metrics(snap);
+    for (const std::string_view name : kStorageNames) {
+      ASSERT_TRUE(snap.counters.contains(std::string(name)))
+          << to_string(backend) << " lacks " << name;
+      EXPECT_EQ(snap.counter(name), 0u) << to_string(backend) << " " << name;
+    }
+  }
+}
+
+// ---- Live reads ------------------------------------------------------------
+
+// The merged view is readable while work runs: one thread snapshots the
+// cluster in a loop while direct searches, then eight concurrent
+// scheduled analyses, run on a 4-node grDB cluster whose cache is far
+// smaller than its graph (so storage counters, the IoEngine's prefetch
+// reads and comm traffic all move under the reader).  Every cumulative
+// counter the reader sees must be monotone.
+TEST(MetricsLive, SnapshotWhileQueriesRun) {
+  ChungLuConfig gen{.vertices = 800, .edges = 4000, .seed = 41};
+  const auto edges = generate_chung_lu(gen);
+  const MemoryGraph reference(gen.vertices, edges);
+  const auto pairs = sample_random_pairs(reference, 8, 7);
+  ASSERT_EQ(pairs.size(), 8u);
+
+  ClusterConfig config;
+  config.backend = Backend::kGrDB;
+  config.backend_nodes = 4;
+  config.db.cache_bytes = 16 << 10;  // starved: most reads miss
+  config.db.max_vertices = gen.vertices;
+  config.scheduler.max_inflight = 8;
+  MssgCluster cluster(config);
+  cluster.ingest(edges);
+
+  constexpr std::uint64_t kSearches = 40;
+  const char* const kMonotone[] = {"bfs.queries", "io.reads",
+                                   "comm.messages_sent"};
+  std::atomic<bool> stop{false};
+  std::uint64_t snapshots = 0;
+  std::uint64_t regressions = 0;
+  std::thread reader([&] {
+    MetricsSnapshot prev = cluster.metrics_snapshot();
+    while (!stop.load(std::memory_order_relaxed)) {
+      MetricsSnapshot next = cluster.metrics_snapshot();
+      for (const char* name : kMonotone) {
+        if (next.counter(name) < prev.counter(name)) ++regressions;
+      }
+      prev = std::move(next);
+      ++snapshots;
+    }
+  });
+
+  BfsOptions options;
+  options.prefetch = true;  // engine reads race the reader too
+  for (std::uint64_t i = 0; i < kSearches; ++i) {
+    const auto& pair = pairs[i % pairs.size()];
+    EXPECT_EQ(cluster.bfs(pair.src, pair.dst, options).distance,
+              pair.distance);
+  }
+  std::vector<QueryScheduler::Ticket> tickets;
+  for (const auto& pair : pairs) {
+    tickets.push_back(cluster.submit_analysis("cbfs", {pair.src, pair.dst}));
+  }
+  for (std::size_t q = 0; q < tickets.size(); ++q) {
+    const QueryOutcome out = cluster.await_query(tickets[q]);
+    ASSERT_TRUE(out.ok()) << out.error;
+    EXPECT_EQ(static_cast<Metadata>(out.result.at(0)), pairs[q].distance);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(regressions, 0u) << "a cumulative counter went backwards";
+  const MetricsSnapshot final_view = cluster.metrics_snapshot();
+  EXPECT_EQ(final_view.counter("bfs.queries"), 4 * kSearches);
+  EXPECT_GT(final_view.counter("io.reads"), 0u);
 }
 
 }  // namespace

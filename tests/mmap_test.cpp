@@ -107,7 +107,8 @@ TEST(MappedBlockSource, VerifiesEachBlockOnce) {
   constexpr std::size_t kBlock = 64;
   const auto path = write_file(dir, "level1.0.dat", std::string(2 * kBlock, 'y'));
   int verifies = 0;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   MappedBlockSource source(
       kBlock, /*blocks_per_file=*/4,
       [&verifies](std::uint64_t, std::span<const std::byte>) { ++verifies; },
@@ -194,9 +195,10 @@ TEST(MmapEquivalence, AnalysesMatchAcrossNodeCounts) {
     }
     // The comparison is only meaningful if the mapped path actually
     // served the on-cluster's scans.
-    EXPECT_GT(cluster_on.total_io().mmap_zero_copy_reads, 0u)
+    EXPECT_GT(cluster_on.metrics_snapshot().counter("mmap.zero_copy_reads"), 0u)
         << "mapped path never engaged at " << nodes << " nodes";
-    EXPECT_EQ(cluster_off.total_io().mmap_zero_copy_reads, 0u);
+    EXPECT_EQ(cluster_off.metrics_snapshot().counter("mmap.zero_copy_reads"),
+              0u);
   }
 }
 
@@ -221,7 +223,7 @@ void bitrot_roundtrip(bool mmap_sealed) {
   config.mmap_sealed = mmap_sealed;
   std::filesystem::create_directories(config.dir);
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+    GrDB db(config, tiny_geometry());
     db.store_edges(std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {0, 4}});
     db.flush();
   }
@@ -236,7 +238,7 @@ void bitrot_roundtrip(bool mmap_sealed) {
     f.seekp(8);
     f.write(&byte, 1);
   }
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   try {
     db.for_each_vertex([](VertexId) { return true; });
     FAIL() << "bit-rot not detected (mmap_sealed=" << mmap_sealed << ")";
@@ -245,12 +247,12 @@ void bitrot_roundtrip(bool mmap_sealed) {
               std::string::npos)
         << e.what();
   }
-  EXPECT_GE(db.io_stats().checksum_failures, 1u);
+  EXPECT_GE(db.metrics().counter("storage.checksum_failures"), 1u);
   if (mmap_sealed) {
-    EXPECT_GT(db.io_stats().mmap_maps, 0u) << "damage was found by the "
-                                              "cache path, not the mapping";
+    EXPECT_GT(db.metrics().counter("mmap.maps"), 0u)
+        << "damage was found by the cache path, not the mapping";
   } else {
-    EXPECT_EQ(db.io_stats().mmap_maps, 0u);
+    EXPECT_EQ(db.metrics().counter("mmap.maps"), 0u);
   }
 }
 
@@ -285,7 +287,7 @@ TEST(MmapFallback, MutationUnmapsAndFlushRearms) {
   config.dir = dir.path();
   config.mmap_sealed = true;
   std::filesystem::create_directories(config.dir);
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   db.store_edges(fan(0, 10, 6));
   db.flush();
 
@@ -293,27 +295,29 @@ TEST(MmapFallback, MutationUnmapsAndFlushRearms) {
   std::vector<VertexId> adjacency;
   db.get_adjacency(0, adjacency);
   EXPECT_EQ(adjacency.size(), 6u);
-  EXPECT_EQ(db.io_stats().mmap_maps, 0u);
+  EXPECT_EQ(db.metrics().counter("mmap.maps"), 0u);
 
   // First sealed scan maps and reads zero-copy.
   EXPECT_GT(scan_count(db), 0u);
-  const IoStats sealed = db.io_stats();
-  EXPECT_GT(sealed.mmap_maps, 0u);
-  EXPECT_GT(sealed.mmap_mapped_bytes, 0u);
-  EXPECT_GT(sealed.mmap_zero_copy_reads, 0u);
+  const MetricsSnapshot sealed = db.metrics().snapshot();
+  EXPECT_GT(sealed.counter("mmap.maps"), 0u);
+  EXPECT_GT(sealed.counter("mmap.mapped_bytes"), 0u);
+  EXPECT_GT(sealed.counter("mmap.zero_copy_reads"), 0u);
 
   // A mutation unmaps (counted as a fallback); scans read through the
   // cache until the epoch reseals.
   db.store_edges(fan(1, 30, 6));
-  const IoStats dirty = db.io_stats();
-  EXPECT_GE(dirty.mmap_fallbacks, 1u);
+  const MetricsSnapshot dirty = db.metrics().snapshot();
+  EXPECT_GE(dirty.counter("mmap.fallbacks"), 1u);
   EXPECT_GT(scan_count(db), 0u);
-  EXPECT_EQ(db.io_stats().mmap_maps, dirty.mmap_maps);  // no remap while dirty
+  EXPECT_EQ(db.metrics().counter("mmap.maps"),
+            dirty.counter("mmap.maps"));  // no remap while dirty
 
   // flush() commits the epoch and re-arms: the next scan remaps.
   db.flush();
   EXPECT_GT(scan_count(db), 0u);
-  EXPECT_GT(db.io_stats().mmap_maps, dirty.mmap_maps);
+  EXPECT_GT(db.metrics().counter("mmap.maps"),
+            dirty.counter("mmap.maps"));
 
   // The remapped view serves current data.
   adjacency.clear();
@@ -328,7 +332,7 @@ TEST(MmapFallback, ArmedFaultInjectorForcesPreadPath) {
   config.dir = dir.path();
   config.mmap_sealed = true;
   std::filesystem::create_directories(config.dir);
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), tiny_geometry());
+  GrDB db(config, tiny_geometry());
   db.store_edges(fan(0, 10, 6));
   db.flush();
 
@@ -341,14 +345,14 @@ TEST(MmapFallback, ArmedFaultInjectorForcesPreadPath) {
   ASSERT_TRUE(FaultInjector::instance().enabled());
 
   EXPECT_GT(scan_count(db), 0u);
-  EXPECT_EQ(db.io_stats().mmap_maps, 0u)
+  EXPECT_EQ(db.metrics().counter("mmap.maps"), 0u)
       << "mapped under an armed fault injector — torn/short-read "
          "injection cannot reach mapped reads";
 
   // Disarming restores the mapped path on the next scan.
   FaultInjector::instance().clear();
   EXPECT_GT(scan_count(db), 0u);
-  EXPECT_GT(db.io_stats().mmap_maps, 0u);
+  EXPECT_GT(db.metrics().counter("mmap.maps"), 0u);
 }
 
 }  // namespace

@@ -51,7 +51,8 @@ struct MsBfsCluster {
 std::vector<MsBfsStats> run_batched(MsBfsCluster& cluster,
                                     std::span<const VertexId> sources,
                                     VertexId dst, const MsBfsOptions& options) {
-  CommWorld world(cluster.nodes);
+  MetricsRegistry traffic;
+  CommWorld world(cluster.nodes, traffic);
   std::vector<MsBfsStats> per_rank(cluster.nodes);
   run_cluster(world, [&](Communicator& comm) {
     per_rank[comm.rank()] = parallel_msbfs(
@@ -62,7 +63,8 @@ std::vector<MsBfsStats> run_batched(MsBfsCluster& cluster,
 
 BfsStats run_single(MsBfsCluster& cluster, VertexId src, VertexId dst,
                     const BfsOptions& options) {
-  CommWorld world(cluster.nodes);
+  MetricsRegistry traffic;
+  CommWorld world(cluster.nodes, traffic);
   BfsStats rank0;
   run_cluster(world, [&](Communicator& comm) {
     const BfsStats stats =

@@ -53,8 +53,8 @@ TEST(Cluster, DiskBackendsReportIo) {
   for (VertexId i = 0; i < 2000; ++i) edges.push_back({i % 97, i});
   cluster.ingest(edges);
   cluster.bfs(0, 96);
-  const auto io = cluster.total_io();
-  EXPECT_GT(io.cache_misses + io.cache_hits, 0u);
+  const auto io = cluster.metrics_snapshot();
+  EXPECT_GT(io.counter("io.cache_misses") + io.counter("io.cache_hits"), 0u);
 }
 
 TEST(Cluster, PipelinedBfsAgreesWithPlain) {

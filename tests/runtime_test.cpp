@@ -178,7 +178,8 @@ TEST(Comm, AllgatherReleasesScratchSlots) {
   // Regression: the gather slots used to retain every rank's last
   // contribution until the next collective, pinning one buffer per rank
   // for the lifetime of the world (megabytes on fringe-sized payloads).
-  CommWorld world(4);
+  MetricsRegistry traffic;
+  CommWorld world(4, traffic);
   run_cluster(world, [](Communicator& comm) {
     const std::vector<std::byte> big(64 * 1024,
                                      std::byte(0x40 + comm.rank()));
@@ -196,7 +197,8 @@ TEST(Comm, BroadcastSharesOnePayloadAllocation) {
   // The zero-copy contract: a broadcast of B bytes to p-1 peers is one
   // payload allocation; every mailbox holds a reference to it.
   constexpr int kRanks = 5;
-  CommWorld world(kRanks);
+  MetricsRegistry traffic;
+  CommWorld world(kRanks, traffic);
   std::vector<PayloadBuffer> received(kRanks);
   run_cluster(world, [&](Communicator& comm) {
     if (comm.rank() == 0) {
@@ -209,10 +211,10 @@ TEST(Comm, BroadcastSharesOnePayloadAllocation) {
     EXPECT_TRUE(received[1].shares_storage_with(received[r]));
   }
   EXPECT_EQ(received[1].use_count(), kRanks - 1);
-  EXPECT_EQ(world.broadcast_copies_avoided(), kRanks - 1u);
+  EXPECT_EQ(traffic.counter("comm.broadcast_copies_avoided"), kRanks - 1u);
   // The simulated wire still charges the payload once per peer.
-  EXPECT_EQ(world.messages_sent(), kRanks - 1u);
-  EXPECT_EQ(world.bytes_sent(), (kRanks - 1u) * 14u);
+  EXPECT_EQ(traffic.counter("comm.messages_sent").load(), kRanks - 1u);
+  EXPECT_EQ(traffic.counter("comm.bytes_sent").load(), (kRanks - 1u) * 14u);
 }
 
 TEST(Comm, AllgatherChargesEachContributionOnceNotPerRank) {
@@ -220,15 +222,17 @@ TEST(Comm, AllgatherChargesEachContributionOnceNotPerRank) {
   // each rank's payload a single time, so p ranks contributing B bytes
   // cost p messages and sum(B) bytes — not p^2 and p*sum(B).
   constexpr int kRanks = 4;
-  CommWorld world(kRanks);
+  MetricsRegistry traffic;
+  CommWorld world(kRanks, traffic);
   run_cluster(world, [](Communicator& comm) {
     const std::vector<std::byte> contribution(
         static_cast<std::size_t>(comm.rank() + 1) * 10, std::byte{0x5a});
     const auto all = comm.allgather(contribution);
     ASSERT_EQ(all.size(), static_cast<std::size_t>(kRanks));
   });
-  EXPECT_EQ(world.messages_sent(), static_cast<std::uint64_t>(kRanks));
-  EXPECT_EQ(world.bytes_sent(), 10u + 20u + 30u + 40u);
+  EXPECT_EQ(traffic.counter("comm.messages_sent"),
+            static_cast<std::uint64_t>(kRanks));
+  EXPECT_EQ(traffic.counter("comm.bytes_sent").load(), 10u + 20u + 30u + 40u);
 }
 
 TEST(Comm, AllgatherReturnsSharedBufferReferences) {
@@ -271,30 +275,34 @@ TEST(Comm, ExceptionInOneRankPropagates) {
 }
 
 TEST(Comm, TrafficCountersAccumulate) {
-  CommWorld world(2);
+  MetricsRegistry traffic;
+  CommWorld world(2, traffic);
   run_cluster(world, [](Communicator& comm) {
     if (comm.rank() == 0) comm.send(1, 1, payload_of("abcd"));
     comm.barrier();
   });
-  EXPECT_EQ(world.messages_sent(), 1u);
-  EXPECT_EQ(world.bytes_sent(), 4u);
+  EXPECT_EQ(traffic.counter("comm.messages_sent").load(), 1u);
+  EXPECT_EQ(traffic.counter("comm.bytes_sent").load(), 4u);
 }
 
 // Regression: the traffic counters used to be plain ints guarded only on
 // the write side, so a monitor thread polling them mid-run was a data
-// race (TSan flagged comm.cpp's send path).  They are atomics now; this
-// test recreates the racing reader and must stay TSan-clean.
+// race (TSan flagged comm.cpp's send path).  They are registry counters
+// (relaxed atomics) now; this test recreates the racing reader and must
+// stay TSan-clean.
 TEST(Comm, TrafficCountersReadableWhileSendersRun) {
   constexpr int kRanks = 4;
   constexpr int kMessages = 500;
-  CommWorld world(kRanks);
+  MetricsRegistry traffic;
+  CommWorld world(kRanks, traffic);
 
+  const Counter& sent = traffic.counter("comm.messages_sent");
+  const Counter& bytes = traffic.counter("comm.bytes_sent");
   std::atomic<bool> done{false};
   std::uint64_t observed = 0;
   std::thread monitor([&] {
     while (!done.load(std::memory_order_acquire)) {
-      observed = std::max(observed,
-                          world.messages_sent() + world.bytes_sent());
+      observed = std::max(observed, sent.load() + bytes.load());
     }
   });
 
@@ -308,9 +316,9 @@ TEST(Comm, TrafficCountersReadableWhileSendersRun) {
   done.store(true, std::memory_order_release);
   monitor.join();
 
-  EXPECT_EQ(world.messages_sent(), kRanks * kMessages);
-  EXPECT_EQ(world.bytes_sent(), kRanks * kMessages * 8u);
-  EXPECT_LE(observed, world.messages_sent() + world.bytes_sent());
+  EXPECT_EQ(sent.load(), kRanks * kMessages);
+  EXPECT_EQ(bytes.load(), kRanks * kMessages * 8u);
+  EXPECT_LE(observed, sent.load() + bytes.load());
 }
 
 // ---- DataStream ------------------------------------------------------------

@@ -234,16 +234,16 @@ TEST(SnapshotCowGrdb, CapturesCountedOncePerBlockPerEpoch) {
   for (VertexId i = 0; i < 100; ++i) bulk.push_back(Edge{1, 1000 + i});
   db->store_edges(bulk);
   db->flush();
-  EXPECT_GT(db->io_stats().txn_cow_pages, 0u);  // fresh blocks capture
-                                                // their empty pre-image
+  // Fresh blocks capture their empty pre-image.
+  EXPECT_GT(db->metrics().counter("txn.cow_pages"), 0u);
 
   // First mutation of the new epoch captures the touched blocks...
   db->store_edges(std::vector<Edge>{{1, 2000}});
-  const std::uint64_t mid = db->io_stats().txn_cow_pages;
+  const std::uint64_t mid = db->metrics().counter("txn.cow_pages");
   // ...and a second mutation of the SAME blocks in the SAME open epoch
   // must not grow the shelf.
   db->store_edges(std::vector<Edge>{{1, 2001}});
-  EXPECT_EQ(db->io_stats().txn_cow_pages, mid);
+  EXPECT_EQ(db->metrics().counter("txn.cow_pages"), mid);
 
   // Snapshot reads are counted when they are served off the shelf.
   SnapshotRef pin = db->begin_snapshot();
@@ -255,7 +255,7 @@ TEST(SnapshotCowGrdb, CapturesCountedOncePerBlockPerEpoch) {
     // The pin predates the flush, so it sees the first commit only.
     EXPECT_EQ(adj.size(), 100u);
   }
-  EXPECT_GT(db->io_stats().txn_snapshot_reads, 0u);
+  EXPECT_GT(db->metrics().counter("txn.snapshot_reads"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -295,7 +295,7 @@ TEST(SnapshotMmap, SealedReadersSurviveConcurrentStoreAndFlush) {
   for (VertexId v = 0; v < kV; ++v) first.push_back(Edge{v, kV + 0});
   db->store_edges(first);
   db->flush();
-  EXPECT_GT(db->io_stats().mmap_maps, 0u);
+  EXPECT_GT(db->metrics().counter("mmap.maps"), 0u);
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> lo{1}, hi{1};

@@ -22,7 +22,8 @@ std::vector<std::byte> bytes_of(const std::string& s) {
 
 TEST(File, WriteThenReadBack) {
   TempDir dir;
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   File f = File::open(dir.path() / "data.bin", &stats);
   const auto payload = bytes_of("hello disk");
   f.write_at(100, payload);
@@ -110,7 +111,8 @@ class FakeStore {
 
 TEST(BlockCache, HitAvoidsSecondRead) {
   FakeStore store(64);
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   BlockCache cache(1024, &stats);
   const auto id = cache.register_store(64, store.reader(), store.writer());
   { auto h = cache.get(id, 5); }
@@ -172,7 +174,8 @@ TEST(BlockCache, PinnedBlocksSurviveCapacityPressure) {
 
 TEST(BlockCache, DisabledCacheReportsNoHits) {
   FakeStore store(64);
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   BlockCache cache(0, &stats);
   const auto id = cache.register_store(64, store.reader(), store.writer());
   {
@@ -193,7 +196,8 @@ TEST(BlockCache, PinLeakAtDestructionIsDetected) {
   GTEST_SKIP() << "leak check aborts via assert() in debug builds";
 #else
   FakeStore store(64);
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   BlockHandle leaked;
   {
     BlockCache cache(1024, &stats);
@@ -315,7 +319,8 @@ TEST(BlockCache2Q, ProtectedListCappedAtThreeQuartersByDemotion) {
 
 TEST(BlockCache2Q, HitSplitReportedInIoStats) {
   FakeStore store(64);
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   BlockCache cache(8 * 64, &stats);
   const auto id = cache.register_store(64, store.reader(), store.writer());
   { auto h = cache.get(id, 1); }  // miss

@@ -176,7 +176,7 @@ TEST(GrdbTorture, StandardGeometryRandomMultigraph) {
   }
 
   {
-    GrDB db(config, std::make_unique<InMemoryMetadata>());
+    GrDB db(config);
     // Irregular batch sizes.
     std::size_t pos = 0;
     while (pos < all.size()) {
@@ -192,7 +192,7 @@ TEST(GrdbTorture, StandardGeometryRandomMultigraph) {
   }
 
   // Reopen, check every adjacency list, defragment, re-check.
-  GrDB db(config, std::make_unique<InMemoryMetadata>());
+  GrDB db(config);
   std::vector<VertexId> out;
   for (VertexId v = 0; v < kVertices; ++v) {
     out.clear();
@@ -217,7 +217,7 @@ TEST(GrdbTorture, CopyUpModeStandardGeometry) {
   std::filesystem::create_directories(config.dir);
   GrDBOptions options;
   options.growth = GrDBGrowth::kCopyUp;
-  GrDB db(config, std::make_unique<InMemoryMetadata>(), options);
+  GrDB db(config, options);
 
   Rng rng(888);
   std::vector<std::vector<VertexId>> expected(500);

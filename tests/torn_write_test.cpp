@@ -150,7 +150,8 @@ void torn_page_detected_at(std::size_t tear) {
   }
   FaultInjector::instance().clear();
 
-  IoStats stats;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
   bool detected = false;
   try {
     Pager pager(path, kPage, 1u << 20, &stats);

@@ -36,11 +36,12 @@ FILTER+=':CrashRecovery.*:*CrashRecovery*:TornWrite.*:FaultInjector.*'
 # concurrency` label, run below under tsan via ctest so label coverage
 # and filter coverage cannot drift apart.)
 FILTER+=':ConcurrencyStress.*:MsBfsEquivalence.*:*Differential.*:BlockCache2Q.*'
-# PR 7: the multi-lane I/O engine — N workers share the completion queue,
-# the quiescence predicates, and the metrics registry; the stress suite
-# races submit/poll/wait/drain/metrics across all of them.  The full io
-# label (engine + async cache + group-commit crash sweeps) also runs via
-# ctest under BOTH presets below.
+# The multi-lane I/O engine — N workers share the completion queue and
+# the quiescence predicates, and count into the registry they are given;
+# the stress suite races submit/poll/wait/drain across all of them while
+# a reader snapshots that registry live.  The full io label (engine +
+# async cache + group-commit crash sweeps) also runs via ctest under BOTH
+# presets below.
 FILTER+=':IoEngineStress.*'
 # PR 8: the VertexProgram engine — every analysis runs one kernel thread
 # per simulated rank, all charging one shared QueryBudget and merging
