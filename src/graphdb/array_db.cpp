@@ -8,7 +8,7 @@
 namespace mssg {
 
 void ArrayDB::store_edges(std::span<const Edge> edges) {
-  std::unique_lock<std::shared_mutex> lock(mu_, std::defer_lock);
+  std::unique_lock<SharedLatch> lock(mu_, std::defer_lock);
   if (snapshots_enabled_) lock.lock();
   if (finalized_) {
     throw StorageError(
@@ -30,7 +30,7 @@ void ArrayDB::store_edges(std::span<const Edge> edges) {
 }
 
 void ArrayDB::finalize_ingest() {
-  std::unique_lock<std::shared_mutex> lock(mu_, std::defer_lock);
+  std::unique_lock<SharedLatch> lock(mu_, std::defer_lock);
   if (snapshots_enabled_) lock.lock();
   if (finalized_) return;
   xadj_.assign(max_vertex_ + 2, 0);
@@ -54,7 +54,7 @@ void ArrayDB::finalize_ingest() {
 
 void ArrayDB::flush() {
   if (!snapshots_enabled_) return;
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::unique_lock<SharedLatch> lock(mu_);
   if (dirty_) {
     txn_.advance_and_purge();
     dirty_ = false;
@@ -90,7 +90,7 @@ void ArrayDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
   const Snapshot* snap = SnapshotScope::active_for(this);
   std::vector<VertexId> vertices;
   {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    std::shared_lock<SharedLatch> lock(mu_);
     if (!finalized_) {
       vertices.reserve(staging_.size());
       for (const auto& [v, neighbors] : staging_) {
@@ -121,7 +121,7 @@ void ArrayDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
 }
 
 void ArrayDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
-  std::shared_lock<std::shared_mutex> lock(mu_, std::defer_lock);
+  std::shared_lock<SharedLatch> lock(mu_, std::defer_lock);
   if (snapshots_enabled_) {
     lock.lock();
     if (const Snapshot* snap = SnapshotScope::active_for(this)) {

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/shared_latch.hpp"
 #include "graphdb/graphdb.hpp"
 
 namespace mssg {
@@ -39,7 +40,7 @@ class ArrayDB final : public GraphDB {
 
  private:
   const bool snapshots_enabled_;
-  mutable std::shared_mutex mu_;
+  mutable SharedLatch mu_;
   VertexSnapshots txn_;
   bool dirty_ = false;
 

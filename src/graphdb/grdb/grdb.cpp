@@ -108,6 +108,7 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
   cache_.set_miss_penalty_us(config.sim_miss_penalty_us);
   const int level_count = options_.geometry.level_count();
   levels_.resize(level_count);
+  gauges_ = std::vector<LevelGauges>(level_count);
   for (int l = 0; l < level_count; ++l) {
     Level& level = levels_[l];
     level.spec = options_.geometry.levels[l];
@@ -232,6 +233,7 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
       any_data_.load(std::memory_order_relaxed)) {
     try_map_sealed();
   }
+  publish_level_gauges();
 }
 
 GrDB::~GrDB() {
@@ -535,31 +537,27 @@ GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock,
   if (snap != nullptr) {
     // Snapshot read.  Versions first: a block mutated after the pin MUST
     // serve its shelved pre-image, whatever the live/mapped bytes say.
-    if (auto ver = versions_.lookup(key, snap->epoch())) {
-      ++stats_.txn_snapshot_reads;
-      ref.view = std::span<const std::byte>(ver->data(), ver->size());
-      ref.keepalive = std::move(ver);
+    ++stats_.txn_snapshot_reads;
+    auto pin = versions_.pin(key, snap->epoch());
+    if (pin.version != nullptr) {
+      ref.view = std::span<const std::byte>(pin.version->data(),
+                                            pin.version->size());
+      ref.keepalive = std::move(pin.version);
       return ref;
     }
     // Then the sealed mapping (copy + revalidate — dodges the cache and
     // its mutex entirely, which is where concurrent readers win).
     if (auto copy = mapped_snapshot_copy(level, addr.block, key)) {
-      ++stats_.txn_snapshot_reads;
       ref.view = std::span<const std::byte>(copy->data(), copy->size());
       ref.keepalive = std::move(copy);
       return ref;
     }
-    // Else an atomic live copy: VersionStore::read holds the version
-    // mutex across the copy, so a writer's first mutation of this block
-    // this epoch (whose capture needs that mutex) cannot begin mid-copy.
-    auto copy = versions_.read(key, snap->epoch(), [&] {
-      BlockHandle h = cache_.get(levels_[level].store_id, addr.block);
-      const auto data = h.data();
-      return std::vector<std::byte>(data.begin(), data.end());
-    });
-    ++stats_.txn_snapshot_reads;
-    ref.view = std::span<const std::byte>(copy->data(), copy->size());
-    ref.keepalive = std::move(copy);
+    // Else the live frame, in place: the ref keeps the shelf latched
+    // shared until it is released, so a writer's first mutation of this
+    // block this epoch (whose capture takes the shelf exclusive) cannot
+    // begin while the reader is inside the sub-block.
+    ref.latch = std::move(pin.latch);
+    ref.handle = cache_.get(levels_[level].store_id, addr.block);
     return ref;
   }
   // Sealed zero-copy path: a sequential scan (SequentialScanScope) on a
@@ -854,12 +852,22 @@ std::uint64_t GrDB::allocated_subblocks(int level) const {
   return levels_[level].alloc;
 }
 
+void GrDB::publish_level_gauges() {
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    gauges_[l].subblocks.store(allocated_subblocks(static_cast<int>(l)),
+                               std::memory_order_relaxed);
+    gauges_[l].free.store(levels_[l].free_list.size(),
+                          std::memory_order_relaxed);
+  }
+}
+
 void GrDB::publish_metrics(MetricsSnapshot& snap) const {
   GraphDB::publish_metrics(snap);
-  for (std::size_t l = 0; l < levels_.size(); ++l) {
+  for (std::size_t l = 0; l < gauges_.size(); ++l) {
     const std::string prefix = "grdb.level" + std::to_string(l);
-    snap.add(prefix + ".subblocks", allocated_subblocks(static_cast<int>(l)));
-    snap.add(prefix + ".free", levels_[l].free_list.size());
+    snap.add(prefix + ".subblocks",
+             gauges_[l].subblocks.load(std::memory_order_relaxed));
+    snap.add(prefix + ".free", gauges_[l].free.load(std::memory_order_relaxed));
   }
   // Page-cache residency of the live sealed mapping (mincore sampling):
   // how much of the mapped graph the OS is actually holding in memory.
@@ -938,8 +946,7 @@ void GrDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
     // pre-image and are skipped — the sweep sees exactly the epoch.
     SequentialScanScope scan_scope;
     for (VertexId v = 0; v < snap->extent(); ++v) {
-      SubblockRef ref = pin_subblock(0, v);
-      if (grdb::classify(ref.get(0)) == EntryKind::kEmpty) continue;
+      if (level0_empty(v)) continue;
       if (!visit(v)) return;
     }
     return;
@@ -950,10 +957,16 @@ void GrDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
   SequentialScanScope scan_scope;
   const VertexId last = max_vertex_.load(std::memory_order_relaxed);
   for (VertexId v = 0; v <= last; ++v) {
-    SubblockRef ref = pin_subblock(0, v);
-    if (grdb::classify(ref.get(0)) == EntryKind::kEmpty) continue;
+    if (level0_empty(v)) continue;
     if (!visit(v)) return;
   }
+}
+
+bool GrDB::level0_empty(VertexId v) {
+  // The ref is released before the caller's visitor runs: a visitor may
+  // re-enter get_adjacency, and a thread holds one latched ref at most.
+  const SubblockRef ref = pin_subblock(0, v);
+  return grdb::classify(ref.get(0)) == EntryKind::kEmpty;
 }
 
 void GrDB::prefetch(std::span<const VertexId> vertices) {
@@ -1300,6 +1313,7 @@ std::uint64_t GrDB::defragment() {
     }
     ++rewritten;
   }
+  publish_level_gauges();
   return rewritten;
 }
 

@@ -18,11 +18,13 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/shared_latch.hpp"
 #include "graphdb/graphdb.hpp"
 #include "graphdb/grdb/format.hpp"
 #include "storage/block_cache.hpp"
@@ -52,13 +54,15 @@ class GrDB final : public GraphDB {
   void flush() override {
     std::lock_guard<std::mutex> lock(write_mu_);
     flush_impl(/*force_commit=*/false);
+    publish_level_gauges();
   }
   void finalize_ingest() override { flush(); }
 
   /// Pins the last committed epoch (DESIGN.md "Snapshot isolation").
   /// With `GraphDBConfig::snapshots` on, reads under a SnapshotScope
   /// holding the ref serve exactly that epoch — version pre-images
-  /// first, then the sealed mapping, then an atomic live copy — while
+  /// first, then the sealed mapping, then the live cache frame read in
+  /// place under a shared latch on the version shelf — while
   /// store_edges/flush advance the next epoch concurrently.
   [[nodiscard]] SnapshotRef begin_snapshot() override;
   [[nodiscard]] TxnState txn_state() const override;
@@ -77,9 +81,9 @@ class GrDB final : public GraphDB {
   /// Adds per-level sub-block allocation and free-list depth gauges
   /// ("grdb.level<l>.subblocks" / ".free") on top of the registry, plus
   /// mmap page-cache residency (mincore sampling) while the sealed
-  /// mapping is live.  The level gauges read writer-owned state without
-  /// the writer lock: safe next to queries, not next to a concurrent
-  /// store_edges/flush (live ingest) or defragment().
+  /// mapping is live.  The level gauges are the values the writer last
+  /// published (at open, each flush and each defragment), so a call is
+  /// safe next to queries and next to live ingest.
   void publish_metrics(MetricsSnapshot& snap) const override;
 
   /// Evicts every file in the storage directory (level files, meta,
@@ -119,7 +123,8 @@ class GrDB final : public GraphDB {
   [[nodiscard]] VerifyReport verify();
 
   /// Sub-blocks ever allocated at a level (level 0 reports the touched
-  /// id-space extent).
+  /// id-space extent).  Reads writer-owned state: call it from the
+  /// writer's thread, or with no writer running.
   [[nodiscard]] std::uint64_t allocated_subblocks(int level) const;
 
  private:
@@ -145,13 +150,22 @@ class GrDB final : public GraphDB {
   /// entries read directly from the mapping, no cache frame involved;
   /// such refs are read-only (set() asserts).  Snapshot reads set `view`
   /// over `keepalive`, a refcounted immutable block image (a COW
-  /// pre-image or a pinned-epoch copy) that outlives any purge.
+  /// pre-image or a sealed-mapping copy) that outlives any purge — or,
+  /// when no version serves the pin, read the live frame through
+  /// `handle` while `latch` holds the version shelf shared, which keeps
+  /// the writer's first capture of the block (and so its first change)
+  /// out until the ref is released.  A thread holds at most one ref
+  /// with a latch: release one before pinning the next, and before
+  /// calling out to code that may read this store.
   struct SubblockRef {
     BlockHandle handle;
     std::span<const std::byte> view;  ///< zero-copy mapped block, or empty
     std::shared_ptr<const std::vector<std::byte>> keepalive;
     std::uint64_t offset = 0;  ///< byte offset of the sub-block in block
     std::uint64_t entries = 0;
+    // Declared last, released first: the frame's unpin may evict and
+    // write back, which a capture need not wait for.
+    std::shared_lock<SharedLatch> latch;
 
     [[nodiscard]] std::uint64_t get(std::uint64_t i) const;
     void set(std::uint64_t i, std::uint64_t value);
@@ -170,6 +184,10 @@ class GrDB final : public GraphDB {
   /// (a corrupt pointer) throws StorageError instead of steering writes
   /// anywhere in the block index space.
   void check_allocated(VertexId v, int level, std::uint64_t subblock) const;
+
+  /// True when v's level-0 sub-block has no first entry (the sweep test
+  /// of for_each_vertex).
+  bool level0_empty(VertexId v);
 
   /// Appends neighbors to one vertex's chain.
   void append(VertexId v, std::span<const VertexId> neighbors);
@@ -210,6 +228,9 @@ class GrDB final : public GraphDB {
   /// Commit boundary bookkeeping: advances the epoch and purges
   /// versions no live snapshot can read.
   void commit_epoch();
+  /// Copies each level's allocation extent and free-list depth into
+  /// gauges_ (writer context).
+  void publish_level_gauges();
 
   /// True when the sealed mapping is live (fast path), otherwise one
   /// map attempt per sealed epoch.
@@ -243,6 +264,13 @@ class GrDB final : public GraphDB {
   std::atomic<bool> any_data_{false};
   std::atomic<bool> in_flush_{false};  // post-commit phase: skip undo capture
   std::atomic<bool> dirty_since_flush_{false};
+  // The grdb.level* gauges, one pair per level: the writer stores them,
+  // publish_metrics reads only these.
+  struct LevelGauges {
+    std::atomic<std::uint64_t> subblocks{0};
+    std::atomic<std::uint64_t> free{0};
+  };
+  std::vector<LevelGauges> gauges_;
 
   // Serializes the mutator entry points (store_edges, flush, poke_entry,
   // defragment) against each other; readers never take it.

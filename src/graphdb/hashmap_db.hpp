@@ -7,10 +7,11 @@
 //
 // Snapshot isolation (GraphDBConfig::snapshots): writes version each
 // vertex's adjacency list on first mutation per epoch (VertexSnapshots);
-// flush() is the commit boundary.  A shared_mutex lets readers run
-// concurrently with each other; the writer takes it uniquely, so a
-// reader's version-or-live resolution is atomic against mutation.  The
-// lock is taken only when snapshots are on — the classic single-threaded
+// flush() is the commit boundary.  A SharedLatch lets readers run
+// concurrently with each other; the writer takes it uniquely, ahead of
+// readers that arrive while it waits, so a reader's version-or-live
+// resolution is atomic against mutation and the writer is never starved.
+// The lock is taken only when snapshots are on — the classic single-threaded
 // phasing pays nothing — and never across the for_each_vertex visitor
 // (visitors re-enter get_adjacency: graph_stats does exactly that).
 #pragma once
@@ -19,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/shared_latch.hpp"
 #include "graphdb/graphdb.hpp"
 
 namespace mssg {
@@ -29,7 +31,7 @@ class HashMapDB final : public GraphDB {
       : GraphDB(config), snapshots_enabled_(config.snapshots) {}
 
   void store_edges(std::span<const Edge> edges) override {
-    std::unique_lock<std::shared_mutex> lock(mu_, std::defer_lock);
+    std::unique_lock<SharedLatch> lock(mu_, std::defer_lock);
     if (snapshots_enabled_) {
       lock.lock();
       const Epoch open = txn_.epochs.open();
@@ -48,7 +50,7 @@ class HashMapDB final : public GraphDB {
   }
 
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override {
-    std::shared_lock<std::shared_mutex> lock(mu_, std::defer_lock);
+    std::shared_lock<SharedLatch> lock(mu_, std::defer_lock);
     if (snapshots_enabled_) {
       lock.lock();
       if (const Snapshot* snap = SnapshotScope::active_for(this)) {
@@ -78,7 +80,7 @@ class HashMapDB final : public GraphDB {
     const Snapshot* snap = SnapshotScope::active_for(this);
     std::vector<VertexId> vertices;
     {
-      std::shared_lock<std::shared_mutex> lock(mu_);
+      std::shared_lock<SharedLatch> lock(mu_);
       vertices.reserve(adjacency_.size());
       for (const auto& [v, neighbors] : adjacency_) {
         if (neighbors.empty()) continue;
@@ -98,7 +100,7 @@ class HashMapDB final : public GraphDB {
 
   void flush() override {
     if (!snapshots_enabled_) return;
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    std::unique_lock<SharedLatch> lock(mu_);
     if (dirty_) {
       txn_.advance_and_purge();
       dirty_ = false;
@@ -120,7 +122,7 @@ class HashMapDB final : public GraphDB {
 
  private:
   const bool snapshots_enabled_;
-  mutable std::shared_mutex mu_;
+  mutable SharedLatch mu_;
   VertexSnapshots txn_;
   bool dirty_ = false;
   std::unordered_map<VertexId, std::vector<VertexId>> adjacency_;

@@ -203,10 +203,9 @@ class MssgCluster {
   /// registry plus its GraphDB gauges (grdb.*, txn.epochs_live, ...),
   /// the cluster registry (comm.* traffic, accumulated ingest.*), and
   /// the scheduler's aggregate (sched.*, completed queries).  Safe while
-  /// searches and scheduled analyses run; backend gauges read
-  /// writer-owned state (grDB's grdb.level*.subblocks/.free), so do not
-  /// overlap a call with live_ingest(), commit_all(), ingest() or
-  /// defragment_all().
+  /// searches, scheduled analyses and live_ingest() run: grDB's
+  /// grdb.level*.subblocks/.free gauges are the values each node's
+  /// writer published at its last flush, not its live allocator state.
   [[nodiscard]] MetricsSnapshot metrics_snapshot() const;
 
  private:

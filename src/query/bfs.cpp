@@ -22,7 +22,13 @@ class BfsRun {
         src_(src),
         dst_(dst),
         options_(options),
-        stream_db_(dynamic_cast<StreamDB*>(&db)) {}
+        stream_db_(dynamic_cast<StreamDB*>(&db)),
+        encode_bytes_(options.metrics != nullptr
+                          ? &options.metrics->histogram("codec.encode_bytes")
+                          : nullptr),
+        decode_bytes_(options.metrics != nullptr
+                          ? &options.metrics->histogram("codec.decode_bytes")
+                          : nullptr) {}
 
   BfsStats execute();
 
@@ -73,6 +79,8 @@ class BfsRun {
   VertexId dst_;
   const BfsOptions& options_;
   StreamDB* stream_db_;
+  Histogram* encode_bytes_;
+  Histogram* decode_bytes_;
 
   BfsStats stats_;
   bool found_ = false;
@@ -85,18 +93,14 @@ PayloadBuffer BfsRun::pack_fringe(std::vector<VertexId>& vertices) {
   const std::size_t raw_bytes = raw_vertex_wire_bytes(vertices.size());
   std::vector<std::byte> encoded = encode_vertex_set(vertices, options_.wire);
   comm_.record_payload_encoding(raw_bytes, encoded.size());
-  if (options_.metrics != nullptr) {
-    options_.metrics->histogram("codec.encode_bytes").record(encoded.size());
-  }
+  if (encode_bytes_ != nullptr) encode_bytes_->record(encoded.size());
   return PayloadBuffer(std::move(encoded));
 }
 
 const std::vector<VertexId>& BfsRun::unpack_fringe(
     std::span<const std::byte> buffer) {
   decode_vertex_set(buffer, decode_scratch_);
-  if (options_.metrics != nullptr) {
-    options_.metrics->histogram("codec.decode_bytes").record(buffer.size());
-  }
+  if (decode_bytes_ != nullptr) decode_bytes_->record(buffer.size());
   return decode_scratch_;
 }
 

@@ -24,7 +24,14 @@ class MsBfsRun {
         sources_(sources),
         dst_(dst),
         options_(options),
-        stream_db_(dynamic_cast<StreamDB*>(&db)) {}
+        stream_db_(dynamic_cast<StreamDB*>(&db)),
+        // Resolved once: a by-name lookup takes the registry lock.
+        encode_bytes_(options.metrics != nullptr
+                          ? &options.metrics->histogram("codec.encode_bytes")
+                          : nullptr),
+        decode_bytes_(options.metrics != nullptr
+                          ? &options.metrics->histogram("codec.decode_bytes")
+                          : nullptr) {}
 
   MsBfsStats execute();
 
@@ -39,6 +46,28 @@ class MsBfsRun {
 
   /// Merges one received fringe pair into the local next frontier.
   void merge_candidate(VertexId u, std::uint64_t mask);
+
+  /// Grows the dense arrays to cover vertex `u` and applies the source
+  /// marks they now reach.
+  void cover(VertexId u);
+
+  /// Adds `fresh` to u's pending bits, listing u for rank `q` (its owner,
+  /// or this rank in broadcast mode) on its first pending bit.
+  void queue(Rank q, VertexId u, std::uint64_t fresh) {
+    if (pending_[u] == 0) touched_[q].push_back(u);
+    pending_[u] |= fresh;
+  }
+
+  /// Counts `fresh` as discoveries owned by this rank.
+  void count_discovered(std::uint64_t fresh) {
+    for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
+      ++discovered_local_[std::countr_zero(bits)];
+    }
+  }
+
+  /// Moves rank q's listed vertices and their pending bits into
+  /// pair_scratch_, leaving both empty.
+  void take_pairs(Rank q);
 
   /// Expands every frontier entry once, fanning each adjacency list out
   /// to all sources in the entry's (active-filtered) mask.
@@ -59,16 +88,27 @@ class MsBfsRun {
   const MsBfsOptions& options_;
   StreamDB* stream_db_;
 
+  Histogram* encode_bytes_;
+  Histogram* decode_bytes_;
+
   MsBfsStats stats_;
   std::uint64_t active_ = 0;      // sources still searching
   std::uint64_t found_local_ = 0; // sources that reached dst this level
-  // Query-private visited state: for each vertex, the sources that have
-  // reached it.  Deliberately NOT the GraphDB metadata store, so
-  // concurrent runs cannot corrupt each other.
-  std::unordered_map<VertexId, std::uint64_t> seen_;
-  std::vector<std::pair<VertexId, std::uint64_t>> frontier_;
-  std::unordered_map<VertexId, std::uint64_t> next_;
-  std::vector<std::unordered_map<VertexId, std::uint64_t>> buckets_;
+  // Query-private visited state, dense by vertex id: seen_[v] holds the
+  // sources that have reached v, pending_[v] the bits found this level
+  // and not yet merged (owned here) or shipped (owned elsewhere).
+  // Deliberately NOT the GraphDB metadata store, so concurrent runs
+  // cannot corrupt each other.  Both arrays grow to the highest id read
+  // from storage, never to a query parameter: source marks past their
+  // end wait in source_marks_ until cover() reaches them.
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint64_t> pending_;
+  std::vector<VertexPair> source_marks_;
+  // Vertices with pending bits, per destination rank.  Each vertex has
+  // one owner, so one pending_ array serves every list; this rank's own
+  // list is the next frontier.
+  std::vector<std::vector<VertexId>> touched_;
+  std::vector<VertexPair> frontier_;  // (vertex, source mask), by id
   std::vector<std::uint64_t> discovered_local_;  // per source bit
   std::vector<VertexPair> pair_scratch_;
   std::vector<VertexId> fetch_scratch_;
@@ -78,10 +118,30 @@ PayloadBuffer MsBfsRun::pack_pairs(std::vector<VertexPair>& pairs) {
   const std::size_t raw_bytes = raw_pair_wire_bytes(pairs.size());
   std::vector<std::byte> encoded = encode_pair_set(pairs, options_.wire);
   comm_.record_payload_encoding(raw_bytes, encoded.size());
-  if (options_.metrics != nullptr) {
-    options_.metrics->histogram("codec.encode_bytes").record(encoded.size());
-  }
+  if (encode_bytes_ != nullptr) encode_bytes_->record(encoded.size());
   return PayloadBuffer(std::move(encoded));
+}
+
+void MsBfsRun::cover(VertexId u) {
+  // Doubling keeps the growth steps logarithmic; the size stays within
+  // twice the highest id read from storage.
+  const std::size_t size = std::max<std::size_t>(u + 1, 2 * seen_.size());
+  seen_.resize(size, 0);
+  pending_.resize(size, 0);
+  std::erase_if(source_marks_, [&](const auto& mark) {
+    if (mark.first >= size) return false;
+    seen_[mark.first] |= mark.second;
+    return true;
+  });
+}
+
+void MsBfsRun::take_pairs(Rank q) {
+  pair_scratch_.clear();
+  for (const VertexId u : touched_[q]) {
+    pair_scratch_.emplace_back(u, pending_[u]);
+    pending_[u] = 0;
+  }
+  touched_[q].clear();
 }
 
 void MsBfsRun::discover(VertexId u, std::uint64_t mask) {
@@ -91,31 +151,24 @@ void MsBfsRun::discover(VertexId u, std::uint64_t mask) {
     found_local_ |= mask;
     return;
   }
-  std::uint64_t& seen = seen_[u];
-  const std::uint64_t fresh = mask & ~seen;
+  if (u >= seen_.size()) cover(u);
+  const std::uint64_t fresh = mask & ~seen_[u];
   if (fresh == 0) return;
-  seen |= fresh;  // sender-side dedup, exactly like the metadata mark
-  if (!options_.map_known || owner(u) == comm_.rank()) {
-    next_[u] |= fresh;
-    for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
-      ++discovered_local_[std::countr_zero(bits)];
-    }
-  } else {
-    buckets_[owner(u)][u] |= fresh;
-  }
+  seen_[u] |= fresh;  // sender-side dedup, exactly like the metadata mark
+  const Rank q = options_.map_known ? owner(u) : comm_.rank();
+  if (q == comm_.rank()) count_discovered(fresh);
+  queue(q, u, fresh);
 }
 
 void MsBfsRun::merge_candidate(VertexId u, std::uint64_t mask) {
-  std::uint64_t& seen = seen_[u];
-  const std::uint64_t fresh = mask & ~seen;
+  if (u >= seen_.size()) cover(u);
+  const std::uint64_t fresh = mask & ~seen_[u];
   if (fresh == 0) return;
-  seen |= fresh;
-  next_[u] |= fresh;
+  seen_[u] |= fresh;
+  queue(comm_.rank(), u, fresh);
   // Received pairs are owned by this rank (directed sends) or tracked by
   // every rank (broadcast); either way the discovery counts here.
-  for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
-    ++discovered_local_[std::countr_zero(bits)];
-  }
+  count_discovered(fresh);
 }
 
 void MsBfsRun::expand_frontier() {
@@ -180,17 +233,17 @@ void MsBfsRun::exchange_fringe() {
   const int p = comm_.size();
   if (!options_.map_known) {
     // Broadcast mode: ship the locally discovered pairs to everyone.
+    // They stay pending: they are this rank's next frontier too.
     pair_scratch_.clear();
-    for (const auto& [u, mask] : next_) pair_scratch_.emplace_back(u, mask);
+    for (const VertexId u : touched_[comm_.rank()]) {
+      pair_scratch_.emplace_back(u, pending_[u]);
+    }
     comm_.broadcast(kMsBfsFringeTag, pack_pairs(pair_scratch_));
     stats_.fringe_messages += p - 1;
   } else {
     for (Rank q = 0; q < p; ++q) {
       if (q == comm_.rank()) continue;
-      auto& bucket = buckets_[q];
-      pair_scratch_.clear();
-      for (const auto& [u, mask] : bucket) pair_scratch_.emplace_back(u, mask);
-      bucket.clear();
+      take_pairs(q);
       comm_.send(q, kMsBfsFringeTag, pack_pairs(pair_scratch_));
       ++stats_.fringe_messages;
     }
@@ -202,10 +255,7 @@ void MsBfsRun::exchange_fringe() {
     if (q == comm_.rank()) continue;
     const Message msg = comm_.recv(kMsBfsFringeTag, q);
     decode_pair_set(msg.payload, received);
-    if (options_.metrics != nullptr) {
-      options_.metrics->histogram("codec.decode_bytes")
-          .record(msg.payload.size());
-    }
+    if (decode_bytes_ != nullptr) decode_bytes_->record(msg.payload.size());
     for (const auto& [u, mask] : received) merge_candidate(u, mask);
   }
 }
@@ -227,16 +277,16 @@ MsBfsStats MsBfsRun::execute() {
   Timer timer;
   const std::size_t n = sources_.size();
   MSSG_CHECK(n >= 1 && n <= 64);
-  const int p = comm_.size();
-  buckets_.assign(p, {});
+  touched_.assign(comm_.size(), {});
   discovered_local_.assign(n, 0);
   stats_.distance.assign(n, kUnvisited);
   stats_.discovered.assign(n, 0);
   active_ = n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 
   // Seed the frontier.  Every rank marks every source seen (the dedup
-  // filter must agree everywhere); only the owner expands it.
-  std::unordered_map<VertexId, std::uint64_t> seed;
+  // filter must agree everywhere); only the owner expands it.  The marks
+  // wait aside until the arrays grow over them, so a source id past
+  // every stored vertex sizes nothing.
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t bit = std::uint64_t{1} << i;
     const VertexId s = sources_[i];
@@ -245,10 +295,18 @@ MsBfsStats MsBfsRun::execute() {
       active_ &= ~bit;
       continue;
     }
-    seen_[s] |= bit;
-    if (!options_.map_known || owner(s) == comm_.rank()) seed[s] |= bit;
+    source_marks_.emplace_back(s, bit);
+    if (options_.map_known && owner(s) != comm_.rank()) continue;
+    const auto it = std::find_if(frontier_.begin(), frontier_.end(),
+                                 [s](const auto& entry) {
+                                   return entry.first == s;
+                                 });
+    if (it == frontier_.end()) {
+      frontier_.emplace_back(s, bit);
+    } else {
+      it->second |= bit;
+    }
   }
-  frontier_.assign(seed.begin(), seed.end());
   std::sort(frontier_.begin(), frontier_.end());
 
   for (Metadata level = 1; level <= options_.max_levels && active_ != 0;
@@ -257,7 +315,6 @@ MsBfsStats MsBfsRun::execute() {
     if (options_.metrics != nullptr) {
       level_span = options_.metrics->span("msbfs.level");
     }
-    next_.clear();
     found_local_ = 0;
     const std::uint64_t edges_before = stats_.edges_scanned;
 
@@ -278,7 +335,8 @@ MsBfsStats MsBfsRun::execute() {
     }
     active_ &= ~found;
     if (active_ == 0) break;
-    if (comm_.allreduce_sum(next_.size()) == 0) break;
+    std::vector<VertexId>& next = touched_[comm_.rank()];
+    if (comm_.allreduce_sum(next.size()) == 0) break;
     if (comm_.allreduce_or(options_.budget != nullptr &&
                            options_.budget->exhausted())) {
       stats_.truncated = true;
@@ -290,8 +348,9 @@ MsBfsStats MsBfsRun::execute() {
       break;
     }
 
-    frontier_.assign(next_.begin(), next_.end());
-    std::sort(frontier_.begin(), frontier_.end());
+    std::sort(next.begin(), next.end());
+    take_pairs(comm_.rank());
+    frontier_.swap(pair_scratch_);
   }
 
   // Per-source discovered counts: owned discoveries are disjoint across

@@ -6,11 +6,15 @@
 // exchange instead of one per source — the amortization that makes a
 // semi-external-memory engine serve many queries from a shared cache.
 //
-// Unlike parallel_oocbfs, the search keeps its visited state in a
-// query-private map instead of the GraphDB's metadata store, so several
-// of these analyses can run concurrently against one GraphDB (the
-// metadata store is a single shared level[] array — concurrent queries
-// would corrupt each other's visited sets there).
+// Unlike parallel_oocbfs, the search keeps its visited state in
+// query-private dense arrays instead of the GraphDB's metadata store, so
+// several of these analyses can run concurrently against one GraphDB
+// (the metadata store is a single shared level[] array — concurrent
+// queries would corrupt each other's visited sets there).  Like
+// Algorithm 1's metadata array, each rank holds one 64-bit seen mask
+// per vertex id plus one pending mask for the level being built; both
+// grow to the highest vertex id read from storage, never to a source or
+// target id a caller passes in.
 //
 // Registry entries built on it (query_service.cpp): `ms-bfs` takes
 // params {src0, ..., srcN-1, dst}, sources first and the target last;

@@ -21,9 +21,11 @@
 //                  E holds the state as of commit E-1, so snapshot S is
 //                  served by the version with the SMALLEST capture epoch
 //                  > S; when none exists the live bytes are already
-//                  valid for S.  `purge(min_live)` drops versions no
-//                  live snapshot can need, bounding memory to roughly
-//                  one epoch of mutations once readers drain.
+//                  valid for S, and `pin` hands out a shared latch under
+//                  which they stay so while the reader reads them in
+//                  place.  `purge(min_live)` drops versions no live
+//                  snapshot can need, bounding memory to roughly one
+//                  epoch of mutations once readers drain.
 //   SnapshotScope  thread-local plumbing: installs a snapshot for the
 //                  duration of a query so deep read paths
 //                  (pin_subblock, for_each_vertex, chunk walks) can ask
@@ -44,11 +46,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/shared_latch.hpp"
 #include "common/types.hpp"
 
 namespace mssg {
@@ -185,20 +189,30 @@ inline Snapshot::~Snapshot() {
 /// vertex-granularity backends capture one adjacency list
 /// (`std::vector<VertexId>`).  Payloads are handed out as
 /// shared_ptr<const Payload> so a reader's bytes stay alive and
-/// immutable regardless of purge timing.
+/// immutable regardless of purge timing.  Readers share the store's
+/// latch; shelving a capture and purging take it exclusive.
 template <typename Payload>
 class VersionStore {
  public:
   using Ptr = std::shared_ptr<const Payload>;
 
+  /// A snapshot read's claim on one key: the version that serves its
+  /// epoch, or — when none does — a shared latch on the store, under
+  /// which the live payload is valid for that epoch.
+  struct Pin {
+    Ptr version;                          ///< null: read live
+    std::shared_lock<SharedLatch> latch;  ///< held iff !version
+  };
+
   /// Captures a pre-image for `key` at `open_epoch` if none exists yet
   /// (first mutation of the epoch wins; later mutations are already
   /// covered).  `make` materializes the payload only when the capture
   /// actually happens.  Returns true when a new version was shelved.
+  /// Shelving waits for every live-read latch `pin` handed out.
   template <typename MakeFn>
   bool capture(std::uint64_t key, Epoch open_epoch, MakeFn&& make) {
     {
-      std::lock_guard lk(mu_);
+      std::shared_lock lk(mu_);
       auto it = map_.find(key);
       if (it != map_.end() && !it->second.empty() &&
           it->second.back().capture_epoch == open_epoch) {
@@ -208,7 +222,7 @@ class VersionStore {
     // Materialize outside the lock: make() may read through the block
     // cache (its own mutex) and must not nest under ours.
     Ptr payload = std::make_shared<const Payload>(make());
-    std::lock_guard lk(mu_);
+    std::unique_lock lk(mu_);
     auto& chain = map_[key];
     if (!chain.empty() && chain.back().capture_epoch == open_epoch) {
       return false;  // racing writer captured first — theirs is older, keep it
@@ -223,45 +237,35 @@ class VersionStore {
   /// nullptr when the live bytes are already valid for it (no version
   /// captured after the snapshot pinned).
   [[nodiscard]] Ptr lookup(std::uint64_t key, Epoch snapshot_epoch) const {
-    std::lock_guard lk(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    // Chains are short (one version per epoch still live) and sorted by
-    // capture epoch: scan for the first strictly newer than the pin.
-    for (const Version& v : it->second) {
-      if (v.capture_epoch > snapshot_epoch) return v.payload;
-    }
-    return nullptr;
+    std::shared_lock lk(mu_);
+    return find(key, snapshot_epoch);
   }
 
   /// Snapshot read with the race against a first mutation closed.  If a
-  /// version serves `snapshot_epoch`, returns it; otherwise materializes
-  /// `live()` (a copy of the current bytes) UNDER the store's mutex and
-  /// returns that.  Why the lock matters: a writer's first mutation of a
-  /// key in an epoch inserts its pre-image here (capture) BEFORE
-  /// touching the live bytes, and that insert needs this same mutex — so
-  /// while `live()` runs, no first mutation of the epoch can begin, and
-  /// any earlier epoch's writes are already ordered before the reader's
-  /// pin (commit advances under the EpochManager mutex the pin also
-  /// takes).  `live()` must not touch this VersionStore.
-  template <typename LiveFn>
-  [[nodiscard]] Ptr read(std::uint64_t key, Epoch snapshot_epoch,
-                         LiveFn&& live) const {
-    std::lock_guard lk(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      for (const Version& v : it->second) {
-        if (v.capture_epoch > snapshot_epoch) return v.payload;
-      }
+  /// version serves `snapshot_epoch`, returns it; otherwise returns a
+  /// shared latch on the store, and the caller reads the live payload in
+  /// place until it drops the latch.  Why the latch suffices: a writer's
+  /// first mutation of a key in an epoch shelves its pre-image here
+  /// (capture) BEFORE touching the live bytes, and shelving takes this
+  /// latch exclusive — so while the latch is held, no first mutation of
+  /// the epoch can begin, and any earlier epoch's writes are already
+  /// ordered before the reader's pin (commit advances under the
+  /// EpochManager mutex the pin also takes).  A waiting capture goes
+  /// ahead of new readers (SharedLatch), so a thread must hold at most
+  /// one latch at a time.
+  [[nodiscard]] Pin pin(std::uint64_t key, Epoch snapshot_epoch) const {
+    std::shared_lock lk(mu_);
+    if (Ptr version = find(key, snapshot_epoch)) {
+      return {std::move(version), {}};
     }
-    return std::make_shared<const Payload>(live());
+    return {nullptr, std::move(lk)};
   }
 
   /// Drops every version no live snapshot can need: capture epoch
   /// <= min_live (a version at E serves only snapshots pinned before
   /// E, i.e. at epochs < E).
   void purge(Epoch min_live) {
-    std::lock_guard lk(mu_);
+    std::unique_lock lk(mu_);
     for (auto it = map_.begin(); it != map_.end();) {
       auto& chain = it->second;
       std::size_t drop = 0;
@@ -279,12 +283,12 @@ class VersionStore {
 
   /// Versions currently shelved (the `txn.cow_pages` gauge).
   [[nodiscard]] std::uint64_t versions() const {
-    std::lock_guard lk(mu_);
+    std::shared_lock lk(mu_);
     return count_;
   }
 
   void clear() {
-    std::lock_guard lk(mu_);
+    std::unique_lock lk(mu_);
     map_.clear();
     count_ = 0;
   }
@@ -295,7 +299,19 @@ class VersionStore {
     Ptr payload;
   };
 
-  mutable std::mutex mu_;
+  /// The version serving `snapshot_epoch`, or nullptr.  Caller holds mu_.
+  [[nodiscard]] Ptr find(std::uint64_t key, Epoch snapshot_epoch) const {
+    auto it = map_.find(key);
+    if (it == map_.end()) return nullptr;
+    // Chains are short (one version per epoch still live) and sorted by
+    // capture epoch: scan for the first strictly newer than the pin.
+    for (const Version& v : it->second) {
+      if (v.capture_epoch > snapshot_epoch) return v.payload;
+    }
+    return nullptr;
+  }
+
+  mutable SharedLatch mu_;
   std::unordered_map<std::uint64_t, std::vector<Version>> map_;
   std::uint64_t count_ = 0;
 };

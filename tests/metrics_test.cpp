@@ -5,9 +5,12 @@
 
 #include <atomic>
 #include <memory>
+#include <random>
 #include <set>
+#include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/temp_dir.hpp"
@@ -15,6 +18,7 @@
 #include "gen/memory_graph.hpp"
 #include "gen/pairs.hpp"
 #include "mssg/mssg.hpp"
+#include "serve/session.hpp"
 
 namespace mssg {
 namespace {
@@ -310,6 +314,85 @@ TEST(MetricsLive, SnapshotWhileQueriesRun) {
   const MetricsSnapshot final_view = cluster.metrics_snapshot();
   EXPECT_EQ(final_view.counter("bfs.queries"), 4 * kSearches);
   EXPECT_GT(final_view.counter("io.reads"), 0u);
+}
+
+// metrics_snapshot() next to a live writer: a 4-node grDB cluster with
+// snapshots on commits live_ingest batches while PATH reads run through
+// the serve layer and a third thread snapshots the cluster in a loop.
+// The committed epoch and every level's allocation gauge only grow, so
+// no snapshot may show one lower than the snapshot before it.
+TEST(MetricsLive, SnapshotWhileLiveIngestCommits) {
+  ChungLuConfig gen{.vertices = 600, .edges = 3000, .seed = 43};
+  const auto edges = generate_chung_lu(gen);
+  const MemoryGraph reference(gen.vertices, edges);
+  const auto pairs = sample_random_pairs(reference, 6, 13);
+  ASSERT_FALSE(pairs.empty());
+
+  ClusterConfig config;
+  config.backend = Backend::kGrDB;
+  config.backend_nodes = 4;
+  config.db.snapshots = true;
+  config.db.max_vertices = gen.vertices;
+  MssgCluster cluster(config);
+  cluster.ingest(edges);
+  serve::ServeSession session(cluster);
+
+  std::vector<std::string> monotone{"txn.committed_epoch"};
+  for (int l = 0; l < 6; ++l) {
+    monotone.push_back("grdb.level" + std::to_string(l) + ".subblocks");
+  }
+  const MetricsSnapshot before = cluster.metrics_snapshot();
+  std::atomic<bool> stop{false};
+  std::uint64_t snapshots = 0;
+  std::uint64_t regressions = 0;
+  std::thread observer([&] {
+    MetricsSnapshot prev = cluster.metrics_snapshot();
+    while (!stop.load(std::memory_order_relaxed)) {
+      MetricsSnapshot next = cluster.metrics_snapshot();
+      for (const std::string& name : monotone) {
+        if (next.counter(name) < prev.counter(name)) ++regressions;
+      }
+      prev = std::move(next);
+      ++snapshots;
+    }
+  });
+  constexpr int kBatches = 12;
+  std::thread writer([&] {
+    std::mt19937_64 rng(3);
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<Edge> batch;
+      for (int i = 0; i < 256; ++i) {
+        const VertexId u = rng() % gen.vertices;
+        const VertexId v = rng() % gen.vertices;
+        batch.push_back(Edge{u, v});
+        batch.push_back(Edge{v, u});
+      }
+      cluster.live_ingest(batch);
+    }
+  });
+
+  // Edges only arrive, so a committed distance can only shrink.
+  for (int q = 0; q < 24; ++q) {
+    const auto& pair = pairs[q % pairs.size()];
+    const std::string text = "PATH " + std::to_string(pair.src) + " " +
+                             std::to_string(pair.dst);
+    const serve::ServeResult got = session.execute(text);
+    EXPECT_TRUE(got.ok()) << text << ": " << got.error;
+    if (!got.ok() || got.values.empty()) continue;
+    EXPECT_GE(got.values[0], 1.0) << text;
+    EXPECT_LE(got.values[0], static_cast<double>(pair.distance)) << text;
+  }
+  writer.join();
+  stop.store(true, std::memory_order_relaxed);
+  observer.join();
+
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(regressions, 0u) << "a published gauge went backwards";
+  const MetricsSnapshot after = cluster.metrics_snapshot();
+  EXPECT_GT(after.counter("txn.committed_epoch"),
+            before.counter("txn.committed_epoch"));
+  EXPECT_GE(after.counter("grdb.level0.subblocks"),
+            before.counter("grdb.level0.subblocks"));
 }
 
 }  // namespace

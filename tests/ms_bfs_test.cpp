@@ -21,6 +21,9 @@ namespace {
 
 using testing::make_db;
 
+/// 2^40: a vertex id past every stored vertex of these fixtures.
+constexpr VertexId kFarVertex = VertexId{1} << 40;
+
 /// Small-world fixture partitioned owner(v) = v mod p, like the wire
 /// equivalence suite but with a parameterized node count.
 struct MsBfsCluster {
@@ -82,6 +85,11 @@ TEST(MsBfsEquivalence, BatchedDistancesMatchIndependentRunsAcrossWiresAndNodes) 
     const VertexId dst = pairs.front().dst;
     std::vector<VertexId> sources;
     for (const auto& pair : pairs) sources.push_back(pair.src);
+    // One source past every stored vertex rides along: it reaches
+    // nothing, and the real sources' answers must not change.
+    const std::size_t far = sources.size() / 2;
+    sources.insert(sources.begin() + static_cast<std::ptrdiff_t>(far),
+                   kFarVertex);
 
     for (const WireFormat wire : {WireFormat::kRaw, WireFormat::kDelta}) {
       SCOPED_TRACE(::testing::Message()
@@ -99,7 +107,10 @@ TEST(MsBfsEquivalence, BatchedDistancesMatchIndependentRunsAcrossWiresAndNodes) 
       }
       // ...and every entry equals the independent single-source search.
       ASSERT_EQ(per_rank[0].distance.size(), sources.size());
+      EXPECT_EQ(per_rank[0].distance[far], kUnvisited);
+      EXPECT_EQ(per_rank[0].discovered[far], 0u);
       for (std::size_t s = 0; s < sources.size(); ++s) {
+        if (s == far) continue;
         BfsOptions single;
         single.wire = wire;
         const BfsStats alone = run_single(cluster, sources[s], dst, single);
@@ -159,6 +170,15 @@ TEST(MsBfsEquivalence, DiscoveredCountsMatchKHopAnalysis) {
     EXPECT_EQ(per_rank[0].discovered[s],
               testing::reference_khop(*cluster.reference, sources[s], kHops))
         << "source " << sources[s];
+  }
+
+  // A k-hop from an id past every stored vertex discovers nothing; the
+  // id must not size the search's per-vertex state.
+  const std::vector<VertexId> far{kFarVertex};
+  for (const auto& stats :
+       run_batched(cluster, far, kInvalidVertex, options)) {
+    EXPECT_EQ(stats.discovered, (std::vector<std::uint64_t>{0}));
+    EXPECT_EQ(stats.edges_scanned, 0u);
   }
 }
 

@@ -433,6 +433,14 @@ TEST_P(QueryLangDifferential, EveryFormMatchesTheDirectApi) {
                                                                   : leg0;
       EXPECT_EQ(got.values[0], want0) << text;
     }
+    // An endpoint past every stored vertex (2^40) is unreachable, not an
+    // error: no query parameter may size per-query search state.
+    for (const char* text : {"PATH 1099511627776 1 MAXLEN 3",
+                             "PATH 3 1099511627776 MAXLEN 3"}) {
+      const ServeResult got = session.execute(text);
+      ASSERT_TRUE(got.ok()) << text << ": " << got.error;
+      EXPECT_EQ(got.values, (std::vector<double>{-1.0, -1.0})) << text;
+    }
 
     // RANK / CC / COUNT TRIANGLES / STATS: byte-identical to the
     // analysis result minus its wall-clock tail.

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -118,12 +119,19 @@ TEST(EpochMechanics, VersionStoreServesSmallestNewerCapture) {
   // Identity: the same shelved payload is shared, not copied per read.
   EXPECT_EQ(versions.lookup(7, 0).get(), versions.lookup(7, 0).get());
 
-  // read() falls back to a live copy under the lock when no version
-  // serves the pin.
-  const auto live = versions.read(7, 3, [] {
-    return std::vector<VertexId>{1, 2, 3};
-  });
-  EXPECT_EQ(*live, (std::vector<VertexId>{1, 2, 3}));
+  // pin() hands out the serving version unlatched, and otherwise a
+  // shared latch under which the caller reads the live payload in place.
+  {
+    const auto served = versions.pin(7, 0);
+    ASSERT_NE(served.version, nullptr);
+    EXPECT_EQ(*served.version, (std::vector<VertexId>{1}));
+    EXPECT_FALSE(served.latch.owns_lock());
+  }
+  {
+    const auto live = versions.pin(7, 3);
+    EXPECT_EQ(live.version, nullptr);
+    EXPECT_TRUE(live.latch.owns_lock());
+  }
 
   // Purge: min_live 1 drops only the epoch-1 capture (it serves pins
   // < 1); the epoch-3 capture still serves pins at 1 and 2.
@@ -134,6 +142,27 @@ TEST(EpochMechanics, VersionStoreServesSmallestNewerCapture) {
   ASSERT_NE(versions.lookup(7, 2), nullptr);
   versions.purge(3);
   EXPECT_EQ(versions.versions(), 0u);
+}
+
+TEST(EpochMechanics, CaptureWaitsForLiveReadLatch) {
+  // A reader reading key 7 live holds its latch; the writer's first
+  // capture of the next epoch must not be shelved (and so the live bytes
+  // must not change) until the reader lets go.
+  VersionStore<std::vector<VertexId>> versions;
+  auto live = versions.pin(7, 0);
+  ASSERT_EQ(live.version, nullptr);
+  std::atomic<bool> shelved{false};
+  std::thread writer([&] {
+    versions.capture(7, 1, [] { return std::vector<VertexId>{1}; });
+    shelved.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(shelved.load()) << "capture shelved under a live-read latch";
+  live.latch.unlock();
+  writer.join();
+  EXPECT_TRUE(shelved.load());
+  ASSERT_NE(versions.lookup(7, 0), nullptr);
+  EXPECT_EQ(*versions.lookup(7, 0), (std::vector<VertexId>{1}));
 }
 
 TEST(EpochMechanics, VertexSnapshotsRetireOnLastRelease) {
@@ -389,14 +418,13 @@ TEST(SnapshotMmap, SealedReadersSurviveConcurrentStoreAndFlush) {
 // verifies full prefix consistency without a lock-protected oracle.
 class SnapshotStress : public ::testing::TestWithParam<Backend> {};
 
-TEST_P(SnapshotStress, EightReadersOneIngest) {
-  constexpr VertexId kV = 6;
+void eight_readers_one_ingest(Backend backend, VertexId kV) {
   constexpr std::uint64_t kBatches = 20;
 
   TempDir dir;
   GraphDBConfig config;
   config.snapshots = true;
-  auto db = make_db(GetParam(), dir, config);
+  auto db = make_db(backend, dir, config);
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> lo{0}, hi{0};
@@ -479,6 +507,16 @@ TEST_P(SnapshotStress, EightReadersOneIngest) {
   std::vector<VertexId> adj;
   db->get_adjacency(0, adj);
   EXPECT_EQ(sorted(adj).size(), kBatches);
+}
+
+TEST_P(SnapshotStress, EightReadersOneIngest) {
+  // Six vertices share one level-0 block; 800 span four (256 level-0
+  // sub-blocks per grDB block), so readers cross block boundaries while
+  // the writer's first captures of each epoch land.
+  for (const VertexId vertices : {VertexId{6}, VertexId{800}}) {
+    SCOPED_TRACE(::testing::Message() << "vertices=" << vertices);
+    eight_readers_one_ingest(GetParam(), vertices);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
