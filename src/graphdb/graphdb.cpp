@@ -50,6 +50,16 @@ void GraphDB::get_adjacency_using_metadata(VertexId v,
   }
 }
 
+void GraphDB::get_adjacency_batch(std::span<const VertexId> vertices,
+                                  const AdjacencyVisitor& visit) {
+  std::vector<VertexId> list;
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    list.clear();
+    get_adjacency(vertices[i], list);
+    if (!visit(i, list)) return;
+  }
+}
+
 Metadata GraphDB::get_metadata(VertexId v) { return metadata_->get(v); }
 
 void GraphDB::set_metadata(VertexId v, Metadata metadata) {

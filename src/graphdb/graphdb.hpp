@@ -4,8 +4,10 @@
 //
 // "In order to be complete, a graph-storage service only needs to store
 // edges and retrieve lists of distance-1 neighbors", plus a fused
-// neighbors-filtered-by-metadata call for performance.  Metadata is the
-// per-vertex int the BFS analyses use as their level/visited array.
+// neighbors-filtered-by-metadata call for performance.  Traversals read
+// a whole fringe through one batched call, which out-of-core backends
+// answer in storage order.  Metadata is the per-vertex int the BFS
+// analyses use as their level/visited array.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,24 @@ class GraphDB {
   /// (Algorithm 1 relies on "the empty set when an adjacency list of a
   /// vertex that is not assigned to that processor is requested").
   virtual void get_adjacency(VertexId v, std::vector<VertexId>& out) = 0;
+
+  /// Receives request i's adjacency list; returns false to stop.
+  using AdjacencyVisitor =
+      std::function<bool(std::size_t, std::span<const VertexId>)>;
+
+  /// The batched read every traversal sends its whole fringe through —
+  /// "post a request for all of the 'fringe' vertices at once" (§4.1.5).
+  /// `visit(i, list)` runs once per request, in request order, and
+  /// `list` holds exactly what get_adjacency(vertices[i]) appends
+  /// (duplicates and unknown vertices included).  Once `visit` returns
+  /// false no further visit runs and no read beyond the requests already
+  /// in flight starts.  No cache handle, latch or backend lock is held
+  /// while `visit` runs, so a visitor may call back into this store.
+  /// Default: the per-vertex loop.  grDB walks the chains of a slice of
+  /// requests together in block order; StreamDB answers with one log
+  /// scan.
+  virtual void get_adjacency_batch(std::span<const VertexId> vertices,
+                                   const AdjacencyVisitor& visit);
 
   /// Fused neighbors+metadata filter (Listing 3.1's performance call).
   /// Appends each neighbor u of v for which `op` holds between

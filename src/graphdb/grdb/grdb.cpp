@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -78,6 +79,33 @@ class ChainWalk {
   std::uint64_t power_ = 1;
   std::uint64_t hops_ = 0;
 };
+
+/// Appends the vertex entries of the pinned sub-block `ref` to `out`.
+/// Returns true when the chain continues: the sub-block ended in a
+/// pointer, and `walk` now stands on its target.
+template <typename Ref>
+bool decode_subblock(const Ref& ref, ChainWalk& walk,
+                     std::vector<VertexId>& out) {
+  for (std::uint64_t i = 0; i < ref.entries; ++i) {
+    const std::uint64_t entry = ref.get(i);
+    switch (grdb::classify(entry)) {
+      case EntryKind::kVertex:
+        out.push_back(grdb::entry_vertex(entry));
+        break;
+      case EntryKind::kEmpty:
+        return false;  // slots are filled left-to-right; first empty ends it
+      case EntryKind::kPointer:
+        walk.follow(entry);
+        return true;
+    }
+  }
+  return false;
+}
+
+// Requests per staged walk in get_adjacency_batch.  A slice's lists are
+// held until the slice is visited, so the slice bounds that memory and
+// the reads a visitor that stops early leaves unused.
+constexpr std::size_t kBatchSlice = 4096;
 }  // namespace
 
 // ---- SubblockRef -----------------------------------------------------------
@@ -901,39 +929,103 @@ void GrDB::drop_os_page_cache() const {
 
 // ---- Reads -----------------------------------------------------------------
 
-void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
-  const Snapshot* snap =
-      snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
+bool GrDB::addressable(VertexId v) const {
+  return v / levels_[0].spec.subblocks_per_block() < kBlockLimit;
+}
+
+bool GrDB::may_hold(VertexId v, const Snapshot* snap) const {
+  if (!addressable(v)) return false;
   if (snap != nullptr) {
     // The pinned extent over-approximates the committed one; vertices it
     // admits that were only stored after the pin resolve to their all-0xFF
     // pre-image versions, i.e. the empty set.
-    if (!snap->nonempty() || v >= snap->extent()) return;
-  } else if (!any_data_.load(std::memory_order_relaxed)) {
-    // Nothing was ever stored on this node; level-0 space beyond the
-    // extent is untouched (reads as empty anyway).
-    return;
+    return snap->nonempty() && v < snap->extent();
   }
+  // Nothing ever stored on this node: level-0 space beyond the extent is
+  // untouched (reads as empty anyway).
+  return any_data_.load(std::memory_order_relaxed);
+}
+
+void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
+  const Snapshot* snap =
+      snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
+  if (!may_hold(v, snap)) return;
   ChainWalk walk(options_.geometry, v);
   while (true) {
-    SubblockRef ref = pin_subblock(walk.level(), walk.subblock());
-    bool done = true;
-    for (std::uint64_t i = 0; i < ref.entries; ++i) {
-      const std::uint64_t entry = ref.get(i);
-      switch (grdb::classify(entry)) {
-        case EntryKind::kVertex:
-          out.push_back(grdb::entry_vertex(entry));
-          break;
-        case EntryKind::kEmpty:
-          return;  // slots are filled left-to-right; first empty ends it
-        case EntryKind::kPointer:
-          walk.follow(entry);
-          done = false;
-          i = ref.entries;  // break the for; continue outer loop
-          break;
+    const SubblockRef ref = pin_subblock(walk.level(), walk.subblock());
+    if (!decode_subblock(ref, walk, out)) return;
+  }
+}
+
+void GrDB::get_adjacency_batch(std::span<const VertexId> vertices,
+                               const AdjacencyVisitor& visit) {
+  const Snapshot* snap =
+      snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
+  std::vector<std::vector<VertexId>> lists;
+  for (std::size_t start = 0; start < vertices.size(); start += kBatchSlice) {
+    const auto slice = vertices.subspan(
+        start, std::min(kBatchSlice, vertices.size() - start));
+    read_chains(slice, snap, lists);
+    // Every ref of the walk is released: the visitor may read this store.
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+      if (!visit(start + i, lists[i])) return;
+    }
+  }
+}
+
+void GrDB::read_chains(std::span<const VertexId> slice, const Snapshot* snap,
+                       std::vector<std::vector<VertexId>>& lists) {
+  if (lists.size() < slice.size()) lists.resize(slice.size());
+  // One walk per request, so every chain keeps its own geometry, block
+  // index and cycle checks.  A cursor is a walk that has a sub-block
+  // left to read in this stage.
+  struct Cursor {
+    int level;
+    std::uint64_t subblock;
+    std::uint32_t request;
+
+    bool operator<(const Cursor& other) const {
+      return std::tie(level, subblock) < std::tie(other.level, other.subblock);
+    }
+  };
+  std::vector<ChainWalk> walks;
+  walks.reserve(slice.size());
+  std::vector<Cursor> live;
+  std::vector<Cursor> next;
+  for (std::size_t i = 0; i < slice.size(); ++i) {
+    lists[i].clear();
+    walks.emplace_back(options_.geometry, slice[i]);
+    if (may_hold(slice[i], snap)) {
+      live.push_back({0, slice[i], static_cast<std::uint32_t>(i)});
+    }
+  }
+  // Stage blocks are read through the cache on this thread; nothing goes
+  // to the IoEngine (DESIGN.md, "One batched adjacency read").
+  while (!live.empty()) {
+    // Block order within each level: ascending file offsets (§4.2).
+    std::sort(live.begin(), live.end());
+    next.clear();
+    for (std::size_t j = 0; j < live.size();) {
+      const int level = live[j].level;
+      const grdb::LevelSpec& spec = levels_[level].spec;
+      const std::uint64_t per_block = spec.subblocks_per_block();
+      const std::uint64_t block = live[j].subblock / per_block;
+      // One pin serves every listed sub-block of the block.  It is
+      // released before the next block is pinned: a thread holds at most
+      // one latched ref.
+      SubblockRef ref = pin_subblock(level, live[j].subblock);
+      for (; j < live.size() && live[j].level == level &&
+             live[j].subblock / per_block == block;
+           ++j) {
+        const std::uint32_t request = live[j].request;
+        ref.offset = spec.subblock_bytes() * (live[j].subblock % per_block);
+        ChainWalk& walk = walks[request];
+        if (decode_subblock(ref, walk, lists[request])) {
+          next.push_back({walk.level(), walk.subblock(), request});
+        }
       }
     }
-    if (done) return;
+    live.swap(next);
   }
 }
 
@@ -1005,18 +1097,27 @@ void GrDB::prefetch(std::span<const VertexId> vertices) {
 
 void GrDB::store_edges(std::span<const Edge> edges) {
   std::lock_guard<std::mutex> lock(write_mu_);
+  // Batch by source: one chain walk per distinct vertex per batch.  Every
+  // edge is checked before any block is touched, so a rejected batch
+  // stores nothing.
+  std::unordered_map<VertexId, std::vector<VertexId>> by_source;
+  for (const auto& e : edges) {
+    MSSG_CHECK(e.src <= kMaxVertexId && e.dst <= kMaxVertexId);
+    if (!addressable(e.src)) {
+      throw UsageError(
+          "grDB: source vertex " + std::to_string(e.src) +
+          " is past the level-0 address space (ids below " +
+          std::to_string(levels_[0].spec.subblocks_per_block()) +
+          " * 2^48)");
+    }
+    by_source[e.src].push_back(e.dst);
+  }
   // With snapshots on the sealed mapping STAYS mapped: pinned readers may
   // hold views into it, and every block this ingest mutates is COW'd
   // into cow_since_map_ before its bytes change, so the mapped read path
   // declines exactly the blocks that go stale.  Without snapshots the
   // classic discipline holds — mutation unmaps first.
   if (!snapshots_enabled_) unmap_sealed();
-  // Batch by source: one chain walk per distinct vertex per batch.
-  std::unordered_map<VertexId, std::vector<VertexId>> by_source;
-  for (const auto& e : edges) {
-    MSSG_CHECK(e.src <= kMaxVertexId && e.dst <= kMaxVertexId);
-    by_source[e.src].push_back(e.dst);
-  }
   for (const auto& [src, neighbors] : by_source) append(src, neighbors);
 }
 

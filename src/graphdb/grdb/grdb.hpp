@@ -46,8 +46,20 @@ class GrDB final : public GraphDB {
   explicit GrDB(const GraphDBConfig& config, GrDBOptions options = {});
   ~GrDB() override;
 
+  /// Throws UsageError, storing nothing, when a source's level-0
+  /// sub-block lies past the 48-bit block index space (v >= 2^56 with
+  /// the standard geometry).
   void store_edges(std::span<const Edge> edges) override;
+  /// Such ids, which no store can hold, read as the empty list.
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;
+  /// The staged chain walk: requests are taken in slices of 4096.  Every
+  /// chain of a slice advances together, one stage per chain hop; each
+  /// stage visits its blocks in (level, block) order, pins each once and
+  /// decodes every listed sub-block in it, so fringe vertices that share
+  /// a chain block read it once per stage instead of once each.  The
+  /// slice is then visited in request order.
+  void get_adjacency_batch(std::span<const VertexId> vertices,
+                           const AdjacencyVisitor& visit) override;
   /// Group-commit aware: with journal_sync_interval > 1 only every n-th
   /// flush commits durably; the rest defer into the group (the
   /// destructor forces the boundary).
@@ -188,6 +200,17 @@ class GrDB final : public GraphDB {
   /// True when v's level-0 sub-block has no first entry (the sweep test
   /// of for_each_vertex).
   bool level0_empty(VertexId v);
+
+  /// True when v's level-0 sub-block lies inside the 48-bit block index
+  /// space of the cache keys.
+  [[nodiscard]] bool addressable(VertexId v) const;
+  /// True when v may have a chain to read: addressable, and inside the
+  /// snapshot's extent when one is installed, or any data stored.
+  [[nodiscard]] bool may_hold(VertexId v, const Snapshot* snap) const;
+  /// One slice of get_adjacency_batch: walks every request's chain,
+  /// stage by stage, appending each list into `lists[i]`.
+  void read_chains(std::span<const VertexId> slice, const Snapshot* snap,
+                   std::vector<std::vector<VertexId>>& lists);
 
   /// Appends neighbors to one vertex's chain.
   void append(VertexId v, std::span<const VertexId> neighbors);

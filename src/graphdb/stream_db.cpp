@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
@@ -178,13 +180,20 @@ void StreamDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
   }
 }
 
-void StreamDB::get_adjacency_batch(
-    std::span<const VertexId> fringe,
-    std::unordered_map<VertexId, std::vector<VertexId>>& out) {
-  const std::unordered_set<VertexId> wanted(fringe.begin(), fringe.end());
+void StreamDB::get_adjacency_batch(std::span<const VertexId> vertices,
+                                   const AdjacencyVisitor& visit) {
+  if (vertices.empty()) return;
+  // Duplicate requests share one list: each reads what get_adjacency
+  // would.
+  std::unordered_map<VertexId, std::vector<VertexId>> lists;
+  for (const VertexId v : vertices) lists.try_emplace(v);
   scan_prefix(scan_extent(), [&](const Edge& e) {
-    if (wanted.contains(e.src)) out[e.src].push_back(e.dst);
+    const auto it = lists.find(e.src);
+    if (it != lists.end()) it->second.push_back(e.dst);
   });
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    if (!visit(i, lists.find(vertices[i])->second)) return;
+  }
 }
 
 }  // namespace mssg

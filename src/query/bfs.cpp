@@ -1,12 +1,9 @@
 #include "query/bfs.hpp"
 
-#include <unordered_map>
-
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/vertex_codec.hpp"
-#include "graphdb/stream_db.hpp"
 
 namespace mssg {
 
@@ -22,7 +19,6 @@ class BfsRun {
         src_(src),
         dst_(dst),
         options_(options),
-        stream_db_(dynamic_cast<StreamDB*>(&db)),
         encode_bytes_(options.metrics != nullptr
                           ? &options.metrics->histogram("codec.encode_bytes")
                           : nullptr),
@@ -37,9 +33,8 @@ class BfsRun {
     return static_cast<Rank>(v % comm_.size());
   }
 
-  /// Expands the whole fringe against local storage, invoking
-  /// `discover(u)` for every adjacency entry.  Uses StreamDB's batch scan
-  /// when available (required: per-vertex lookups would rescan the log).
+  /// Expands the whole fringe against local storage in one batched read,
+  /// invoking `discover(u)` for every adjacency entry in fringe order.
   template <typename Discover>
   void expand_fringe(const std::vector<VertexId>& fringe, Discover&& discover);
 
@@ -78,7 +73,6 @@ class BfsRun {
   VertexId src_;
   VertexId dst_;
   const BfsOptions& options_;
-  StreamDB* stream_db_;
   Histogram* encode_bytes_;
   Histogram* decode_bytes_;
 
@@ -108,29 +102,17 @@ template <typename Discover>
 void BfsRun::expand_fringe(const std::vector<VertexId>& fringe,
                            Discover&& discover) {
   stats_.vertices_expanded += fringe.size();
-  if (stream_db_ != nullptr) {
-    // "any search algorithm which needs the adjacent vertices to another
-    // set of vertices ... must post a request for all of the 'fringe'
-    // vertices at once" (§4.1.5).
-    std::unordered_map<VertexId, std::vector<VertexId>> batch;
-    stream_db_->get_adjacency_batch(fringe, batch);
-    for (const auto& [v, neighbors] : batch) {
-      for (const VertexId u : neighbors) {
-        ++stats_.edges_scanned;
-        if (discover(u)) return;
-      }
-    }
-    return;
-  }
-  std::vector<VertexId> neighbors;
-  for (const VertexId v : fringe) {
-    neighbors.clear();
-    db_.get_adjacency(v, neighbors);
-    for (const VertexId u : neighbors) {
-      ++stats_.edges_scanned;
-      if (discover(u)) return;
-    }
-  }
+  // "any search algorithm which needs the adjacent vertices to another
+  // set of vertices ... must post a request for all of the 'fringe'
+  // vertices at once" (§4.1.5).
+  db_.get_adjacency_batch(
+      fringe, [&](std::size_t, std::span<const VertexId> neighbors) {
+        for (const VertexId u : neighbors) {
+          ++stats_.edges_scanned;
+          if (discover(u)) return false;
+        }
+        return true;
+      });
 }
 
 bool BfsRun::discover_plain(VertexId u, Metadata next_level) {

@@ -44,7 +44,6 @@ BfsStats bidirectional_oocbfs(Communicator& comm, GraphDB& db, VertexId src,
   std::uint64_t best_meeting = kNoMeeting;
   std::vector<std::vector<VertexId>> buckets(p);
   std::vector<VertexId> next_frontier;
-  std::vector<VertexId> neighbors;
   std::vector<VertexId> decode_scratch;
 
   // Same wire discipline as bfs.cpp: encode (sorting the bucket — the
@@ -84,21 +83,21 @@ BfsStats bidirectional_oocbfs(Communicator& comm, GraphDB& db, VertexId src,
 
     if (options.prefetch) db.prefetch(frontier[side]);
     stats.vertices_expanded += frontier[side].size();
-    for (const VertexId v : frontier[side]) {
-      neighbors.clear();
-      db.get_adjacency(v, neighbors);
-      stats.edges_scanned += neighbors.size();
-      for (const VertexId u : neighbors) {
-        if (level[side].contains(u)) continue;
-        level[side].emplace(u, next_depth);
-        check_meeting(u, side);
-        if (owner(u) == comm.rank()) {
-          next_frontier.push_back(u);
-        } else {
-          buckets[owner(u)].push_back(u);
-        }
-      }
-    }
+    db.get_adjacency_batch(
+        frontier[side], [&](std::size_t, std::span<const VertexId> neighbors) {
+          stats.edges_scanned += neighbors.size();
+          for (const VertexId u : neighbors) {
+            if (level[side].contains(u)) continue;
+            level[side].emplace(u, next_depth);
+            check_meeting(u, side);
+            if (owner(u) == comm.rank()) {
+              next_frontier.push_back(u);
+            } else {
+              buckets[owner(u)].push_back(u);
+            }
+          }
+          return true;
+        });
 
     for (Rank q = 0; q < p; ++q) {
       if (q == comm.rank()) continue;

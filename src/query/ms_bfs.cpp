@@ -3,12 +3,10 @@
 #include <bit>
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
-#include "graphdb/stream_db.hpp"
 #include "storage/mapped_file.hpp"
 
 namespace mssg {
@@ -24,7 +22,6 @@ class MsBfsRun {
         sources_(sources),
         dst_(dst),
         options_(options),
-        stream_db_(dynamic_cast<StreamDB*>(&db)),
         // Resolved once: a by-name lookup takes the registry lock.
         encode_bytes_(options.metrics != nullptr
                           ? &options.metrics->histogram("codec.encode_bytes")
@@ -86,7 +83,6 @@ class MsBfsRun {
   std::span<const VertexId> sources_;
   VertexId dst_;
   const MsBfsOptions& options_;
-  StreamDB* stream_db_;
 
   Histogram* encode_bytes_;
   Histogram* decode_bytes_;
@@ -111,7 +107,10 @@ class MsBfsRun {
   std::vector<VertexPair> frontier_;  // (vertex, source mask), by id
   std::vector<std::uint64_t> discovered_local_;  // per source bit
   std::vector<VertexPair> pair_scratch_;
+  // This level's reads: the frontier vertices with an active source, and
+  // their active-filtered masks.
   std::vector<VertexId> fetch_scratch_;
+  std::vector<std::uint64_t> fetch_masks_;
 };
 
 PayloadBuffer MsBfsRun::pack_pairs(std::vector<VertexPair>& pairs) {
@@ -180,53 +179,29 @@ void MsBfsRun::expand_frontier() {
   // and queries — so it stays on the cache and keeps its hit rate.
   std::optional<SequentialScanScope> scan_scope;
   if (sources_.size() > 1) scan_scope.emplace();
-  if (options_.prefetch) {
-    fetch_scratch_.clear();
-    for (const auto& [v, mask] : frontier_) {
-      if ((mask & active_) != 0) fetch_scratch_.push_back(v);
-    }
-    db_.prefetch(fetch_scratch_);
-  }
-  if (stream_db_ != nullptr) {
-    // StreamDB requires the batched call: per-vertex lookups would
-    // rescan the whole log once per frontier vertex (§4.1.5).
-    fetch_scratch_.clear();
-    for (const auto& [v, mask] : frontier_) {
-      if ((mask & active_) != 0) fetch_scratch_.push_back(v);
-    }
-    std::unordered_map<VertexId, std::vector<VertexId>> batch;
-    stream_db_->get_adjacency_batch(fetch_scratch_, batch);
-    for (const auto& [v, mask] : frontier_) {
-      const std::uint64_t m = mask & active_;
-      if (m == 0) continue;
-      ++stats_.adjacency_fetches;
-      stats_.shared_scans_saved +=
-          static_cast<std::uint64_t>(std::popcount(m)) - 1;
-      const auto it = batch.find(v);
-      if (it == batch.end()) continue;
-      for (const VertexId u : it->second) {
-        ++stats_.edges_scanned;
-        discover(u, m);
-      }
-    }
-    return;
-  }
-  std::vector<VertexId> neighbors;
+  fetch_scratch_.clear();
+  fetch_masks_.clear();
   for (const auto& [v, mask] : frontier_) {
-    const std::uint64_t m = mask & active_;
-    if (m == 0) continue;
-    // ONE adjacency fetch serves every source in the mask — the fetches
-    // a per-source sweep would have repeated are the saving.
-    ++stats_.adjacency_fetches;
-    stats_.shared_scans_saved +=
-        static_cast<std::uint64_t>(std::popcount(m)) - 1;
-    neighbors.clear();
-    db_.get_adjacency(v, neighbors);
-    for (const VertexId u : neighbors) {
-      ++stats_.edges_scanned;
-      discover(u, m);
-    }
+    if ((mask & active_) == 0) continue;
+    fetch_scratch_.push_back(v);
+    fetch_masks_.push_back(mask & active_);
   }
+  if (options_.prefetch) db_.prefetch(fetch_scratch_);
+  // One batched read for the whole frontier, and ONE adjacency fetch per
+  // entry serves every source in its mask — the fetches a per-source
+  // sweep would have repeated are the saving.
+  db_.get_adjacency_batch(
+      fetch_scratch_, [&](std::size_t i, std::span<const VertexId> neighbors) {
+        const std::uint64_t m = fetch_masks_[i];
+        ++stats_.adjacency_fetches;
+        stats_.shared_scans_saved +=
+            static_cast<std::uint64_t>(std::popcount(m)) - 1;
+        for (const VertexId u : neighbors) {
+          ++stats_.edges_scanned;
+          discover(u, m);
+        }
+        return true;
+      });
 }
 
 void MsBfsRun::exchange_fringe() {

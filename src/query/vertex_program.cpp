@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
-#include "graphdb/stream_db.hpp"
 #include "storage/mapped_file.hpp"
 
 namespace mssg {
@@ -65,7 +64,13 @@ VertexProgramEngine::VertexProgramEngine(Communicator& comm, GraphDB& db,
     : comm_(comm),
       db_(db),
       options_(options),
-      stream_db_(dynamic_cast<StreamDB*>(&db)) {
+      // Resolved once: a by-name lookup takes the registry lock.
+      encode_bytes_(options.metrics != nullptr
+                        ? &options.metrics->histogram("codec.encode_bytes")
+                        : nullptr),
+      decode_bytes_(options.metrics != nullptr
+                        ? &options.metrics->histogram("codec.decode_bytes")
+                        : nullptr) {
   info_.ranks = comm_.size();
   info_.rank = comm_.rank();
 }
@@ -134,38 +139,21 @@ PayloadBuffer VertexProgramEngine::pack_pairs(std::vector<VertexPair>& pairs) {
   const std::size_t raw_bytes = raw_pair_wire_bytes(pairs.size());
   std::vector<std::byte> encoded = encode_pair_set(pairs, options_.wire);
   comm_.record_payload_encoding(raw_bytes, encoded.size());
-  if (options_.metrics != nullptr) {
-    options_.metrics->histogram("codec.encode_bytes").record(encoded.size());
-  }
+  if (encode_bytes_ != nullptr) encode_bytes_->record(encoded.size());
   return PayloadBuffer(std::move(encoded));
 }
 
 void VertexProgramEngine::scatter_frontier(VertexProgram& program,
                                            Sink& sink) {
   if (options_.prefetch && !frontier_.empty()) db_.prefetch(frontier_);
-  if (stream_db_ != nullptr) {
-    // StreamDB requires the batched call: per-vertex lookups would
-    // rescan the whole log once per frontier vertex (§4.1.5).
-    std::unordered_map<VertexId, std::vector<VertexId>> batch;
-    stream_db_->get_adjacency_batch(frontier_, batch);
-    static const std::vector<VertexId> kEmpty;
-    for (const VertexId v : frontier_) {
-      ++stats_.vertices_scattered;
-      const auto it = batch.find(v);
-      const std::vector<VertexId>& neighbors =
-          it == batch.end() ? kEmpty : it->second;
-      stats_.edges_scanned += neighbors.size();
-      program.scatter(v, state_[index_.at(v)], neighbors, sink);
-    }
-    return;
-  }
-  for (const VertexId v : frontier_) {
-    ++stats_.vertices_scattered;
-    adjacency_scratch_.clear();
-    db_.get_adjacency(v, adjacency_scratch_);
-    stats_.edges_scanned += adjacency_scratch_.size();
-    program.scatter(v, state_[index_.at(v)], adjacency_scratch_, sink);
-  }
+  db_.get_adjacency_batch(
+      frontier_, [&](std::size_t i, std::span<const VertexId> neighbors) {
+        const VertexId v = frontier_[i];
+        ++stats_.vertices_scattered;
+        stats_.edges_scanned += neighbors.size();
+        program.scatter(v, state_[index_.at(v)], neighbors, sink);
+        return true;
+      });
 }
 
 void VertexProgramEngine::exchange(Sink& sink) {
@@ -188,10 +176,7 @@ void VertexProgramEngine::exchange(Sink& sink) {
     if (q == comm_.rank()) continue;
     const Message msg = comm_.recv(kVertexProgramTag, q);
     decode_pair_set(msg.payload, received);
-    if (options_.metrics != nullptr) {
-      options_.metrics->histogram("codec.decode_bytes")
-          .record(msg.payload.size());
-    }
+    if (decode_bytes_ != nullptr) decode_bytes_->record(msg.payload.size());
     inbox_.insert(inbox_.end(), received.begin(), received.end());
   }
 }

@@ -8,10 +8,10 @@
 //
 //   superstep S:
 //     1. scatter  — every active vertex is expanded once, in ascending
-//                   id order; its adjacency list is fetched from the
-//                   GraphDB (batched on StreamDB, prefetched when
-//                   enabled) and the kernel emits (target, value)
-//                   messages into per-owner buckets.
+//                   id order; the frontier's adjacency lists come from
+//                   one batched GraphDB read (prefetched when enabled)
+//                   and the kernel emits (target, value) messages into
+//                   per-owner buckets.
 //     2. exchange — one message per peer per superstep (empty allowed),
 //                   buckets shipped through the vertex_codec pair wire
 //                   (sort + delta + LEB128 with raw passthrough) and
@@ -53,8 +53,8 @@
 
 namespace mssg {
 
+class Histogram;
 class MetricsRegistry;
-class StreamDB;
 
 struct VertexProgramOptions {
   /// Wire format for the (vertex, value) message pairs.
@@ -221,7 +221,8 @@ class VertexProgramEngine {
   Communicator& comm_;
   GraphDB& db_;
   VertexProgramOptions options_;
-  StreamDB* stream_db_;
+  Histogram* encode_bytes_;
+  Histogram* decode_bytes_;
   VertexProgramInfo info_;
   VertexProgramStats stats_;
 

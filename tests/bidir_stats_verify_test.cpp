@@ -231,8 +231,22 @@ std::unique_ptr<GrDB> corrupt_chain(
 }
 
 void expect_every_walk_throws(GrDB& db) {
-  std::vector<VertexId> out;
-  EXPECT_THROW(db.get_adjacency(0, out), StorageError);
+  // The read, and the staged batch walk with healthy chains of the same
+  // level-0 block around the corrupt one, throw the same error.
+  std::string single;
+  try {
+    std::vector<VertexId> out;
+    db.get_adjacency(0, out);
+    ADD_FAILURE() << "read of a corrupt chain did not throw";
+  } catch (const StorageError& e) {
+    single = e.what();
+  }
+  try {
+    (void)testing::batch_lists(db, std::vector<VertexId>{1, 0, 2});
+    ADD_FAILURE() << "batch read of a corrupt chain did not throw";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.what(), single);
+  }
   EXPECT_THROW((void)db.chain_of(0), StorageError);
   EXPECT_THROW(db.store_edges(std::vector<Edge>{{0, 99}}), StorageError);
 }
@@ -294,6 +308,8 @@ TEST(GrdbCorruptChain, WritersRejectPointerPastAllocatedExtent) {
   std::vector<VertexId> out;
   db->get_adjacency(0, out);
   EXPECT_EQ(out, std::vector<VertexId>{1});
+  EXPECT_EQ(testing::batch_lists(*db, std::vector<VertexId>{0}),
+            std::vector<std::vector<VertexId>>{out});
   EXPECT_THROW(db->store_edges(std::vector<Edge>{{0, 99}}), StorageError);
   EXPECT_THROW(db->defragment(), StorageError);
 }

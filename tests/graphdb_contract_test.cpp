@@ -3,12 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "gen/generators.hpp"
 #include "gen/memory_graph.hpp"
-#include "graphdb/stream_db.hpp"
 #include "storage/fault_injector.hpp"
 #include "test_util.hpp"
 
@@ -176,6 +174,94 @@ TEST_P(GraphDBContract, HighDegreeHubRoundTrips) {
   for (VertexId i = 1; i <= 40'000; ++i) ASSERT_EQ(s[i - 1], i);
 }
 
+/// Checks get_adjacency_batch against per-vertex reads: exactly one visit
+/// per request, in request order, each with get_adjacency's list; and a
+/// visitor that stops at request k sees k + 1 visits.
+void expect_batch_matches(GraphDB& db, const std::vector<VertexId>& requests) {
+  std::vector<std::vector<VertexId>> expected(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    db.get_adjacency(requests[i], expected[i]);
+  }
+  std::size_t visits = 0;
+  db.get_adjacency_batch(
+      requests, [&](std::size_t i, std::span<const VertexId> list) {
+        EXPECT_EQ(i, visits) << "visit out of order on " << db.name();
+        if (i < expected.size()) {
+          EXPECT_EQ(std::vector<VertexId>(list.begin(), list.end()),
+                    expected[i])
+              << "request " << i << " (vertex " << requests[i] << ") on "
+              << db.name();
+        }
+        ++visits;
+        return true;
+      });
+  EXPECT_EQ(visits, requests.size()) << db.name();
+
+  // 4095 and 4096 straddle the first slice of grDB's staged walk.
+  for (const std::size_t k : {std::size_t{0}, std::size_t{4095},
+                              std::size_t{4096}, requests.size() / 2,
+                              requests.size() - 1}) {
+    if (k >= requests.size()) continue;
+    std::size_t seen = 0;
+    db.get_adjacency_batch(requests, [&](std::size_t i,
+                                         std::span<const VertexId>) {
+      ++seen;
+      return i != k;
+    });
+    EXPECT_EQ(seen, k + 1) << "stop at request " << k << " on " << db.name();
+  }
+}
+
+// The batched read every traversal uses: request order, duplicates,
+// vertices with no local edges, ids far past every stored vertex (2^40,
+// 2^56 — past grDB's level-0 address space — and the largest id), and
+// an empty request list.
+TEST_P(GraphDBContract, BatchMatchesPerVertexLookups) {
+  {
+    SCOPED_TRACE("empty store");
+    expect_batch_matches(*db_, {1, 42, VertexId{1} << 56, kMaxVertexId});
+  }
+  db_->store_edges(
+      std::vector<Edge>{{1, 2}, {1, 3}, {2, 4}, {3, 4}, {5, 1}, {2, 5}});
+  {
+    SCOPED_TRACE("tiny graph");
+    // 3 and 4 have no out-edges, 99 was never stored.
+    expect_batch_matches(*db_, {1, 2, 99, 3, 2, 1, 4, 5});
+  }
+
+  ChungLuConfig config{.vertices = 400, .edges = 3000, .seed = 17};
+  std::vector<Edge> directed;
+  for (const auto& e : generate_chung_lu(config)) {
+    directed.push_back(Edge{e.src + 10, e.dst + 10});
+    directed.push_back(Edge{e.dst + 10, e.src + 10});
+  }
+  for (std::size_t i = 0; i < directed.size(); i += 500) {
+    db_->store_edges(std::span(directed).subspan(
+        i, std::min<std::size_t>(500, directed.size() - i)));
+  }
+  db_->finalize_ingest();
+
+  // Long enough to span several slices of grDB's staged walk.
+  std::vector<VertexId> requests;
+  for (int pass = 0; pass < 11; ++pass) {
+    for (VertexId v = 0; v < config.vertices + 20; ++v) requests.push_back(v);
+  }
+  for (VertexId v = config.vertices; v-- > 0;) requests.push_back(v);
+  requests.insert(requests.end(), {VertexId{1} << 40, 7, VertexId{1} << 56,
+                                   kMaxVertexId, 7, 1});
+  {
+    SCOPED_TRACE("random graph");
+    expect_batch_matches(*db_, requests);
+  }
+
+  std::size_t visits = 0;
+  db_->get_adjacency_batch({}, [&](std::size_t, std::span<const VertexId>) {
+    ++visits;
+    return true;
+  });
+  EXPECT_EQ(visits, 0u);
+}
+
 TEST_P(GraphDBContract, NameIsStable) {
   EXPECT_EQ(db_->name(), to_string(GetParam()));
 }
@@ -313,12 +399,22 @@ TEST_P(GraphDBNoCache, NoCacheMatchesCached) {
   raw->finalize_ingest();
 
   std::vector<VertexId> a, b;
+  std::vector<VertexId> all;
   for (VertexId v = 0; v < 200; ++v) {
     a.clear();
     b.clear();
     cached->get_adjacency(v, a);
     raw->get_adjacency(v, b);
     ASSERT_EQ(sorted(a), sorted(b)) << v;
+    all.push_back(v);
+  }
+  // The batched read agrees too, through the cache and without it.
+  const auto cached_lists = testing::batch_lists(*cached, all);
+  const auto raw_lists = testing::batch_lists(*raw, all);
+  ASSERT_EQ(cached_lists.size(), all.size());
+  ASSERT_EQ(raw_lists.size(), all.size());
+  for (VertexId v = 0; v < 200; ++v) {
+    ASSERT_EQ(sorted(cached_lists[v]), sorted(raw_lists[v])) << v;
   }
   // And the raw instance really did more disk I/O.
   const auto disk_ops = [](GraphDB& db) -> std::uint64_t {
@@ -334,29 +430,6 @@ INSTANTIATE_TEST_SUITE_P(CachedBackends, GraphDBNoCache,
                            return to_string(param_info.param).substr(
                                0, to_string(param_info.param).find('('));
                          });
-
-// StreamDB's batch API — the interface its BFS integration depends on.
-TEST(StreamDBBatch, BatchMatchesPerVertexLookups) {
-  TempDir dir;
-  GraphDBConfig config;
-  config.dir = dir.path();
-  auto base = make_graphdb(Backend::kStream, config);
-  auto* db = dynamic_cast<StreamDB*>(base.get());
-  ASSERT_NE(db, nullptr);
-
-  db->store_edges(
-      std::vector<Edge>{{1, 2}, {1, 3}, {2, 4}, {3, 4}, {5, 1}, {2, 5}});
-  db->finalize_ingest();
-
-  const std::vector<VertexId> fringe{1, 2, 99};
-  std::unordered_map<VertexId, std::vector<VertexId>> batch;
-  db->get_adjacency_batch(fringe, batch);
-
-  EXPECT_EQ(sorted(batch.at(1)), (std::vector<VertexId>{2, 3}));
-  EXPECT_EQ(sorted(batch.at(2)), (std::vector<VertexId>{4, 5}));
-  EXPECT_FALSE(batch.contains(99));
-  EXPECT_FALSE(batch.contains(3));
-}
 
 }  // namespace
 }  // namespace mssg

@@ -8,6 +8,7 @@
 #include "graphdb/grdb/format.hpp"
 #include "graphdb/grdb/grdb.hpp"
 #include "graphdb/metadata_store.hpp"
+#include "test_util.hpp"
 
 namespace mssg {
 namespace {
@@ -186,6 +187,10 @@ TEST(Grdb, CopyUpProducesCompactChains) {
   std::vector<VertexId> a, b;
   link_db->get_adjacency(3, a);
   copy_db->get_adjacency(3, b);
+  EXPECT_EQ(testing::batch_lists(*link_db, std::vector<VertexId>{3}),
+            std::vector<std::vector<VertexId>>{a});
+  EXPECT_EQ(testing::batch_lists(*copy_db, std::vector<VertexId>{3}),
+            std::vector<std::vector<VertexId>>{b});
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -212,6 +217,8 @@ TEST(Grdb, DefragmentCompactsAndPreservesData) {
 
   std::vector<VertexId> after;
   db->get_adjacency(3, after);
+  EXPECT_EQ(testing::batch_lists(*db, std::vector<VertexId>{3}),
+            std::vector<std::vector<VertexId>>{after});
   std::sort(after.begin(), after.end());
   EXPECT_EQ(after, expected);
 }
@@ -337,6 +344,41 @@ TEST(Grdb, StandardGeometryHubCrossesAllLevels) {
   std::vector<VertexId> out;
   db.get_adjacency(0, out);
   EXPECT_EQ(out.size(), 20'000u);
+  // The staged walk reads the hub next to a leaf (no out-edges) in its
+  // level-0 block: one stage per level, the same list.
+  EXPECT_EQ(testing::batch_lists(db, std::vector<VertexId>{1, 0}),
+            (std::vector<std::vector<VertexId>>{{}, out}));
+}
+
+TEST(Grdb, SourcePastLevelZeroAddressSpaceRejected) {
+  TempDir dir;
+  auto db = make_grdb(dir, GrDBOptions{});
+  // Standard geometry: 256 level-0 sub-blocks per block, so vertex 2^56
+  // would sit in block 2^48, one past the 48-bit cache key.
+  const VertexId past = VertexId{1} << 56;
+  try {
+    db->store_edges(std::vector<Edge>{{1, 2}, {past, 1}, {3, 4}});
+    ADD_FAILURE() << "store_edges accepted source 2^56";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("level-0 address space"),
+              std::string::npos)
+        << e.what();
+  }
+  // Nothing of the batch was stored.
+  EXPECT_EQ(db->allocated_subblocks(0), 0u);
+  const std::vector<VertexId> probe{1, 3, past, past - 1, kMaxVertexId};
+  for (const auto& list : testing::batch_lists(*db, probe)) {
+    EXPECT_TRUE(list.empty());
+  }
+  // A destination may be any id.
+  db->store_edges(std::vector<Edge>{{1, kMaxVertexId}});
+  EXPECT_EQ(testing::batch_lists(*db, probe),
+            (std::vector<std::vector<VertexId>>{
+                {kMaxVertexId}, {}, {}, {}, {}}));
+  std::vector<VertexId> out;
+  db->get_adjacency(past, out);
+  db->get_adjacency(kMaxVertexId, out);
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

@@ -434,12 +434,20 @@ TEST_P(QueryLangDifferential, EveryFormMatchesTheDirectApi) {
       EXPECT_EQ(got.values[0], want0) << text;
     }
     // An endpoint past every stored vertex (2^40) is unreachable, not an
-    // error: no query parameter may size per-query search state.
+    // error: no query parameter may size per-query search state.  So is
+    // one past grDB's level-0 address space (2^56) or the largest id.
     for (const char* text : {"PATH 1099511627776 1 MAXLEN 3",
-                             "PATH 3 1099511627776 MAXLEN 3"}) {
+                             "PATH 3 1099511627776 MAXLEN 3",
+                             "PATH 72057594037927936 1 MAXLEN 3",
+                             "PATH 2305843009213693951 1 MAXLEN 2"}) {
       const ServeResult got = session.execute(text);
       ASSERT_TRUE(got.ok()) << text << ": " << got.error;
       EXPECT_EQ(got.values, (std::vector<double>{-1.0, -1.0})) << text;
+    }
+    {
+      const ServeResult got = session.execute("NEIGHBORS 72057594037927936");
+      ASSERT_TRUE(got.ok()) << got.error;
+      EXPECT_TRUE(got.values.empty());
     }
 
     // RANK / CC / COUNT TRIANGLES / STATS: byte-identical to the

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -32,6 +33,7 @@
 namespace mssg {
 namespace {
 
+using testing::batch_lists;
 using testing::make_db;
 using testing::sorted;
 
@@ -435,19 +437,38 @@ void eight_readers_one_ingest(Backend backend, VertexId kV) {
     failures.push_back(msg);
   };
 
+  std::vector<VertexId> all(kV);
+  std::iota(all.begin(), all.end(), VertexId{0});
+
   std::vector<std::thread> readers;
   for (int r = 0; r < 8; ++r) {
     readers.emplace_back([&, r] {
-      while (!done.load(std::memory_order_acquire) && failures.empty()) {
+      for (std::uint64_t round = 0;
+           !done.load(std::memory_order_acquire) && failures.empty();
+           ++round) {
         const std::uint64_t floor = lo.load(std::memory_order_acquire);
         SnapshotScope scope(db->begin_snapshot());
         std::optional<std::size_t> k;
-        // Half the readers sweep adjacency, half enumerate vertices —
-        // both paths must serve the pinned epoch.
+        // Half the readers sweep adjacency — every other round through
+        // one batched read — and half enumerate vertices: every path
+        // must serve the pinned epoch.
         if (r % 2 == 0) {
+          std::vector<std::vector<VertexId>> batch;
+          if (round % 2 == 1) {
+            batch = batch_lists(*db, all);
+            if (batch.size() != kV) {
+              fail("batch visited " + std::to_string(batch.size()) +
+                   " of " + std::to_string(kV) + " requests");
+              return;
+            }
+          }
           for (VertexId v = 0; v < kV; ++v) {
             std::vector<VertexId> adj;
-            db->get_adjacency(v, adj);
+            if (round % 2 == 1) {
+              adj = std::move(batch[v]);
+            } else {
+              db->get_adjacency(v, adj);
+            }
             std::sort(adj.begin(), adj.end());
             for (std::size_t i = 0; i < adj.size(); ++i) {
               if (adj[i] != kV + i) {

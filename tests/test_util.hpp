@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/temp_dir.hpp"
@@ -45,6 +46,18 @@ inline std::uint64_t reference_khop(const MemoryGraph& g, VertexId src,
     if (v != src && levels[v] != kUnvisited && levels[v] <= k) ++count;
   }
   return count;
+}
+
+/// Every request's list, read through one get_adjacency_batch call.
+inline std::vector<std::vector<VertexId>> batch_lists(
+    GraphDB& db, std::span<const VertexId> vertices) {
+  std::vector<std::vector<VertexId>> lists;
+  db.get_adjacency_batch(
+      vertices, [&](std::size_t, std::span<const VertexId> list) {
+        lists.emplace_back(list.begin(), list.end());
+        return true;
+      });
+  return lists;
 }
 
 /// Sorted copy (adjacency order is backend-specific).
