@@ -123,6 +123,12 @@ class ByteReader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vector() {
     const auto n = get_varint();
+    // Checked before the multiply: a corrupt length must neither wrap the
+    // byte count nor size the allocation below.
+    if (n > remaining() / sizeof(T)) {
+      throw FormatError("ByteReader: vector of " + std::to_string(n) +
+                        " elements overruns the input");
+    }
     auto bytes = get_bytes(n * sizeof(T));
     std::vector<T> values(n);
     if (!bytes.empty()) std::memcpy(values.data(), bytes.data(), bytes.size());
@@ -134,7 +140,7 @@ class ByteReader {
 
  private:
   void require(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       throw FormatError("ByteReader: truncated input (need " +
                         std::to_string(n) + " bytes, have " +
                         std::to_string(data_.size() - pos_) + ")");

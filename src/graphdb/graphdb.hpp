@@ -45,6 +45,14 @@ class GraphDB {
   /// by the Ingestion service before routing).  Throws StorageError.
   virtual void store_edges(std::span<const Edge> edges) = 0;
 
+  /// Throws UsageError, touching nothing, when store_edges would reject
+  /// `edges` for what the edges are (ids the backend cannot address), so
+  /// a caller spreading one batch over several stores can check every
+  /// share before any store takes its own.  Default: accepts all.
+  virtual void validate_edges(std::span<const Edge> edges) const {
+    (void)edges;
+  }
+
   /// Appends v's out-neighbors to `out`.  Unknown vertices yield nothing
   /// (Algorithm 1 relies on "the empty set when an adjacency list of a
   /// vertex that is not assigned to that processor is requested").
@@ -193,9 +201,12 @@ struct GraphDBConfig {
   bool external_metadata = false;
   /// Crash-safe flushes: page stores keep an undo+redo write-ahead
   /// journal so reopening after a crash at any point recovers the last
-  /// flush()-committed state (DESIGN.md "Durability & recovery").
-  /// Turning it off gives the journal-ablation baseline (EXPERIMENTS.md
-  /// A11); checksum trailers stay on either way.
+  /// flush()-committed state (DESIGN.md "Durability & recovery").  grDB
+  /// also keeps a per-node edge log: most flushes append the batch there
+  /// and fdatasync that file alone, and a checkpoint folds the logged
+  /// batches into the blocks when the log is full.  Turning it off gives
+  /// the journal-ablation baseline (EXPERIMENTS.md A11); checksum
+  /// trailers stay on either way.
   bool journal = true;
   /// Worker lanes in the background IoEngine (with async_io).  Requests
   /// are routed to a lane by file, so per-file submission order — and
@@ -204,14 +215,17 @@ struct GraphDBConfig {
   std::size_t io_workers = 2;
   /// Journal group commit: every n-th flush() commits durably, the ones
   /// in between batch their redo records into the group and skip both
-  /// fsyncs (1 = every flush commits, the classic A11 behavior).  A
-  /// crash inside a group rolls back to the last boundary atomically.
+  /// fsyncs (1 = every flush commits).  A crash inside a group rolls
+  /// back to the last boundary atomically.  Applies only when n > 1; at
+  /// 1 a grDB flush may be an edge-log commit, which n > 1 turns off.
   std::uint32_t journal_sync_interval = 1;
   /// Zero-copy read path for sealed data (grDB): level files are mmap'd
-  /// read-only once the store is sealed (flushed, no journal group
-  /// pending), and sequential scans — full-graph analytics, MS-BFS
-  /// level expansions (SequentialScanScope) — read sub-blocks as mapped
-  /// views instead of copying into BlockCache frames.  Point probes keep
+  /// read-only once the store is sealed (checkpointed, no journal group
+  /// pending).  Every grDB flush then checkpoints, since a log commit
+  /// would leave the mapped level files stale.  Sequential scans —
+  /// full-graph analytics, MS-BFS level expansions
+  /// (SequentialScanScope) — read sub-blocks as mapped views instead of
+  /// copying into BlockCache frames.  Point probes keep
   /// the 2Q cache.  Mutation or journal replay unmaps and falls back to
   /// the pread path; an armed FaultInjector always falls back, so
   /// crash/torn-write sweeps see the exact pread fault indices they were

@@ -15,7 +15,8 @@ namespace mssg {
 using grdb::EntryKind;
 
 namespace {
-constexpr std::uint64_t kMetaMagic = 0x4d535347'67724442ull;  // "MSSGgrDB"
+// "MSSGgrD2": the meta carries the edge log's generation.
+constexpr std::uint64_t kMetaMagic = 0x4d535347'67724432ull;
 // Journal tag of the grdb.meta snapshot.  Block tags are the cache keys
 // (level << 48 | block); no level reaches 0xFFFF, so this can't collide.
 constexpr std::uint64_t kMetaTag = ~std::uint64_t{0};
@@ -242,7 +243,6 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
          }});
   }
   mmap_enabled_ = config.mmap_sealed;
-  snapshots_enabled_ = config.snapshots;
   // Prompt retirement: dropping the last snapshot of an epoch purges
   // the versions it pinned without waiting for the next commit.
   epochs_.set_retire_hook(
@@ -251,9 +251,17 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
   if (config.journal) {
     journal_ = std::make_unique<WriteJournal>(dir_ / "grdb", &stats_,
                                               config.journal_sync_interval);
+    log_ = std::make_unique<EdgeLog>(dir_ / "grdb.edges", &stats_);
+    // A sealed mapping reads the level files, which a log commit leaves
+    // stale, and a group defers the very fsync a log commit replaces.
+    log_commits_ = config.journal_sync_interval <= 1 && !config.mmap_sealed;
     recover(/*allow_rollback=*/true);
   }
   if (std::filesystem::exists(dir_ / "grdb.meta")) load_meta();
+  // Replay is recovery, not a new epoch: no reader exists yet, so its
+  // mutations shelve no versions.
+  if (log_ != nullptr) replay_edge_log();
+  snapshots_enabled_ = config.snapshots;
   // With snapshots on, readers never attempt a map themselves (freezing
   // the bitmaps must not race the writer), so map eagerly from writer
   // context whenever the store is sealed: here, and at flush end.
@@ -266,11 +274,11 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
 
 GrDB::~GrDB() {
   // Flush here (not in ~BlockCache) so write-backs run while the level
-  // file handles are still alive.  Force the group-commit boundary: a
-  // deferred group must not outlive the store.
+  // file handles are still alive.  Checkpoint, so the edge log is folded
+  // in and a deferred group does not outlive the store.
   try {
     std::lock_guard<std::mutex> lock(write_mu_);
-    flush_impl(/*force_commit=*/true);
+    flush_impl(/*force_checkpoint=*/true);
   } catch (...) {  // NOLINT(bugprone-empty-catch) — dtor must not throw
   }
 }
@@ -337,13 +345,54 @@ void GrDB::sync_level_files() {
   for (File* file : files) file->sync();
 }
 
-void GrDB::recover(bool allow_rollback) {
+std::optional<std::uint64_t> GrDB::recover(bool allow_rollback) {
   WriteJournal::Recovery rec = journal_->plan_recovery();
-  if (rec.action == WriteJournal::Action::kNone) return;
+  if (rec.action == WriteJournal::Action::kNone) return std::nullopt;
   if (rec.action == WriteJournal::Action::kRollBack && !allow_rollback) {
     // Mid-life flush: the uncommitted epoch's pre-images stay armed; the
     // flush about to run supersedes it (and trims on success).
-    return;
+    return std::nullopt;
+  }
+  // The meta this replay leaves on disk: the redo's last meta record for
+  // a roll-forward, the on-disk grdb.meta for a roll-back (whose
+  // pre-images are of blocks it already held).  Each block record must
+  // lie inside that meta's extent, checked for every record before any
+  // file is written or created.
+  const bool forward = rec.action == WriteJournal::Action::kRollForward;
+  MetaImage restored;
+  if (forward) {
+    for (auto it = rec.records.rbegin(); it != rec.records.rend(); ++it) {
+      if (it->tag != kMetaTag) continue;
+      try {
+        restored = decode_meta(it->payload);
+      } catch (const FormatError& e) {
+        throw StorageError(std::string("grDB: journal meta record: ") +
+                           e.what());
+      }
+      break;
+    }
+  } else if (std::filesystem::exists(dir_ / "grdb.meta")) {
+    restored = decode_meta(read_meta_file());
+  }
+  for (const WriteJournal::Record& r : rec.records) {
+    if (r.tag == kMetaTag) continue;
+    const std::uint64_t level = r.tag >> 48;
+    const std::uint64_t block = r.tag & (kBlockLimit - 1);
+    const std::string what = "grDB: journal record for level " +
+                             std::to_string(level) + " block " +
+                             std::to_string(block);
+    if (level >= levels_.size()) {
+      throw StorageError(what + ": level beyond the geometry");
+    }
+    if (r.payload.size() != levels_[level].spec.block_bytes) {
+      throw StorageError(what + ": payload of " +
+                         std::to_string(r.payload.size()) +
+                         " bytes is not the level's block size");
+    }
+    if (restored.levels.empty() ||
+        block >= restored.levels[level].initialized.size()) {
+      throw StorageError(what + ": past the extent of the meta it restores");
+    }
   }
   // Replay writes the level files directly — a live sealed mapping would
   // go stale (and its verified bitmap would lie).  With snapshots on the
@@ -357,9 +406,7 @@ void GrDB::recover(bool allow_rollback) {
       continue;
     }
     const int level = static_cast<int>(r.tag >> 48);
-    const std::uint64_t block = r.tag & ((std::uint64_t{1} << 48) - 1);
-    MSSG_CHECK(level < static_cast<int>(levels_.size()));
-    MSSG_CHECK(r.payload.size() == levels_[level].spec.block_bytes);
+    const std::uint64_t block = r.tag & (kBlockLimit - 1);
     const std::uint64_t n = options_.geometry.blocks_per_file(level);
     ensure_file(level, block / n)
         .write_at(levels_[level].spec.block_bytes * (block % n), r.payload);
@@ -367,9 +414,11 @@ void GrDB::recover(bool allow_rollback) {
   sync_level_files();
   journal_->trim();
   clear_fresh();
+  if (forward && !restored.levels.empty()) return restored.generation;
+  return std::nullopt;
 }
 
-void GrDB::flush_impl(bool force_commit) {
+void GrDB::flush_impl(bool force_checkpoint) {
   if (journal_ == nullptr) {
     const bool had_work = dirty_since_flush_.load(std::memory_order_relaxed);
     cache_.flush();
@@ -381,29 +430,69 @@ void GrDB::flush_impl(bool force_commit) {
   }
 
   // Write-behind payloads must be on disk (and any deferred async error
-  // surfaced) before dirty pages are enumerated.
+  // surfaced) before the commit.
   cache_.drain_pending();
-  // A previous flush may have died between redo-commit and trim; finish
-  // its in-place phase first so epochs never interleave.  Impossible
-  // while a group is pending (deferred flushes never commit), and
-  // plan_recovery() re-reads the whole journal — skipping keeps a long
-  // deferred window linear instead of quadratic.
-  if (!journal_->group_pending()) recover(/*allow_rollback=*/false);
+  // store_locked keeps a pending record only while a log commit can take
+  // it: log commits on, the log ready for the committed generation with
+  // room for the record, and no checkpoint due.
+  if (!force_checkpoint && !checkpoint_due_ && !pending_.empty()) {
+    log_commit();
+    return;
+  }
+  checkpoint(/*force_commit=*/force_checkpoint);
+}
+
+void GrDB::log_commit() {
+  try {
+    log_->append(pending_);
+    log_->sync();
+  } catch (...) {
+    // The record may be torn or not durable: only a checkpoint (whose log
+    // reset clears the tail) may commit the blocks it describes.
+    checkpoint_due_ = true;
+    throw;
+  }
+  pending_.clear();
+  dirty_since_flush_.store(false, std::memory_order_relaxed);
+  commit_epoch();
+}
+
+void GrDB::checkpoint(bool force_commit) {
+  // Cleared only once the log has restarted under the committed
+  // generation: until then no commit may be a log record.
+  checkpoint_due_ = true;
+  // The cache and the level files hold every pending edge.
+  pending_.clear();
+  // A previous checkpoint may have died between redo-commit and trim;
+  // finish its in-place phase first so epochs never interleave, and take
+  // up the generation its meta carries.  Impossible while a group is
+  // pending (deferred flushes never commit), and plan_recovery() re-reads
+  // the whole journal — skipping keeps a long deferred window linear
+  // instead of quadratic.
+  if (!journal_->group_pending()) {
+    if (const auto rolled = recover(/*allow_rollback=*/false)) {
+      generation_ = *rolled;
+    }
+  }
 
   std::size_t dirty = 0;
   cache_.for_each_dirty(
       [&dirty](std::uint16_t, std::uint64_t, std::span<std::byte>) {
         ++dirty;
       });
-  const bool work = dirty != 0 ||
-                    dirty_since_flush_.load(std::memory_order_relaxed) ||
-                    journal_->dirty_epoch();
+  const bool stored = dirty_since_flush_.load(std::memory_order_relaxed);
+  const bool work = dirty != 0 || stored || journal_->dirty_epoch() ||
+                    !log_->empty();
   // A pending deferred group still needs its boundary commit even when
   // nothing new is dirty (e.g. the destructor's forced flush).
   if (!work && !journal_->group_pending()) {
+    checkpoint_due_ = false;
     rearm_mmap();  // already sealed; a prior decline may hold retry down
     return;
   }
+  // Records this checkpoint covers must never replay over it: a log that
+  // may hold any restarts under a new generation, carried by the meta.
+  const std::uint64_t next = log_->empty() ? generation_ : generation_ + 1;
 
   // 1. Redo-log post-images of every dirty block (appending to the open
   // group's records, if any).  Bitmap and sidecar CRC are brought up to
@@ -422,7 +511,13 @@ void GrDB::flush_impl(bool force_commit) {
             if (block >= lvl.initialized.size()) {
               lvl.initialized.resize(block + 1);
             }
-            lvl.initialized.set(block);
+            if (!lvl.initialized.test(block)) {
+              // Outside the committed meta until the commit below lands;
+              // should it fail, an eviction logs no pre-image for it (and
+              // a roll-back finds no record past the meta's extent).
+              lvl.fresh.insert(block);
+              lvl.initialized.set(block);
+            }
             if (block >= lvl.block_crc.size()) {
               lvl.block_crc.resize(block + 1);
             }
@@ -431,10 +526,10 @@ void GrDB::flush_impl(bool force_commit) {
           journal_->redo_record(
               (static_cast<std::uint64_t>(store) << 48) | block, data);
         });
-    meta_bytes = encode_meta();
+    meta_bytes = encode_meta(next);
     journal_->redo_record(kMetaTag, meta_bytes);
   } else {
-    meta_bytes = encode_meta();
+    meta_bytes = encode_meta(next);
   }
   if (!force_commit && !journal_->commit_due()) {
     // Group commit: close this flush without any fsync.  Blocks stay
@@ -450,6 +545,7 @@ void GrDB::flush_impl(bool force_commit) {
   sync_level_files();
   // 3. Commit: the whole group is logically done from here on.
   journal_->redo_commit();
+  generation_ = next;
   clear_fresh();  // the group's "never committed" blocks just committed
   // 4. In-place phase (no undo capture — the redo log covers us now).
   in_flush_.store(true, std::memory_order_relaxed);
@@ -462,19 +558,48 @@ void GrDB::flush_impl(bool force_commit) {
     throw;
   }
   in_flush_.store(false, std::memory_order_relaxed);
-  // 5. Retire the epoch.
+  // 5. Retire the epoch, then restart the log under the new generation
+  // (a crash between the two leaves records whose generation no longer
+  // matches the meta's, which replay skips).
   journal_->trim();
+  if (!log_->empty() || !log_->ready(generation_)) log_->reset(generation_);
+  checkpoint_due_ = false;
+  ++stats_.checkpoints;
   dirty_since_flush_.store(false, std::memory_order_relaxed);
   // The committed boundary is the ONLY place the snapshot epoch
   // advances: a deferred (group-commit) flush returned above, so
-  // snapshots can never pin a state that a crash would roll back.
-  commit_epoch();
+  // snapshots can never pin a state that a crash would roll back.  A
+  // checkpoint that only folds the log in commits nothing new.
+  if (stored) commit_epoch();
   rearm_mmap();  // everything durable, no group pending: sealed again
 }
 
-std::vector<std::byte> GrDB::encode_meta() const {
+void GrDB::replay_edge_log() {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  // Replayed edges are not a new record: the checkpoint below holds them.
+  checkpoint_due_ = true;
+  const std::uint64_t replayed =
+      log_->replay(generation_, [this](std::span<const Edge> edges) {
+        try {
+          store_locked(edges);
+        } catch (const UsageError& e) {
+          // A CRC-valid record no store would accept was never written by
+          // one: the log is corrupt, and skipping it would drop a batch.
+          throw StorageError(std::string("grDB: edge log record rejected: ") +
+                             e.what());
+        }
+      });
+  if (replayed == 0) {
+    checkpoint_due_ = false;
+    return;
+  }
+  checkpoint(/*force_commit=*/true);
+}
+
+std::vector<std::byte> GrDB::encode_meta(std::uint64_t generation) const {
   ByteWriter writer;
   writer.put_u64(kMetaMagic);
+  writer.put_u64(generation);
   writer.put_u64(options_.geometry.max_file_bytes);
   writer.put_u64(max_vertex_.load(std::memory_order_relaxed));
   writer.put_u32(static_cast<std::uint32_t>(levels_.size()));
@@ -507,39 +632,66 @@ void GrDB::write_meta_file(std::span<const std::byte> bytes) {
 void GrDB::save_meta() {
   // Non-journaled path: best-effort overwrite (a crash inside this
   // sequence is exactly what journal mode exists to survive).
-  write_meta_file(encode_meta());
+  write_meta_file(encode_meta(generation_));
 }
 
-void GrDB::load_meta() {
-  File meta = File::open_readonly(dir_ / "grdb.meta", &stats_);
-  std::vector<std::byte> bytes(meta.size());
-  meta.read_at(0, bytes);
+GrDB::MetaImage GrDB::decode_meta(std::span<const std::byte> bytes) const {
+  MetaImage image;
   ByteReader reader(bytes);
   if (reader.get_u64() != kMetaMagic) {
-    throw StorageError("grDB: bad meta file magic");
+    throw StorageError("grDB: bad meta magic");
   }
+  image.generation = reader.get_u64();
   if (reader.get_u64() != options_.geometry.max_file_bytes) {
     throw StorageError("grDB: geometry mismatch (max file size)");
   }
-  max_vertex_.store(reader.get_u64(), std::memory_order_relaxed);
-  const auto level_count = reader.get_u32();
-  if (level_count != levels_.size()) {
+  image.max_vertex = reader.get_u64();
+  if (reader.get_u32() != levels_.size()) {
     throw StorageError("grDB: geometry mismatch (level count)");
   }
-  for (auto& level : levels_) {
-    if (reader.get_u64() != level.spec.entries_per_subblock ||
-        reader.get_u64() != level.spec.block_bytes) {
+  image.levels.resize(levels_.size());
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    MetaImage::LevelImage& level = image.levels[l];
+    if (reader.get_u64() != levels_[l].spec.entries_per_subblock ||
+        reader.get_u64() != levels_[l].spec.block_bytes) {
       throw StorageError("grDB: geometry mismatch (level spec)");
     }
     level.alloc = reader.get_u64();
     level.free_list = reader.get_vector<std::uint64_t>();
-    const auto extent = reader.get_varint();
+    const std::uint64_t extent = reader.get_varint();
     const auto bits = reader.get_vector<std::uint8_t>();
+    // The bitmap's bytes bound the extent, so a corrupt extent cannot
+    // size the allocation below.
+    if (bits.size() != extent / 8 + (extent % 8 != 0 ? 1 : 0)) {
+      throw StorageError("grDB: meta bitmap does not match its extent");
+    }
     level.initialized.resize(extent);
     for (std::uint64_t b = 0; b < extent; ++b) {
       if ((bits[b / 8] >> (b % 8)) & 1) level.initialized.set(b);
     }
     level.block_crc = reader.get_vector<std::uint32_t>();
+  }
+  return image;
+}
+
+std::vector<std::byte> GrDB::read_meta_file() {
+  const File meta = File::open_readonly(dir_ / "grdb.meta", &stats_);
+  std::vector<std::byte> bytes(meta.size());
+  meta.read_at(0, bytes);
+  return bytes;
+}
+
+void GrDB::load_meta() {
+  MetaImage image = decode_meta(read_meta_file());
+  generation_ = image.generation;
+  max_vertex_.store(image.max_vertex, std::memory_order_relaxed);
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    Level& level = levels_[l];
+    MetaImage::LevelImage& in = image.levels[l];
+    level.alloc = in.alloc;
+    level.free_list = std::move(in.free_list);
+    level.initialized = std::move(in.initialized);
+    level.block_crc = std::move(in.block_crc);
   }
   any_data_.store(true, std::memory_order_relaxed);
 }
@@ -868,6 +1020,7 @@ void GrDB::poke_entry(int level, std::uint64_t subblock, std::uint64_t index,
   MSSG_CHECK(index < ref.entries);
   ref.set(index, value);
   dirty_since_flush_.store(true, std::memory_order_relaxed);
+  checkpoint_due_ = true;  // no edge-log record describes this change
 }
 
 std::uint64_t GrDB::allocated_subblocks(int level) const {
@@ -891,6 +1044,7 @@ void GrDB::publish_level_gauges() {
 
 void GrDB::publish_metrics(MetricsSnapshot& snap) const {
   GraphDB::publish_metrics(snap);
+  snap.add("storage.edge_log_bytes", log_ != nullptr ? log_->bytes() : 0);
   for (std::size_t l = 0; l < gauges_.size(); ++l) {
     const std::string prefix = "grdb.level" + std::to_string(l);
     snap.add(prefix + ".subblocks",
@@ -1095,14 +1249,13 @@ void GrDB::prefetch(std::span<const VertexId> vertices) {
 
 // ---- Writes ----------------------------------------------------------------
 
-void GrDB::store_edges(std::span<const Edge> edges) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  // Batch by source: one chain walk per distinct vertex per batch.  Every
-  // edge is checked before any block is touched, so a rejected batch
-  // stores nothing.
-  std::unordered_map<VertexId, std::vector<VertexId>> by_source;
+void GrDB::validate_edges(std::span<const Edge> edges) const {
   for (const auto& e : edges) {
-    MSSG_CHECK(e.src <= kMaxVertexId && e.dst <= kMaxVertexId);
+    if (e.src > kMaxVertexId || e.dst > kMaxVertexId) {
+      throw UsageError("grDB: edge (" + std::to_string(e.src) + ", " +
+                       std::to_string(e.dst) + ") has an id past 2^" +
+                       std::to_string(kVertexIdBits) + " - 1");
+    }
     if (!addressable(e.src)) {
       throw UsageError(
           "grDB: source vertex " + std::to_string(e.src) +
@@ -1110,15 +1263,47 @@ void GrDB::store_edges(std::span<const Edge> edges) {
           std::to_string(levels_[0].spec.subblocks_per_block()) +
           " * 2^48)");
     }
-    by_source[e.src].push_back(e.dst);
   }
+}
+
+void GrDB::store_edges(std::span<const Edge> edges) {
+  std::lock_guard<std::mutex> lock(write_mu_);
+  store_locked(edges);
+}
+
+void GrDB::store_locked(std::span<const Edge> edges) {
+  // Every edge is checked before any block is touched, so a rejected
+  // batch stores nothing.
+  validate_edges(edges);
+  // Batch by source: one chain walk per distinct vertex per batch.
+  std::unordered_map<VertexId, std::vector<VertexId>> by_source;
+  for (const auto& e : edges) by_source[e.src].push_back(e.dst);
   // With snapshots on the sealed mapping STAYS mapped: pinned readers may
   // hold views into it, and every block this ingest mutates is COW'd
   // into cow_since_map_ before its bytes change, so the mapped read path
   // declines exactly the blocks that go stale.  Without snapshots the
   // classic discipline holds — mutation unmaps first.
   if (!snapshots_enabled_) unmap_sealed();
-  for (const auto& [src, neighbors] : by_source) append(src, neighbors);
+  try {
+    for (const auto& [src, neighbors] : by_source) append(src, neighbors);
+  } catch (...) {
+    checkpoint_due_ = true;  // a half-applied batch no record describes
+    throw;
+  }
+  // The open commit's record, written by the flush that commits it: a
+  // record written here could outlive a crash whose flush never
+  // returned.  Kept only while the flush can be a log commit: a log
+  // without a header of the committed generation (a fresh store's bulk
+  // ingest) or without room for the record means a checkpoint.
+  if (!log_commits_ || checkpoint_due_ || !log_->ready(generation_)) return;
+  if (log_->bytes() + EdgeLog::record_bytes(pending_.size() + edges.size()) >
+      kEdgeLogBoundBytes) {
+    pending_.clear();
+    pending_.shrink_to_fit();
+    checkpoint_due_ = true;
+    return;
+  }
+  pending_.insert(pending_.end(), edges.begin(), edges.end());
 }
 
 void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
@@ -1358,6 +1543,7 @@ std::uint64_t GrDB::defragment() {
   std::lock_guard<std::mutex> lock(write_mu_);
   unmap_sealed();
   dirty_since_flush_.store(true, std::memory_order_relaxed);
+  checkpoint_due_ = true;  // no edge-log record describes a rewrite
   std::uint64_t rewritten = 0;
   std::vector<VertexId> neighbors;
   std::vector<std::pair<int, std::uint64_t>> chain;

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_set>
@@ -28,6 +29,7 @@
 #include "graphdb/graphdb.hpp"
 #include "graphdb/grdb/format.hpp"
 #include "storage/block_cache.hpp"
+#include "storage/edge_log.hpp"
 #include "storage/file.hpp"
 #include "storage/journal.hpp"
 #include "storage/mapped_file.hpp"
@@ -46,10 +48,13 @@ class GrDB final : public GraphDB {
   explicit GrDB(const GraphDBConfig& config, GrDBOptions options = {});
   ~GrDB() override;
 
-  /// Throws UsageError, storing nothing, when a source's level-0
+  /// Throws UsageError, storing nothing, when validate_edges() rejects
+  /// the batch.
+  void store_edges(std::span<const Edge> edges) override;
+  /// Rejects an id past kMaxVertexId, and a source whose level-0
   /// sub-block lies past the 48-bit block index space (v >= 2^56 with
   /// the standard geometry).
-  void store_edges(std::span<const Edge> edges) override;
+  void validate_edges(std::span<const Edge> edges) const override;
   /// Such ids, which no store can hold, read as the empty list.
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;
   /// The staged chain walk: requests are taken in slices of 4096.  Every
@@ -60,12 +65,23 @@ class GrDB final : public GraphDB {
   /// slice is then visited in request order.
   void get_adjacency_batch(std::span<const VertexId> vertices,
                            const AdjacencyVisitor& visit) override;
-  /// Group-commit aware: with journal_sync_interval > 1 only every n-th
-  /// flush commits durably; the rest defer into the group (the
-  /// destructor forces the boundary).
+  /// Commits everything stored so far (DESIGN.md "Durability &
+  /// recovery").  With the journal on, a flush is one of:
+  ///  - a log commit: the edges stored since the last commit are
+  ///    appended to the node's edge log as one record and only that file
+  ///    is fdatasync'd; the blocks stay dirty in the cache.  Taken when
+  ///    journal_sync_interval is 1, mmap_sealed is off, every mutation
+  ///    since the last commit came through store_edges, the record fits
+  ///    under kEdgeLogBoundBytes, and the last checkpoint completed;
+  ///  - a checkpoint otherwise, and whenever the log holds records but
+  ///    nothing new was stored: the redo/commit/in-place/trim sequence
+  ///    over every dirty block, after which the log starts over.
+  /// Either way the flush's writes are durable when it returns.  With
+  /// journal_sync_interval > 1 only every n-th checkpoint commits; the
+  /// rest defer into the group (the destructor forces the boundary).
   void flush() override {
     std::lock_guard<std::mutex> lock(write_mu_);
-    flush_impl(/*force_commit=*/false);
+    flush_impl(/*force_checkpoint=*/false);
     publish_level_gauges();
   }
   void finalize_ingest() override { flush(); }
@@ -91,7 +107,8 @@ class GrDB final : public GraphDB {
   [[nodiscard]] std::string name() const override { return "grDB"; }
 
   /// Adds per-level sub-block allocation and free-list depth gauges
-  /// ("grdb.level<l>.subblocks" / ".free") on top of the registry, plus
+  /// ("grdb.level<l>.subblocks" / ".free") and the edge log's size
+  /// ("storage.edge_log_bytes") on top of the registry, plus
   /// mmap page-cache residency (mincore sampling) while the sealed
   /// mapping is live.  The level gauges are the values the writer last
   /// published (at open, each flush and each defragment), so a call is
@@ -220,19 +237,50 @@ class GrDB final : public GraphDB {
   std::pair<int, std::uint64_t> find_tail(
       VertexId v, std::vector<std::pair<int, std::uint64_t>>* track);
 
+  /// grdb.meta decoded, without touching this store's state.
+  struct MetaImage {
+    std::uint64_t generation = 0;
+    VertexId max_vertex = 0;
+    struct LevelImage {
+      std::uint64_t alloc = 0;
+      std::vector<std::uint64_t> free_list;
+      DynamicBitset initialized;
+      std::vector<std::uint32_t> block_crc;
+    };
+    std::vector<LevelImage> levels;  ///< empty: no meta
+  };
+  /// Throws StorageError on a bad magic, a geometry mismatch or a bitmap
+  /// that disagrees with its extent, and FormatError on truncation.
+  [[nodiscard]] MetaImage decode_meta(std::span<const std::byte> bytes) const;
+  [[nodiscard]] std::vector<std::byte> read_meta_file();
   void load_meta();
   void save_meta();
-  [[nodiscard]] std::vector<std::byte> encode_meta() const;
+  [[nodiscard]] std::vector<std::byte> encode_meta(
+      std::uint64_t generation) const;
   void write_meta_file(std::span<const std::byte> bytes);
   void sync_level_files();
-  void flush_impl(bool force_commit);
+  /// Validates and applies one batch; keeps it as the open commit's
+  /// pending record (caller holds write_mu_).
+  void store_locked(std::span<const Edge> edges);
+  void flush_impl(bool force_checkpoint);
+  /// Appends the pending record to the edge log and syncs it.
+  void log_commit();
+  /// The full commit: redo, sync, commit, in place, sync, trim; then the
+  /// edge log restarts under the generation the new meta carries.
+  void checkpoint(bool force_commit);
+  /// Replays the edge log's records of the committed generation through
+  /// store_locked, then checkpoints them (constructor).
+  void replay_edge_log();
   /// Logs an undo pre-image for (level, block) if this is its first
   /// in-place overwrite of the epoch (no-op for fresh blocks, outside
   /// journal mode, and during flush's post-commit phase).
   void maybe_log_undo(int level, std::uint64_t block);
   /// Replays a pending journal epoch (ctor: both directions; flush
-  /// start: committed roll-forward only).
-  void recover(bool allow_rollback);
+  /// start: committed roll-forward only).  Every record is checked
+  /// against the geometry and the extent of the meta the replay
+  /// restores before any is applied; a bad one throws StorageError.
+  /// Returns the generation of the meta a roll-forward restored.
+  std::optional<std::uint64_t> recover(bool allow_rollback);
   void clear_fresh();
 
   /// COW capture: shelves the block's current bytes (via the cache, so
@@ -278,6 +326,7 @@ class GrDB final : public GraphDB {
   // into the journal — is destroyed first.
   std::vector<Level> levels_;
   std::unique_ptr<WriteJournal> journal_;
+  std::unique_ptr<EdgeLog> log_;  // with journal_
   BlockCache cache_;
   // Relaxed atomics: with snapshots on, reader threads consult these
   // while the (write_mu_-serialized) writer mutates them; cross-thread
@@ -294,6 +343,13 @@ class GrDB final : public GraphDB {
     std::atomic<std::uint64_t> free{0};
   };
   std::vector<LevelGauges> gauges_;
+
+  // Commit state (writer-owned, under write_mu_).  A flush may be a log
+  // commit only while log_commits_ holds and checkpoint_due_ does not.
+  bool log_commits_ = false;  // journal on, interval 1, mmap_sealed off
+  bool checkpoint_due_ = false;
+  std::vector<Edge> pending_;  // the open commit's record
+  std::uint64_t generation_ = 0;  // carried by the last committed meta
 
   // Serializes the mutator entry points (store_edges, flush, poke_entry,
   // defragment) against each other; readers never take it.

@@ -155,6 +155,11 @@ void MssgCluster::live_ingest(std::span<const Edge> edges) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     per_node[static_cast<std::size_t>(targets[i])].push_back(edges[i]);
   }
+  // Every share is checked before any node stores its own, so a batch
+  // one node rejects lands nowhere.
+  for (std::size_t node = 0; node < dbs_.size(); ++node) {
+    dbs_[node]->validate_edges(per_node[node]);
+  }
   for (std::size_t node = 0; node < dbs_.size(); ++node) {
     if (per_node[node].empty()) continue;
     dbs_[node]->store_edges(per_node[node]);

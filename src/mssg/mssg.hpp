@@ -92,16 +92,22 @@ class MssgCluster {
 
   /// Live ingest: routes a batch straight into the back-end stores via
   /// the partitioner and commits it (flush on every touched node, which
-  /// advances those stores' epochs).  The minimal concurrent-write path:
-  /// with GraphDBConfig::snapshots on, queries submitted through the
-  /// scheduler keep reading their pinned epoch while these batches land.
-  /// Bypasses the front-end Ingestion pipeline (no declustering windows,
-  /// no ingest report) — use ingest() for bulk loads.
+  /// advances those stores' epochs).  The batch is durable on every node
+  /// when this returns; on a journaled grDB node that flush is usually a
+  /// log commit, one edge-log record and one fdatasync, and a checkpoint
+  /// only when the node's log is full.  Every node's share is validated
+  /// before any node stores, so a batch one node rejects (UsageError)
+  /// stores nothing anywhere.  The minimal concurrent-write path: with
+  /// GraphDBConfig::snapshots on, queries submitted through the scheduler
+  /// keep reading their pinned epoch while these batches land.  Bypasses
+  /// the front-end Ingestion pipeline (no declustering windows, no ingest
+  /// report) — use ingest() for bulk loads.
   void live_ingest(std::span<const Edge> edges);
 
   /// Commits buffered writes on every back-end node (one flush each);
   /// with snapshots on this is the epoch boundary after which new
-  /// snapshots see the writes.
+  /// snapshots see the writes.  A grDB node whose edge log holds records
+  /// checkpoints them here, leaving the log empty.
   void commit_all();
 
   /// Runs a distributed BFS over all back-end nodes.  Like every

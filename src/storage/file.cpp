@@ -26,7 +26,8 @@ namespace {
 File::File(File&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       stats_(std::exchange(other.stats_, nullptr)),
-      path_(std::move(other.path_)) {}
+      path_(std::move(other.path_)),
+      unsynced_(other.unsynced_.exchange(false)) {}
 
 File& File::operator=(File&& other) noexcept {
   if (this != &other) {
@@ -34,6 +35,7 @@ File& File::operator=(File&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     stats_ = std::exchange(other.stats_, nullptr);
     path_ = std::move(other.path_);
+    unsynced_.store(other.unsynced_.exchange(false));
   }
   return *this;
 }
@@ -86,6 +88,7 @@ std::size_t File::read_at(std::uint64_t offset,
 void File::write_at(std::uint64_t offset,
                     std::span<const std::byte> buffer) const {
   MSSG_CHECK(is_open());
+  unsynced_.store(true);
   std::size_t allow = buffer.size();
   if (FaultInjector::instance().enabled()) {
     allow = static_cast<std::size_t>(FaultInjector::instance().apply(
@@ -174,6 +177,7 @@ void File::write_vectored(
     std::span<const std::span<const std::byte>> buffers) const {
   MSSG_CHECK(is_open());
   if (buffers.empty()) return;
+  unsynced_.store(true);
   if (FaultInjector::instance().enabled()) {
     std::uint64_t pos = offset;
     for (const auto& buf : buffers) {
@@ -228,6 +232,7 @@ std::uint64_t File::size() const {
 
 void File::truncate(std::uint64_t new_size) const {
   MSSG_CHECK(is_open());
+  unsynced_.store(true);
   if (FaultInjector::instance().enabled()) {
     // A truncate mutates durable state like a write does, so it is a
     // kill point too (journal trims go through here).
@@ -241,12 +246,20 @@ void File::truncate(std::uint64_t new_size) const {
 
 void File::sync() const {
   MSSG_CHECK(is_open());
-  if (FaultInjector::instance().enabled()) {
-    FaultInjector::instance().apply(FaultInjector::Op::kSync, path_, 0);
-  }
-  if (::fdatasync(fd_) != 0) {
-    throw StorageError(std::string("fdatasync failed: ") +
-                       std::strerror(errno));
+  // Cleared before the fdatasync: a write racing it sets the flag again,
+  // so its bytes are covered by the next sync.
+  if (!unsynced_.exchange(false)) return;
+  try {
+    if (FaultInjector::instance().enabled()) {
+      FaultInjector::instance().apply(FaultInjector::Op::kSync, path_, 0);
+    }
+    if (::fdatasync(fd_) != 0) {
+      throw StorageError(std::string("fdatasync failed: ") +
+                         std::strerror(errno));
+    }
+  } catch (...) {
+    unsynced_.store(true);
+    throw;
   }
   if (stats_ != nullptr) ++stats_->syncs;
 }

@@ -8,6 +8,7 @@
 // callers.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <span>
@@ -62,6 +63,9 @@ class File {
 
   [[nodiscard]] std::uint64_t size() const;
   void truncate(std::uint64_t new_size) const;
+  /// fdatasync — skipped (no syscall, no fault-injector consultation,
+  /// not counted) when this handle saw no write, vectored write or
+  /// truncate since its last successful sync.
   void sync() const;
   void close();
 
@@ -81,6 +85,11 @@ class File {
   int fd_ = -1;
   IoStats* stats_ = nullptr;
   std::string path_;
+  // Set before every mutation through this handle (so a torn write
+  // leaves it set), cleared before each fdatasync and restored if the
+  // fdatasync throws.  Atomic: IoEngine workers write through the same
+  // handle the writer thread syncs.
+  mutable std::atomic<bool> unsynced_{false};
 };
 
 }  // namespace mssg

@@ -37,6 +37,8 @@ struct IoStats {
         checksum_torn(reg.counter("storage.checksum_torn")),
         journal_records(reg.counter("storage.journal_records")),
         journal_replays(reg.counter("storage.journal_replays")),
+        edge_log_records(reg.counter("storage.edge_log_records")),
+        checkpoints(reg.counter("storage.checkpoints")),
         journal_group_commits(reg.counter("journal.group_commits")),
         journal_deferred_flushes(reg.counter("journal.deferred_flushes")),
         vectored_merges(reg.counter("io.vectored_merges")),
@@ -76,6 +78,9 @@ struct IoStats {
                                ///< (vs bit rot)
   Counter& journal_records;    ///< undo/redo records appended
   Counter& journal_replays;    ///< records applied in recovery
+  Counter& edge_log_records;   ///< edge-log records appended (one per
+                               ///< log commit)
+  Counter& checkpoints;        ///< checkpoints completed (grDB)
   Counter& journal_group_commits;  ///< redo commit records written (each
                                    ///< retires a whole group of flushes)
   Counter& journal_deferred_flushes;  ///< flushes whose fsyncs were

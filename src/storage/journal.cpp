@@ -178,9 +178,14 @@ void WriteJournal::trim() {
   std::lock_guard lk(mu_);
   // Undo first: dying between the two truncates leaves a committed redo,
   // whose roll-forward is idempotent.  The reverse order could leave only
-  // the undo log and roll back a committed epoch.
-  undo_.truncate(kHeaderBytes);
-  undo_.sync();
+  // the undo log and roll back a committed epoch.  An undo log that holds
+  // only its header (no eviction overwrote a committed block) is left
+  // alone; its size, not undo_bytes_, decides, so a failed append's bytes
+  // past the header are still cut.
+  if (undo_.size() != kHeaderBytes) {
+    undo_.truncate(kHeaderBytes);
+    undo_.sync();
+  }
   undo_bytes_ = kHeaderBytes;
   undo_logged_.clear();
   undo_dirty_ = false;

@@ -296,11 +296,15 @@ TEST(Grdb, MultipleFilesPerLevel) {
   TempDir dir;
   // max_file_bytes 1024, level-0 blocks 64 B => 16 blocks/file; vertices
   // spread far apart force several level-0 files.
-  auto db = make_grdb(dir, small_options());
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < 2000; v += 100) edges.push_back({v, v + 1});
-  db->store_edges(edges);
-  db->flush();
+  {
+    auto db = make_grdb(dir, small_options());
+    std::vector<Edge> edges;
+    for (VertexId v = 0; v < 2000; v += 100) edges.push_back({v, v + 1});
+    db->store_edges(edges);
+    db->flush();
+  }
+  // Counted after the close's checkpoint: a flush may be an edge-log
+  // commit, which leaves the blocks in the cache.
   int level0_files = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
     if (entry.path().filename().string().starts_with("level0.")) {
@@ -308,6 +312,7 @@ TEST(Grdb, MultipleFilesPerLevel) {
     }
   }
   EXPECT_GT(level0_files, 1);
+  auto db = make_grdb(dir, small_options());
   std::vector<VertexId> out;
   db->get_adjacency(1900, out);
   EXPECT_EQ(out, (std::vector<VertexId>{1901}));

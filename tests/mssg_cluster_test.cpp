@@ -2,6 +2,7 @@
 // facade, across backends and configurations.
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "gen/generators.hpp"
 #include "gen/memory_graph.hpp"
 #include "gen/pairs.hpp"
@@ -55,6 +56,27 @@ TEST(Cluster, DiskBackendsReportIo) {
   cluster.bfs(0, 96);
   const auto io = cluster.metrics_snapshot();
   EXPECT_GT(io.counter("io.cache_misses") + io.counter("io.cache_hits"), 0u);
+}
+
+// live_ingest checks every node's share before any node stores: a batch
+// that one node rejects must land on none of them.
+TEST(Cluster, LiveIngestStoresNothingWhenAnyNodeRejects) {
+  ClusterConfig config;
+  config.backend = Backend::kGrDB;
+  config.backend_nodes = 2;
+  config.decluster = DeclusterPolicy::kHashMod;
+  MssgCluster cluster(config);
+  // Vertex 2 routes to node 0; 2^56 + 1 routes to node 1, which cannot
+  // address it.
+  const std::vector<Edge> batch{{2, 3}, {(VertexId{1} << 56) + 1, 1}};
+  EXPECT_THROW(cluster.live_ingest(batch), UsageError);
+  std::vector<VertexId> out;
+  cluster.node_db(0).get_adjacency(2, out);
+  EXPECT_TRUE(out.empty());
+  // A valid batch still lands afterwards.
+  cluster.live_ingest(std::vector<Edge>{{2, 3}});
+  cluster.node_db(0).get_adjacency(2, out);
+  EXPECT_EQ(out, (std::vector<VertexId>{3}));
 }
 
 TEST(Cluster, PipelinedBfsAgreesWithPlain) {

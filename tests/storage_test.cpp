@@ -5,7 +5,9 @@
 
 #include "common/temp_dir.hpp"
 #include "storage/block_cache.hpp"
+#include "storage/fault_injector.hpp"
 #include "storage/file.hpp"
+#include "storage/journal.hpp"
 #include "storage/overflow.hpp"
 #include "storage/pager.hpp"
 
@@ -75,6 +77,71 @@ TEST(File, MoveTransfersDescriptor) {
   EXPECT_FALSE(a.is_open());  // NOLINT(bugprone-use-after-move) — testing it
   EXPECT_TRUE(b.is_open());
   EXPECT_EQ(b.size(), 3u);
+}
+
+// A sync fdatasyncs only a handle that wrote, vectored-wrote or truncated
+// since its last sync; a clean one costs nothing and is not counted.
+TEST(File, SyncSkipsAHandleThatSawNoWrite) {
+  TempDir dir;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
+  File f = File::open(dir.path() / "data.bin", &stats);
+  f.sync();
+  EXPECT_EQ(stats.syncs, 0u);
+  f.write_at(0, bytes_of("abc"));
+  f.sync();
+  f.sync();
+  EXPECT_EQ(stats.syncs, 1u);
+  const auto payload = bytes_of("xyz");
+  const std::span<const std::byte> spans[] = {payload, payload};
+  f.write_vectored(8, spans);
+  f.sync();
+  EXPECT_EQ(stats.syncs, 2u);
+  f.truncate(4);
+  f.sync();
+  EXPECT_EQ(stats.syncs, 3u);
+  // A write before a move carries over: the flag moves with the
+  // descriptor.
+  f.write_at(0, bytes_of("d"));
+  File g = std::move(f);
+  g.sync();
+  EXPECT_EQ(stats.syncs, 4u);
+}
+
+// A failed fdatasync leaves the handle unsynced, so the retry syncs.
+TEST(File, FailedSyncIsRetried) {
+  TempDir dir;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
+  File f = File::open(dir.path() / "data.bin", &stats);
+  f.write_at(0, bytes_of("abc"));
+  FaultInjector::instance().clear();
+  FaultInjector::instance().parse_spec("path=" + dir.path().string() +
+                                       ",op=sync,kind=fail,nth=0");
+  EXPECT_THROW(f.sync(), StorageError);
+  FaultInjector::instance().clear();
+  f.sync();
+  EXPECT_EQ(stats.syncs, 1u);
+}
+
+// trim() leaves an undo log that holds only its header alone.
+TEST(WriteJournal, TrimSkipsAHeaderOnlyUndoLog) {
+  TempDir dir;
+  MetricsRegistry metrics;
+  IoStats stats(metrics);
+  WriteJournal journal(dir.path() / "j", &stats);
+  const auto payload = bytes_of("post-image");
+  journal.redo_begin();
+  journal.redo_record(1, payload);
+  journal.redo_commit();  // two syncs
+  const std::uint64_t before = stats.syncs;
+  journal.trim();  // the redo log only
+  EXPECT_EQ(stats.syncs - before, 1u);
+  journal.undo_record(2, payload);
+  journal.undo_barrier();
+  const std::uint64_t with_undo = stats.syncs;
+  journal.trim();  // both logs
+  EXPECT_EQ(stats.syncs - with_undo, 2u);
 }
 
 // ---- BlockCache ------------------------------------------------------------

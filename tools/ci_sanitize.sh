@@ -88,6 +88,13 @@ FILTER+=':Crc32c.*:GrdbCorruptChain.*'
 # block per stage and re-points a ref across its sub-blocks, so an offset
 # past the frame is an asan finding.
 FILTER+=':*GraphDBContract*'
+# The edge log and grDB's commit/checkpoint split: the log's framing and
+# replay bounds (asan: a count that sized a read past the record), the
+# log-commit/checkpoint and corrupt-journal suites (a journal record's
+# block index reaching ensure_file), and the rest of grDB's unit suite.
+# The fuzz label (the log mutation suite) runs via ctest under
+# asan-ubsan below.
+FILTER+=':EdgeLog.*:GrdbEdgeLog.*:GrdbCorruptJournal.*:Grdb.*'
 export MSSG_CRASH_SWEEP_STRIDE="${MSSG_CRASH_SWEEP_STRIDE:-7}"
 
 run_preset() {
@@ -141,6 +148,13 @@ run_preset() {
     echo "=== [$preset] ctest -L $label ==="
     ctest --test-dir "$build_dir" -L "$label" --output-on-failure
   done
+  #  - fuzz (seeded mutations of the edge log's bytes, each reopened
+  #    through grDB's replay): asan-ubsan, where a read or allocation
+  #    sized by a mutated field shows first.
+  if [ "$preset" = asan-ubsan ]; then
+    echo "=== [$preset] ctest -L fuzz ==="
+    ctest --test-dir "$build_dir" -L fuzz --output-on-failure
+  fi
   echo "=== [$preset] OK ==="
 }
 
