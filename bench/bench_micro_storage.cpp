@@ -1,12 +1,17 @@
 // A5 — storage-substrate microbenchmarks: B+tree point ops, heap-file
-// rows, block-cache hit/miss paths, overflow chains, and the CRC32C
-// kernels behind every integrity check.  These calibrate the substrate
-// underneath the KVStore/Relational backends and grDB.
+// rows, block-cache hit/miss paths, overflow chains, the CRC32C kernels
+// behind every integrity check, and the id sorts and vertex codec on the
+// traversal's wire path.  These calibrate the substrate underneath the
+// KVStore/Relational backends and grDB.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/crc32c.hpp"
+#include "common/radix_sort.hpp"
 #include "common/rng.hpp"
 #include "common/temp_dir.hpp"
+#include "common/vertex_codec.hpp"
 #include "storage/btree.hpp"
 #include "storage/heap_file.hpp"
 #include "storage/overflow.hpp"
@@ -196,6 +201,132 @@ BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &crc32c)
     ->Arg(4096)->Arg(32768)->Arg(262144);
 BENCHMARK_CAPTURE(BM_Crc32c, table, &crc32c_table)
     ->Arg(4096)->Arg(32768)->Arg(262144);
+
+// The id sorts of the traversal's wire path: a fringe bucket (ids) and a
+// pair set (the ingest shuffle's (src, dst), MS-BFS's (vertex, mask)),
+// drawn below 60,000, the perfbench graph's id space.  The encoders sort
+// their argument in place, so one iteration is a copy of the input plus
+// the sort, on both sides.
+constexpr VertexId kSortIdSpace = 60'000;
+
+std::vector<VertexId> random_ids(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<VertexId> ids(n);
+  for (auto& v : ids) v = rng.below(kSortIdSpace);
+  return ids;
+}
+
+VertexId identity(VertexId v) { return v; }
+
+void BM_SortIds(benchmark::State& state, bool radix) {
+  const std::vector<VertexId> input =
+      random_ids(static_cast<std::size_t>(state.range(0)), 4);
+  std::vector<VertexId> work;
+  for (auto _ : state) {
+    work = input;
+    if (radix) {
+      radix_sort(work, identity);
+    } else {
+      std::sort(work.begin(), work.end());
+    }
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_SortIds, std, false)
+    ->Arg(1000)->Arg(40'000)->Arg(200'000)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SortIds, radix, true)
+    ->Arg(1000)->Arg(40'000)->Arg(200'000)->Unit(benchmark::kMicrosecond);
+
+void BM_SortPairs(benchmark::State& state, bool radix) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<VertexId> firsts = random_ids(n, 5);
+  const std::vector<VertexId> seconds = random_ids(n, 6);
+  std::vector<VertexPair> input(n);
+  for (std::size_t i = 0; i < n; ++i) input[i] = {firsts[i], seconds[i]};
+  std::vector<VertexPair> work;
+  for (auto _ : state) {
+    work = input;
+    if (radix) {
+      // encode_pair_set's order: by second, then stably by first.
+      radix_sort(work, [](const VertexPair& p) { return p.second; });
+      radix_sort(work, [](const VertexPair& p) { return p.first; });
+    } else {
+      std::sort(work.begin(), work.end());
+    }
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_SortPairs, std, false)
+    ->Arg(1000)->Arg(40'000)->Arg(200'000)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SortPairs, radix, true)
+    ->Arg(1000)->Arg(40'000)->Arg(200'000)->Unit(benchmark::kMicrosecond);
+
+// Where kRadixSortCutoff comes from: the radix passes alone against the
+// stable comparison sort radix_sort falls back to, on small id sets.
+void BM_SortCutoff(benchmark::State& state, bool radix) {
+  const std::vector<VertexId> input =
+      random_ids(static_cast<std::size_t>(state.range(0)), 7);
+  std::vector<VertexId> work;
+  for (auto _ : state) {
+    work = input;
+    if (radix) {
+      detail::lsd_radix_sort(work, identity);
+    } else {
+      std::stable_sort(work.begin(), work.end());
+    }
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_SortCutoff, stable, false)
+    ->RangeMultiplier(2)->Range(32, 1024);
+BENCHMARK_CAPTURE(BM_SortCutoff, radix, true)
+    ->RangeMultiplier(2)->Range(32, 1024);
+
+// One BFS fringe bucket on the wire: 40k ids owned by one of four ranks
+// (v mod 4 == 1), unsorted, delta-encoded as pack_fringe sends it (the
+// copy the encoder sorts is timed too) and decoded as the owner reads
+// it.  The label gives the encoded bytes per id.
+std::vector<VertexId> fringe_bucket() {
+  std::vector<VertexId> ids = random_ids(40'000, 8);
+  for (auto& v : ids) v = 4 * v + 1;
+  return ids;
+}
+
+void BM_VertexCodecEncode(benchmark::State& state) {
+  const std::vector<VertexId> input = fringe_bucket();
+  std::vector<VertexId> work;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    work = input;
+    const std::vector<std::byte> wire = encode_vertex_set(work);
+    bytes = wire.size();
+    benchmark::DoNotOptimize(wire.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(input.size()));
+  state.SetLabel("bytes_per_id:" +
+                 std::to_string(static_cast<double>(bytes) / input.size()));
+}
+BENCHMARK(BM_VertexCodecEncode)->Unit(benchmark::kMicrosecond);
+
+void BM_VertexCodecDecode(benchmark::State& state) {
+  std::vector<VertexId> input = fringe_bucket();
+  const std::vector<std::byte> wire = encode_vertex_set(input);
+  std::vector<VertexId> out;
+  for (auto _ : state) {
+    decode_vertex_set(wire, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK(BM_VertexCodecDecode)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

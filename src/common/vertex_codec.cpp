@@ -1,8 +1,9 @@
 #include "common/vertex_codec.hpp"
 
-#include <algorithm>
+#include <cstring>
 #include <limits>
 
+#include "common/radix_sort.hpp"
 #include "common/serial.hpp"
 
 namespace mssg {
@@ -54,7 +55,7 @@ void require_drained(const ByteReader& reader) {
 
 std::vector<std::byte> encode_vertex_set(std::vector<VertexId>& vertices,
                                          WireFormat format) {
-  std::sort(vertices.begin(), vertices.end());
+  radix_sort(vertices, [](VertexId v) { return v; });
 
   ByteWriter raw;
   raw.put_u8(kMarkerRaw);
@@ -101,7 +102,9 @@ void decode_vertex_set(std::span<const std::byte> buffer,
 
 std::vector<std::byte> encode_pair_set(std::vector<VertexPair>& pairs,
                                        WireFormat format) {
-  std::sort(pairs.begin(), pairs.end());
+  // Lexicographic order: by second, then stably by first.
+  radix_sort(pairs, [](const VertexPair& p) { return p.second; });
+  radix_sort(pairs, [](const VertexPair& p) { return p.first; });
 
   ByteWriter raw;
   raw.put_u8(kMarkerRaw);

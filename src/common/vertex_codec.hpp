@@ -25,7 +25,11 @@
 // delivering canonical ascending order on every path is what keeps the
 // BFS work counters bit-for-bit identical between raw and delta wires
 // (asserted by the BfsWireEquivalence suite).  Duplicates are preserved
-// (delta 0), never dropped.
+// (delta 0), never dropped.  The sort is common/radix_sort.hpp's: ids by
+// value, pairs by second and then stably by first, i.e. lexicographic.
+// Both are total orders on the values (equal elements are equal values),
+// so the sorted sequence, and with it every encoded byte, is exactly
+// what a comparison sort gives: the bytes depend only on the multiset.
 //
 // encode_* with kDelta falls back to the raw marker whenever the varint
 // stream would not actually be smaller (the passthrough escape for

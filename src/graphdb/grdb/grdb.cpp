@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/crc32c.hpp"
+#include "common/radix_sort.hpp"
 #include "common/serial.hpp"
 #include "storage/fault_injector.hpp"
 
@@ -1132,15 +1132,19 @@ void GrDB::read_chains(std::span<const VertexId> slice, const Snapshot* snap,
   if (lists.size() < slice.size()) lists.resize(slice.size());
   // One walk per request, so every chain keeps its own geometry, block
   // index and cycle checks.  A cursor is a walk that has a sub-block
-  // left to read in this stage.
+  // left to read in this stage; `block` is its (level << 48 | block)
+  // key, the cache key of the block it reads (a block index is below
+  // kBlockLimit: addressable() and ChainWalk::follow check it).
   struct Cursor {
-    int level;
-    std::uint64_t subblock;
+    std::uint64_t block;
     std::uint32_t request;
-
-    bool operator<(const Cursor& other) const {
-      return std::tie(level, subblock) < std::tie(other.level, other.subblock);
-    }
+  };
+  const auto cursor = [this](const ChainWalk& walk, std::size_t request) {
+    const int level = walk.level();
+    const std::uint64_t block =
+        walk.subblock() / levels_[level].spec.subblocks_per_block();
+    return Cursor{static_cast<std::uint64_t>(level) << 48 | block,
+                  static_cast<std::uint32_t>(request)};
   };
   std::vector<ChainWalk> walks;
   walks.reserve(slice.size());
@@ -1149,33 +1153,31 @@ void GrDB::read_chains(std::span<const VertexId> slice, const Snapshot* snap,
   for (std::size_t i = 0; i < slice.size(); ++i) {
     lists[i].clear();
     walks.emplace_back(options_.geometry, slice[i]);
-    if (may_hold(slice[i], snap)) {
-      live.push_back({0, slice[i], static_cast<std::uint32_t>(i)});
-    }
+    if (may_hold(slice[i], snap)) live.push_back(cursor(walks[i], i));
   }
   // Stage blocks are read through the cache on this thread; nothing goes
   // to the IoEngine (DESIGN.md, "One batched adjacency read").
   while (!live.empty()) {
-    // Block order within each level: ascending file offsets (§4.2).
-    std::sort(live.begin(), live.end());
+    // Block order within each level: ascending file offsets (§4.2).  The
+    // key only has to group a block's cursors: each decodes into its own
+    // request's list, and the next stage sorts again.
+    radix_sort(live, [](const Cursor& c) { return c.block; });
     next.clear();
     for (std::size_t j = 0; j < live.size();) {
-      const int level = live[j].level;
+      const std::uint64_t block = live[j].block;
+      const int level = static_cast<int>(block >> 48);
       const grdb::LevelSpec& spec = levels_[level].spec;
       const std::uint64_t per_block = spec.subblocks_per_block();
-      const std::uint64_t block = live[j].subblock / per_block;
       // One pin serves every listed sub-block of the block.  It is
       // released before the next block is pinned: a thread holds at most
       // one latched ref.
-      SubblockRef ref = pin_subblock(level, live[j].subblock);
-      for (; j < live.size() && live[j].level == level &&
-             live[j].subblock / per_block == block;
-           ++j) {
+      SubblockRef ref = pin_subblock(level, walks[live[j].request].subblock());
+      for (; j < live.size() && live[j].block == block; ++j) {
         const std::uint32_t request = live[j].request;
-        ref.offset = spec.subblock_bytes() * (live[j].subblock % per_block);
         ChainWalk& walk = walks[request];
+        ref.offset = spec.subblock_bytes() * (walk.subblock() % per_block);
         if (decode_subblock(ref, walk, lists[request])) {
-          next.push_back({walk.level(), walk.subblock(), request});
+          next.push_back(cursor(walk, request));
         }
       }
     }
@@ -1225,7 +1227,7 @@ void GrDB::prefetch(std::span<const VertexId> vertices) {
   for (const VertexId v : vertices) {
     if (v <= last) blocks.push_back(v / k0);
   }
-  std::sort(blocks.begin(), blocks.end());
+  radix_sort(blocks, [](std::uint64_t block) { return block; });
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
   // A scan on a mapped store reads these blocks as views: the hint goes
   // to the kernel (madvise WILLNEED) instead of the IoEngine — the

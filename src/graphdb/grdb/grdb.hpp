@@ -61,8 +61,12 @@ class GrDB final : public GraphDB {
   /// chain of a slice advances together, one stage per chain hop; each
   /// stage visits its blocks in (level, block) order, pins each once and
   /// decodes every listed sub-block in it, so fringe vertices that share
-  /// a chain block read it once per stage instead of once each.  The
-  /// slice is then visited in request order.
+  /// a chain block read it once per stage instead of once each.  A
+  /// stage's cursors are radix-sorted by their block's cache key
+  /// (level << 48 | block): that groups a block's cursors, and their
+  /// order inside the group does not matter, since each decodes into
+  /// its own request's list.  The slice is then visited in request
+  /// order.
   void get_adjacency_batch(std::span<const VertexId> vertices,
                            const AdjacencyVisitor& visit) override;
   /// Commits everything stored so far (DESIGN.md "Durability &

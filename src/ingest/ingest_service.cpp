@@ -90,8 +90,12 @@ class FrontEndFilter final : public Filter {
 class BackEndFilter final : public Filter {
  public:
   BackEndFilter(std::span<GraphDB* const> backends,
-                std::vector<std::uint64_t>& counts, MetricsRegistry& metrics)
-      : backends_(backends), counts_(counts), metrics_(metrics) {}
+                std::vector<std::uint64_t>& counts, std::size_t window_edges,
+                MetricsRegistry& metrics)
+      : backends_(backends),
+        counts_(counts),
+        window_edges_(window_edges),
+        metrics_(metrics) {}
 
   void run(FilterContext& ctx) override {
     GraphDB& db = *backends_[ctx.copy_index()];
@@ -101,8 +105,11 @@ class BackEndFilter final : public Filter {
     std::vector<VertexPair> decoded;
     // Overlap storage with stream drain: store_edges runs while the
     // front-end keeps the bounded stream filled, then try_get() scoops
-    // up everything that arrived in the meantime so the next store call
-    // amortizes over all of it.  ingest.batches still counts received
+    // up what arrived in the meantime so the next store call amortizes
+    // over it.  The scoop stops once the batch holds one window of
+    // edges: a front end that outruns store_edges keeps every queue
+    // full, and one call taking all of them would decode the whole
+    // stream capacity at once.  ingest.batches still counts received
     // buffers, so its total stays a pure function of the input; the
     // coalescing degree is timing-dependent and therefore lives in a
     // histogram only.
@@ -115,7 +122,7 @@ class BackEndFilter final : public Filter {
           batch.push_back(Edge{src, dst});
         }
         ++buffers;
-      } while ((buffer = in.try_get()));
+      } while (batch.size() < window_edges_ && (buffer = in.try_get()));
 
       Timer store_timer;
       db.store_edges(batch);
@@ -133,6 +140,7 @@ class BackEndFilter final : public Filter {
  private:
   std::span<GraphDB* const> backends_;
   std::vector<std::uint64_t>& counts_;
+  std::size_t window_edges_;
   MetricsRegistry& metrics_;
 };
 
@@ -163,8 +171,8 @@ IngestReport run_ingestion(std::vector<std::unique_ptr<EdgeSource>> sources,
   graph.add_filter(
       "backend",
       [&] {
-        return std::make_unique<BackEndFilter>(backends, report.per_backend,
-                                               metrics);
+        return std::make_unique<BackEndFilter>(
+            backends, report.per_backend, options.window_edges, metrics);
       },
       static_cast<int>(backends.size()));
   graph.connect("frontend", "edges", "backend", "edges",

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/radix_sort.hpp"
 #include "common/timer.hpp"
 #include "storage/mapped_file.hpp"
 
@@ -323,7 +324,7 @@ MsBfsStats MsBfsRun::execute() {
       break;
     }
 
-    std::sort(next.begin(), next.end());
+    radix_sort(next, [](VertexId v) { return v; });
     take_pairs(comm_.rank());
     frontier_.swap(pair_scratch_);
   }

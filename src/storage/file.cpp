@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,22 @@
 namespace mssg {
 
 namespace {
+// A vectored call's iovecs: on the stack up to IoEngine's default merge
+// limit, so an engine worker issues a merged run without touching the
+// heap; a longer list takes a heap array.
+class IovecScratch {
+ public:
+  std::span<iovec> get(std::size_t n) {
+    if (n <= inline_.size()) return std::span(inline_).first(n);
+    heap_.resize(n);
+    return heap_;
+  }
+
+ private:
+  std::array<iovec, 16> inline_{};
+  std::vector<iovec> heap_;
+};
+
 [[noreturn]] void throw_errno(const std::string& op,
                               const std::filesystem::path& path) {
   throw StorageError(op + " failed for " + path.string() + ": " +
@@ -131,7 +149,8 @@ void File::read_vectored(std::uint64_t offset,
     }
     return;
   }
-  std::vector<iovec> iov(buffers.size());
+  IovecScratch scratch;
+  const std::span<iovec> iov = scratch.get(buffers.size());
   std::size_t total = 0;
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     iov[i].iov_base = buffers[i].data();
@@ -186,7 +205,8 @@ void File::write_vectored(
     }
     return;
   }
-  std::vector<iovec> iov(buffers.size());
+  IovecScratch scratch;
+  const std::span<iovec> iov = scratch.get(buffers.size());
   std::size_t total = 0;
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     iov[i].iov_base = const_cast<std::byte*>(buffers[i].data());

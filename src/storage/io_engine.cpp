@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <exception>
-#include <functional>
+#include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
@@ -16,10 +16,16 @@ namespace mssg {
 namespace {
 // File → lane.  All requests against one file share a lane (and thus a
 // worker's FIFO), which is what preserves per-file submission order.
-// Null-file requests (resolved without disk I/O) ride lane 0.
+// Null-file requests (resolved without disk I/O) ride lane 0.  The
+// address is mixed before the modulo: heap Files are 16-byte aligned, so
+// the address itself mod 2 or 4 (std::hash of a pointer) is always 0.
+// The alignment bits are dropped, a multiply by an odd constant spreads
+// the rest into the high half, and the high half picks the lane.
 std::size_t lane_of(const File* file, std::size_t lanes) {
   if (file == nullptr || lanes == 1) return 0;
-  return std::hash<const File*>{}(file) % lanes;
+  const std::uint64_t mixed =
+      (reinterpret_cast<std::uintptr_t>(file) >> 4) * 0x9E3779B97F4A7C15ull;
+  return static_cast<std::size_t>(mixed >> 32) % lanes;
 }
 }  // namespace
 
@@ -36,7 +42,10 @@ IoEngine::IoEngine(IoEngineOptions options) : options_(options) {
   }
   lanes_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
+    auto lane = std::make_unique<Lane>();
+    lane->read_spans.reserve(options_.max_merge);
+    lane->write_spans.reserve(options_.max_merge);
+    lanes_.push_back(std::move(lane));
   }
   // Start threads only after the lane vector is final (a worker must
   // never observe lanes_ resizing).
@@ -58,11 +67,13 @@ IoEngine::~IoEngine() {
   // write's error sitting here unpolled must not vanish silently (the
   // old engine's bug): log each and count them.
   std::uint64_t dropped = 0;
-  for (const IoRequest& req : completed_) {
-    if (req.error.empty()) continue;
-    ++dropped;
-    MSSG_LOG(kWarn) << "IoEngine destroyed with unpolled I/O error (key "
-                    << req.key << "): " << req.error;
+  for (const std::vector<IoRequest>& batch : completed_) {
+    for (const IoRequest& req : batch) {
+      if (req.error.empty()) continue;
+      ++dropped;
+      MSSG_LOG(kWarn) << "IoEngine destroyed with unpolled I/O error (key "
+                      << req.key << "): " << req.error;
+    }
   }
   if (options_.stats != nullptr) {
     options_.stats->engine_dropped_errors += dropped;
@@ -96,10 +107,22 @@ void IoEngine::submit(std::vector<IoRequest> batch) {
     std::unique_lock lock(mutex_);
     for (std::size_t i = 0; i < per_lane.size(); ++i) {
       if (per_lane[i].empty()) continue;
-      lanes_[i]->queue.push_back(std::move(per_lane[i]));
+      Lane& lane = *lanes_[i];
+      // Drop the consumed prefix here, not on the worker.
+      if (lane.head == lane.queue.size()) {
+        lane.queue.clear();
+        lane.head = 0;
+      } else if (2 * lane.head > lane.queue.size()) {
+        lane.queue.erase(lane.queue.begin(),
+                         lane.queue.begin() + static_cast<std::ptrdiff_t>(
+                                                  lane.head));
+        lane.head = 0;
+      }
+      lane.queue.push_back(std::move(per_lane[i]));
       ++queued_batches_;
       notify[i] = true;
     }
+    completed_.reserve(completed_.size() + queued_batches_ + busy_workers_);
   }
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (notify[i]) lanes_[i]->work_cv.notify_one();
@@ -107,10 +130,21 @@ void IoEngine::submit(std::vector<IoRequest> batch) {
 }
 
 std::vector<IoRequest> IoEngine::poll_completions() {
+  std::vector<std::vector<IoRequest>> batches;
+  {
+    std::unique_lock lock(mutex_);
+    batches.swap(completed_);
+    completed_.reserve(queued_batches_ + busy_workers_);
+    completions_ready_.store(0, std::memory_order_release);
+  }
+  if (batches.size() == 1) return std::move(batches.front());
+  std::size_t total = 0;
+  for (const std::vector<IoRequest>& batch : batches) total += batch.size();
   std::vector<IoRequest> done;
-  std::unique_lock lock(mutex_);
-  done.swap(completed_);
-  completions_ready_.store(0, std::memory_order_release);
+  done.reserve(total);
+  for (std::vector<IoRequest>& batch : batches) {
+    std::move(batch.begin(), batch.end(), std::back_inserter(done));
+  }
   return done;
 }
 
@@ -137,7 +171,8 @@ std::size_t IoEngine::queue_depth() const {
   return queued_batches_;
 }
 
-void IoEngine::execute_batch(std::vector<IoRequest>& batch) const {
+void IoEngine::execute_batch(Lane& lane,
+                             std::vector<IoRequest>& batch) const {
   // Fuse runs of adjacent requests (same file, same kind, byte ranges
   // touching) into one vectored op.  The batch is (file, offset)-sorted,
   // so runs are maximal by construction; same-offset duplicates are
@@ -177,19 +212,17 @@ void IoEngine::execute_batch(std::vector<IoRequest>& batch) const {
           head.file->write_at(head.offset, head.buffer);
         }
       } else if (head.kind == IoRequest::Kind::kRead) {
-        std::vector<std::span<std::byte>> spans;
-        spans.reserve(run);
+        lane.read_spans.clear();
         for (std::size_t j = 0; j < run; ++j) {
-          spans.emplace_back(batch[i + j].buffer);
+          lane.read_spans.emplace_back(batch[i + j].buffer);
         }
-        head.file->read_vectored(head.offset, spans);
+        head.file->read_vectored(head.offset, lane.read_spans);
       } else {
-        std::vector<std::span<const std::byte>> spans;
-        spans.reserve(run);
+        lane.write_spans.clear();
         for (std::size_t j = 0; j < run; ++j) {
-          spans.emplace_back(batch[i + j].buffer);
+          lane.write_spans.emplace_back(batch[i + j].buffer);
         }
-        head.file->write_vectored(head.offset, spans);
+        head.file->write_vectored(head.offset, lane.write_spans);
       }
       if (run > 1 && options_.stats != nullptr) {
         options_.stats->vectored_merges += run - 1;
@@ -209,14 +242,14 @@ void IoEngine::worker_loop(Lane& lane) {
     std::vector<IoRequest> batch;
     {
       std::unique_lock lock(mutex_);
-      lane.work_cv.wait(lock, [&] { return !lane.queue.empty() || stop_; });
-      if (lane.queue.empty()) {
+      const auto pending = [&] { return lane.head < lane.queue.size(); };
+      lane.work_cv.wait(lock, [&] { return pending() || stop_; });
+      if (!pending()) {
         if (stop_) return;
         continue;
       }
       if (queue_depth_ != nullptr) queue_depth_->record(queued_batches_);
-      batch = std::move(lane.queue.front());
-      lane.queue.pop_front();
+      batch = std::move(lane.queue[lane.head++]);
       --queued_batches_;
       // Dequeue and busy-increment in ONE critical section: there is no
       // instant where the queue looks empty while the work is not yet
@@ -225,7 +258,7 @@ void IoEngine::worker_loop(Lane& lane) {
     }
 
     Timer timer;
-    execute_batch(batch);
+    execute_batch(lane, batch);
     // Counted before the handoff below, so a drain() that returns has
     // seen this batch's accounting.
     if (batches_ != nullptr) {
@@ -236,9 +269,9 @@ void IoEngine::worker_loop(Lane& lane) {
 
     {
       std::unique_lock lock(mutex_);
-      completed_.insert(completed_.end(),
-                        std::make_move_iterator(batch.begin()),
-                        std::make_move_iterator(batch.end()));
+      // The whole vector moves (no element copy, no free here), into
+      // capacity that submit() reserved.
+      completed_.push_back(std::move(batch));
       --busy_workers_;
       ++completion_seq_;
       completions_ready_.store(completed_.size(), std::memory_order_release);

@@ -31,6 +31,14 @@
 // registry of `IoEngineOptions::stats` — all relaxed atomics, readable
 // at any moment.
 //
+// Workers neither allocate nor free on the success path: lane FIFOs and
+// the completion list are sized by the submitting and polling threads,
+// a sub-batch's vector travels back whole, and a vectored run's spans
+// live in lane-owned scratch.  glibc gives every thread that calls
+// malloc or free its own arena, whose freed pages stay resident: an
+// arena per busy worker raised perfbench search_ooc's peak RSS by about
+// a fifth (DESIGN.md, "Workers do not touch the heap").
+//
 // drain() (and the destructor) block until every submitted request has
 // executed, so flush-time durability is preserved: nothing the engine
 // accepted is lost.  Errors still unpolled at destruction are NOT lost
@@ -42,9 +50,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,7 +151,14 @@ class IoEngine {
   // mutex_ (disk time dominates, so one mutex sees no contention in
   // practice, and it keeps the quiescence predicates trivially correct).
   struct Lane {
-    std::deque<std::vector<IoRequest>> queue;
+    /// FIFO of sub-batches: [head, size) are pending.  The worker moves
+    /// one out and advances head; submit() clears or compacts the
+    /// consumed prefix, so the worker never frees a queue slot.
+    std::vector<std::vector<IoRequest>> queue;
+    std::size_t head = 0;
+    /// Span scratch for one vectored run, reserved to max_merge.
+    std::vector<std::span<std::byte>> read_spans;
+    std::vector<std::span<const std::byte>> write_spans;
     std::condition_variable work_cv;
     std::thread worker;
   };
@@ -151,7 +166,7 @@ class IoEngine {
   void worker_loop(Lane& lane);
   /// Executes one sub-batch (sorted by file/offset), fusing adjacent
   /// same-file same-kind runs into vectored ops.  Runs without the lock.
-  void execute_batch(std::vector<IoRequest>& batch) const;
+  void execute_batch(Lane& lane, std::vector<IoRequest>& batch) const;
 
   IoEngineOptions options_;
   // Handles into options_.stats->registry, resolved once (null when
@@ -164,7 +179,10 @@ class IoEngine {
   // mutable like the mutex: drain() is logically const but waits here.
   mutable std::condition_variable done_cv_;  ///< completion / idleness
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<IoRequest> completed_;
+  /// Executed sub-batches, in completion order.  Its capacity always
+  /// covers every queued and running sub-batch (submit() and
+  /// poll_completions() reserve it), so a worker's push never allocates.
+  std::vector<std::vector<IoRequest>> completed_;
   std::size_t queued_batches_ = 0;  ///< sub-batches across all lanes
   std::size_t busy_workers_ = 0;
   std::uint64_t completion_seq_ = 0;  ///< bumped per executed sub-batch

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -11,6 +12,7 @@
 #include "common/bitset.hpp"
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
+#include "common/radix_sort.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "common/temp_dir.hpp"
@@ -284,6 +286,123 @@ TEST(Bitset, CountMatchesReferenceOnRandomPattern) {
   EXPECT_EQ(bits.count(), reference.size());
   for (std::size_t i = 0; i < 513; ++i) {
     EXPECT_EQ(bits.test(i), reference.contains(i));
+  }
+}
+
+// ---- RadixSort -------------------------------------------------------------
+
+std::uint64_t identity(std::uint64_t v) { return v; }
+
+// Sizes on both sides of the comparison-sort cutoff.
+std::vector<std::size_t> radix_sizes() {
+  return {0,
+          1,
+          2,
+          3,
+          kRadixSortCutoff - 1,
+          kRadixSortCutoff,
+          kRadixSortCutoff + 1,
+          1000,
+          40'000};
+}
+
+void expect_sorts_like_std(std::vector<std::uint64_t> keys) {
+  std::vector<std::uint64_t> expected = keys;
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::uint64_t> radix_only = keys;
+  radix_sort(keys, identity);
+  EXPECT_EQ(keys, expected) << keys.size();
+  // The radix passes alone, below the cutoff too.
+  detail::lsd_radix_sort(radix_only, identity);
+  EXPECT_EQ(radix_only, expected) << radix_only.size();
+}
+
+TEST(RadixSort, MatchesStdSortOnRandomKeys) {
+  Rng rng(21);
+  for (const int bits : {8, 16, 40, 64}) {
+    const std::uint64_t mask =
+        bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    for (const std::size_t n : radix_sizes()) {
+      std::vector<std::uint64_t> keys(n);
+      for (auto& k : keys) k = rng() & mask;
+      expect_sorts_like_std(keys);
+    }
+  }
+}
+
+TEST(RadixSort, KeysThatDifferInOneDigit) {
+  Rng rng(22);
+  for (const std::size_t n : radix_sizes()) {
+    std::vector<std::uint64_t> top(n);
+    std::vector<std::uint64_t> low(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      top[i] = (rng() & 0xFF) << 56 | 0x00AB'CDEF'0123'4567ull;
+      low[i] = 0x89AB'CDEF'0123'4500ull | (rng() & 0xFF);
+    }
+    expect_sorts_like_std(top);
+    expect_sorts_like_std(low);
+  }
+}
+
+TEST(RadixSort, AllEqualKeys) {
+  for (const std::size_t n : radix_sizes()) {
+    expect_sorts_like_std(std::vector<std::uint64_t>(n, 0));
+    expect_sorts_like_std(std::vector<std::uint64_t>(n, ~std::uint64_t{0}));
+  }
+}
+
+TEST(RadixSort, TinyInputs) {
+  std::vector<std::uint64_t> none;
+  radix_sort(none, identity);
+  EXPECT_TRUE(none.empty());
+  std::vector<std::uint64_t> one{7};
+  radix_sort(one, identity);
+  EXPECT_EQ(one, (std::vector<std::uint64_t>{7}));
+  std::vector<std::uint64_t> two{9, 3};
+  radix_sort(two, identity);
+  EXPECT_EQ(two, (std::vector<std::uint64_t>{3, 9}));
+}
+
+TEST(RadixSort, EqualKeysKeepInputOrder) {
+  struct Item {
+    std::uint64_t key;
+    std::size_t seq;
+  };
+  Rng rng(23);
+  for (const std::size_t n : radix_sizes()) {
+    for (const std::uint64_t range : {std::uint64_t{4}, std::uint64_t{1} << 40}) {
+      std::vector<Item> items(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Few distinct keys, spread over the high digits too.
+        items[i] = {rng.below(4) * (range / 4 + 1), i};
+      }
+      std::vector<Item> expected = items;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const Item& a, const Item& b) { return a.key < b.key; });
+      radix_sort(items, [](const Item& item) { return item.key; });
+      ASSERT_EQ(items.size(), expected.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(items[i].key, expected[i].key) << n << " @" << i;
+        EXPECT_EQ(items[i].seq, expected[i].seq) << n << " @" << i;
+      }
+    }
+  }
+}
+
+TEST(RadixSort, TwoPassPairOrderEqualsStdSort) {
+  using Pair = std::pair<std::uint64_t, std::uint64_t>;
+  Rng rng(24);
+  for (const std::size_t n : radix_sizes()) {
+    std::vector<Pair> pairs(n);
+    for (auto& [first, second] : pairs) {
+      first = rng.below(n / 8 + 1);  // duplicate firsts
+      second = rng.below(3) == 0 ? first : rng() >> rng.below(64);
+    }
+    std::vector<Pair> expected = pairs;
+    std::sort(expected.begin(), expected.end());
+    radix_sort(pairs, [](const Pair& p) { return p.second; });
+    radix_sort(pairs, [](const Pair& p) { return p.first; });
+    EXPECT_EQ(pairs, expected) << n;
   }
 }
 

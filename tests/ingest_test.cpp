@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "gen/generators.hpp"
@@ -249,6 +253,74 @@ TEST(Ingestion, NoSymmetrizeStoresDirectedOnly) {
   std::vector<VertexId> out;
   raw->get_adjacency(1, out);
   EXPECT_TRUE(out.empty());
+}
+
+// A back end slower than the front end: each store_edges call sleeps, so
+// the stream queues fill up behind it, and records how many edges it got.
+class SlowBackEnd final : public GraphDB {
+ public:
+  explicit SlowBackEnd(GraphDB& inner)
+      : GraphDB(GraphDBConfig{}), inner_(inner) {}
+
+  void store_edges(std::span<const Edge> edges) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    calls.push_back(edges.size());
+    inner_.store_edges(edges);
+  }
+  void get_adjacency(VertexId v, std::vector<VertexId>& out) override {
+    inner_.get_adjacency(v, out);
+  }
+  void for_each_vertex(const std::function<bool(VertexId)>& visit) override {
+    inner_.for_each_vertex(visit);
+  }
+  [[nodiscard]] std::string name() const override { return "slow"; }
+
+  std::vector<std::size_t> calls;  ///< edges per store_edges call
+
+ private:
+  GraphDB& inner_;
+};
+
+TEST(Ingestion, BackEndBatchHoldsAtMostOneWindow) {
+  constexpr int kBackends = 2;
+  constexpr std::size_t kWindow = 64;
+  constexpr std::size_t kWindows = 40;
+  // Sources alternate between the two back ends, so every window ships
+  // exactly half a window to each: a store call that coalesces buffers
+  // reaches one window after two of them.
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < kWindow * kWindows; ++i) {
+    edges.push_back(Edge{i, (i * 7 + 3) % 1000});
+  }
+  std::vector<TempDir> dirs;
+  std::vector<std::unique_ptr<GraphDB>> inner;
+  std::vector<std::unique_ptr<SlowBackEnd>> slow;
+  std::vector<GraphDB*> raw;
+  for (int i = 0; i < kBackends; ++i) {
+    dirs.emplace_back();
+    inner.push_back(make_db(Backend::kHashMap, dirs.back()));
+    slow.push_back(std::make_unique<SlowBackEnd>(*inner.back()));
+    raw.push_back(slow.back().get());
+  }
+  std::vector<std::unique_ptr<EdgeSource>> sources;
+  sources.push_back(std::make_unique<VectorEdgeSource>(edges));
+  HashModPartitioner partitioner(kBackends);
+  IngestOptions options;
+  options.window_edges = kWindow;
+  options.symmetrize = false;
+  const auto report = run_ingestion(std::move(sources), partitioner, raw,
+                                    options);
+
+  for (int b = 0; b < kBackends; ++b) {
+    const auto& calls = slow[b]->calls;
+    EXPECT_EQ(std::accumulate(calls.begin(), calls.end(), std::size_t{0}),
+              edges.size() / kBackends);
+    for (const std::size_t n : calls) EXPECT_LE(n, kWindow) << "back end " << b;
+  }
+  // Totals do not depend on how buffers were coalesced.
+  EXPECT_EQ(report.edges_stored, edges.size());
+  EXPECT_EQ(report.metrics.counter("ingest.batches"), kBackends * kWindows);
+  EXPECT_EQ(report.metrics.counter("ingest.edges_stored"), edges.size());
 }
 
 TEST(Ingestion, ImbalanceReportsLoadRatio) {

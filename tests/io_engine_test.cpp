@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -292,6 +293,74 @@ TEST(IoEngine, MetricsCountBatches) {
   // Non-destructive: a second snapshot reports the same totals.
   EXPECT_EQ(metrics.snapshot().counter("span.io.engine.batch"), 3u);
   (void)engine.poll_completions();
+}
+
+// Many sub-batches queued on one lane, polled part-way: the lane FIFO
+// reuses and compacts its slots, and the completion list hands every
+// request back once, in submission order (one file, one worker).
+TEST(IoEngine, QueuedSubBatchesCompleteInSubmissionOrder) {
+  TempDir dir;
+  File file = File::open(dir.path() / "data");
+  IoEngine engine;
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    IoRequest req;
+    req.kind = IoRequest::Kind::kWrite;
+    req.file = &file;
+    req.offset = (i % 3) * kBlock;
+    req.buffer = pattern_block(static_cast<std::uint8_t>(i));
+    req.key = i;
+    std::vector<IoRequest> batch;
+    batch.push_back(std::move(req));
+    engine.submit(std::move(batch));
+    if (i % 40 == 39) {
+      for (const IoRequest& done : engine.poll_completions()) {
+        keys.push_back(done.key);
+      }
+    }
+  }
+  engine.drain();
+  for (const IoRequest& done : engine.poll_completions()) {
+    EXPECT_TRUE(done.error.empty());
+    keys.push_back(done.key);
+  }
+  ASSERT_EQ(keys.size(), 300u);
+  for (std::uint64_t i = 0; i < keys.size(); ++i) EXPECT_EQ(keys[i], i);
+  std::vector<std::byte> out(kBlock);
+  for (std::uint64_t slot = 0; slot < 3; ++slot) {
+    file.read_at(slot * kBlock, out);
+    EXPECT_EQ(out, pattern_block(static_cast<std::uint8_t>(297 + slot)));
+  }
+}
+
+// One batch over many heap-allocated files fans out to every lane: submit
+// makes one sub-batch per lane that has work, and each executed sub-batch
+// is one "span.io.engine.batch".
+TEST(IoEngine, HeapFilesReachEveryLane) {
+  TempDir dir;
+  std::vector<std::unique_ptr<File>> files;
+  for (int i = 0; i < 64; ++i) {
+    files.push_back(std::make_unique<File>(
+        File::open(dir.path() / ("f" + std::to_string(i)))));
+  }
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+    MetricsRegistry metrics;
+    IoStats stats(metrics);
+    IoEngine engine({.workers = workers, .stats = &stats});
+    std::vector<IoRequest> batch;
+    for (const auto& file : files) {
+      IoRequest req;
+      req.kind = IoRequest::Kind::kWrite;
+      req.file = file.get();
+      req.offset = 0;
+      req.buffer = pattern_block(1);
+      batch.push_back(std::move(req));
+    }
+    engine.submit(std::move(batch));
+    engine.drain();
+    EXPECT_EQ(metrics.snapshot().counter("span.io.engine.batch"), workers);
+    (void)engine.poll_completions();
+  }
 }
 
 // ---- BlockCache async protocols --------------------------------------------

@@ -11,6 +11,7 @@
 #include <random>
 
 #include "common/error.hpp"
+#include "common/radix_sort.hpp"
 #include "common/serial.hpp"
 
 namespace mssg {
@@ -130,6 +131,43 @@ TEST(VertexCodec, RandomPairSetsRoundTrip) {
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(roundtrip_pairs(pairs, WireFormat::kDelta), expected);
     EXPECT_EQ(roundtrip_pairs(pairs, WireFormat::kRaw), expected);
+  }
+}
+
+// The wire bytes depend only on the multiset: a shuffled input encodes
+// exactly like its std::sort-ed copy, in both formats, at sizes on both
+// sides of the radix sort's comparison-sort cutoff, and the encoder
+// leaves its argument in std::sort's order.
+TEST(VertexCodec, EncodedBytesIgnoreInputOrder) {
+  std::mt19937_64 rng(0x0bde);
+  for (const std::size_t n :
+       {std::size_t{2}, std::size_t{100}, kRadixSortCutoff - 1,
+        kRadixSortCutoff, std::size_t{1000}, std::size_t{20'000}}) {
+    for (const WireFormat format : {WireFormat::kDelta, WireFormat::kRaw}) {
+      std::vector<VertexId> vertices(n);
+      // Duplicates, and ids past 2^32: digits above the low word vary.
+      for (auto& v : vertices) v = rng() % (n / 2 + 1) * 0x1'0000'0001ull;
+      std::vector<VertexId> sorted = vertices;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<VertexId> sorted_input = sorted;
+      EXPECT_EQ(encode_vertex_set(vertices, format),
+                encode_vertex_set(sorted_input, format))
+          << n;
+      EXPECT_EQ(vertices, sorted) << n;
+
+      std::vector<VertexPair> pairs(n);
+      for (auto& [first, second] : pairs) {
+        first = rng() % (n / 4 + 1);  // duplicate firsts
+        second = rng() % 3 == 0 ? first : rng() >> (rng() % 64);
+      }
+      std::vector<VertexPair> sorted_pairs = pairs;
+      std::sort(sorted_pairs.begin(), sorted_pairs.end());
+      std::vector<VertexPair> sorted_pairs_input = sorted_pairs;
+      EXPECT_EQ(encode_pair_set(pairs, format),
+                encode_pair_set(sorted_pairs_input, format))
+          << n;
+      EXPECT_EQ(pairs, sorted_pairs) << n;
+    }
   }
 }
 
