@@ -108,8 +108,6 @@ struct ClusterSpec {
   /// Background IoEngine for prefetch read-ahead + write-behind; false
   /// gives the fully synchronous baseline (ablation A-prefetch).
   bool async_io = true;
-  /// Sealed zero-copy mmap read path (GraphDBConfig::mmap_sealed).
-  bool mmap_sealed = false;
   /// Cold legs: drop the OS page cache for every node's storage before
   /// each timed iteration (File::drop_page_cache per file), so "cold"
   /// means the device rather than memory — the discipline
@@ -120,7 +118,7 @@ struct ClusterSpec {
     std::ostringstream os;
     os << to_string(backend) << '/' << backend_nodes << '/' << frontend_nodes
        << '/' << cache_enabled << '/' << cache_bytes << '/'
-       << external_metadata << '/' << async_io << '/' << mmap_sealed << '/'
+       << external_metadata << '/' << async_io << '/'
        << cold << '/' << w.spec.name << '/' << w.edges.size();
     return os.str();
   }
@@ -148,7 +146,6 @@ inline ReadyCluster& cluster_for(const Workload& w, const ClusterSpec& spec) {
                   256 << 10, 32 * w.directed_bytes() / spec.backend_nodes);
     config.db.external_metadata = spec.external_metadata;
     config.db.async_io = spec.async_io;
-    config.db.mmap_sealed = spec.mmap_sealed;
     config.db.max_vertices = w.spec.vertices;
     auto ready = std::make_unique<ReadyCluster>();
     ready->cluster = std::make_unique<MssgCluster>(config);

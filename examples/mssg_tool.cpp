@@ -11,8 +11,7 @@
 //   mssg_tool khop  <storage-dir> <src> <k>   [--nodes N] [--backend B]
 //   mssg_tool cc    <storage-dir>             [--nodes N] [--backend B]
 //   mssg_tool analyze <storage-dir> <name> [param...] [--nodes N]
-//                   [--backend B] [--budget T] [--mmap]
-//                   [--live-ingest E.txt]
+//                   [--backend B] [--budget T] [--live-ingest E.txt]
 //   mssg_tool defrag <storage-dir>            [--nodes N]
 //   mssg_tool query <storage-dir> "<query>"   [--nodes N] [--backend B]
 //                   [--fifo] [--budget T] [--live-ingest E.txt]
@@ -31,10 +30,6 @@
 // `quit` exits) against one long-lived session; --metrics prints the
 // serve.* per-class rows merged with the cluster snapshot at exit.
 // --fifo disables the SLO policies (the A17 baseline).
-//
-// --mmap (any cluster command; grDB only) turns on the sealed zero-copy
-// read path: scans read mmap'd level files in place while point probes
-// keep the 2Q cache.  DESIGN.md "Sealed scans" has the fallback rules.
 //
 // analyze submits any registered analysis through the concurrent query
 // engine (so --budget and sched.q<id>.* attribution apply) and decodes
@@ -105,7 +100,6 @@ struct CommonArgs {
   std::uint64_t budget = 0;
   int io_workers = 2;
   int group_commit = 1;
-  bool mmap = false;
   bool fifo = false;  ///< serve/query: disable SLO class policies
   std::string live_ingest;  ///< edge file streamed concurrently (empty = off)
 };
@@ -142,11 +136,6 @@ CommonArgs parse_flags(int argc, char** argv, int first) {
       // serve/query: submit every class at priority 0 with no deadline
       // (the baseline the A17 load harness compares against).
       args.fifo = true;
-    } else if (flag == "--mmap") {
-      // Zero-copy sealed read path (grDB): scans read mmap'd level
-      // files in place; point probes keep the 2Q cache.  --metrics
-      // shows the mmap.* rows (maps, zero_copy_reads, residency, ...).
-      args.mmap = true;
     } else if (flag == "--live-ingest") {
       // Stream this edge file into the cluster on a background thread
       // while the command's queries run; implies db.snapshots so every
@@ -201,7 +190,6 @@ MssgCluster open_cluster(const std::string& dir, const CommonArgs& args) {
   config.db.io_workers = static_cast<std::size_t>(std::max(args.io_workers, 1));
   config.db.journal_sync_interval =
       static_cast<std::uint32_t>(std::max(args.group_commit, 1));
-  config.db.mmap_sealed = args.mmap;
   config.db.snapshots = !args.live_ingest.empty();
   return MssgCluster(std::move(config));
 }

@@ -219,20 +219,10 @@ struct GraphDBConfig {
   /// back to the last boundary atomically.  Applies only when n > 1; at
   /// 1 a grDB flush may be an edge-log commit, which n > 1 turns off.
   std::uint32_t journal_sync_interval = 1;
-  /// Zero-copy read path for sealed data (grDB): level files are mmap'd
-  /// read-only once the store is sealed (checkpointed, no journal group
-  /// pending).  Every grDB flush then checkpoints, since a log commit
-  /// would leave the mapped level files stale.  Sequential scans —
-  /// full-graph analytics, MS-BFS level expansions
-  /// (SequentialScanScope) — read sub-blocks as mapped views instead of
-  /// copying into BlockCache frames.  Point probes keep
-  /// the 2Q cache.  Mutation or journal replay unmaps and falls back to
-  /// the pread path; an armed FaultInjector always falls back, so
-  /// crash/torn-write sweeps see the exact pread fault indices they were
-  /// calibrated against.  Opt-in (DESIGN.md "Sealed scans").
-  bool mmap_sealed = false;
-  /// Upper bound on vertex ids this node may see (sizes the external
-  /// metadata file and grDB's level 0; in-memory stores grow lazily).
+  /// Upper bound on the vertex ids the external metadata store
+  /// (`external_metadata`) accepts; no other store reads it.  grDB's
+  /// level 0 grows with the largest source stored, and the in-memory
+  /// stores grow lazily.
   VertexId max_vertices = 1u << 20;
   /// Epoch-based snapshot isolation (DESIGN.md "Snapshot isolation"):
   /// begin_snapshot() pins the last committed epoch and reads under a

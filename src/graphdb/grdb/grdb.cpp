@@ -8,7 +8,6 @@
 #include "common/crc32c.hpp"
 #include "common/radix_sort.hpp"
 #include "common/serial.hpp"
-#include "storage/fault_injector.hpp"
 
 namespace mssg {
 
@@ -119,8 +118,7 @@ std::uint64_t GrDB::SubblockRef::get(std::uint64_t i) const {
 }
 
 void GrDB::SubblockRef::set(std::uint64_t i, std::uint64_t value) {
-  // Mapped refs are read-only; every mutation path unmaps first and
-  // never runs under a SequentialScanScope.
+  // Shelved pre-images are read-only; mutations pin the live frame.
   MSSG_CHECK(view.empty());
   std::memcpy(handle.mutable_data().data() + offset + i * grdb::kEntryBytes,
               &value, sizeof(value));
@@ -242,7 +240,6 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
            if (journal_ != nullptr) journal_->undo_barrier();
          }});
   }
-  mmap_enabled_ = config.mmap_sealed;
   // Prompt retirement: dropping the last snapshot of an epoch purges
   // the versions it pinned without waiting for the next commit.
   epochs_.set_retire_hook(
@@ -252,9 +249,8 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
     journal_ = std::make_unique<WriteJournal>(dir_ / "grdb", &stats_,
                                               config.journal_sync_interval);
     log_ = std::make_unique<EdgeLog>(dir_ / "grdb.edges", &stats_);
-    // A sealed mapping reads the level files, which a log commit leaves
-    // stale, and a group defers the very fsync a log commit replaces.
-    log_commits_ = config.journal_sync_interval <= 1 && !config.mmap_sealed;
+    // A group defers the very fsync a log commit replaces.
+    log_commits_ = config.journal_sync_interval <= 1;
     recover(/*allow_rollback=*/true);
   }
   if (std::filesystem::exists(dir_ / "grdb.meta")) load_meta();
@@ -262,13 +258,6 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
   // mutations shelve no versions.
   if (log_ != nullptr) replay_edge_log();
   snapshots_enabled_ = config.snapshots;
-  // With snapshots on, readers never attempt a map themselves (freezing
-  // the bitmaps must not race the writer), so map eagerly from writer
-  // context whenever the store is sealed: here, and at flush end.
-  if (mmap_enabled_ && snapshots_enabled_ &&
-      any_data_.load(std::memory_order_relaxed)) {
-    try_map_sealed();
-  }
   publish_level_gauges();
 }
 
@@ -394,12 +383,6 @@ std::optional<std::uint64_t> GrDB::recover(bool allow_rollback) {
       throw StorageError(what + ": past the extent of the meta it restores");
     }
   }
-  // Replay writes the level files directly — a live sealed mapping would
-  // go stale (and its verified bitmap would lie).  With snapshots on the
-  // mapping stays: replay only rewrites blocks the crashed epoch dirtied,
-  // all of which are in cow_since_map_ (captured before their first
-  // mutation), so the mapped path already declines them.
-  if (!snapshots_enabled_) unmap_sealed();
   for (const WriteJournal::Record& r : rec.records) {
     if (r.tag == kMetaTag) {
       write_meta_file(r.payload);
@@ -425,7 +408,6 @@ void GrDB::flush_impl(bool force_checkpoint) {
     if (any_data_.load(std::memory_order_relaxed)) save_meta();
     dirty_since_flush_.store(false, std::memory_order_relaxed);
     if (had_work) commit_epoch();
-    rearm_mmap();
     return;
   }
 
@@ -487,7 +469,6 @@ void GrDB::checkpoint(bool force_commit) {
   // nothing new is dirty (e.g. the destructor's forced flush).
   if (!work && !journal_->group_pending()) {
     checkpoint_due_ = false;
-    rearm_mmap();  // already sealed; a prior decline may hold retry down
     return;
   }
   // Records this checkpoint covers must never replay over it: a log that
@@ -571,7 +552,6 @@ void GrDB::checkpoint(bool force_commit) {
   // snapshots can never pin a state that a crash would roll back.  A
   // checkpoint that only folds the log in commits nothing new.
   if (stored) commit_epoch();
-  rearm_mmap();  // everything durable, no group pending: sealed again
 }
 
 void GrDB::replay_edge_log() {
@@ -670,6 +650,28 @@ GrDB::MetaImage GrDB::decode_meta(std::span<const std::byte> bytes) const {
       if ((bits[b / 8] >> (b % 8)) & 1) level.initialized.set(b);
     }
     level.block_crc = reader.get_vector<std::uint32_t>();
+    // The file has no CRC.  alloc bounds check_allocated and the free
+    // list feeds allocate_subblock, so both must lie inside the extent:
+    // every sub-block the allocator handed out sits in a written block.
+    const std::uint64_t per_block = levels_[l].spec.subblocks_per_block();
+    if (level.alloc / per_block + (level.alloc % per_block != 0 ? 1 : 0) >
+        extent) {
+      throw StorageError("grDB: meta level " + std::to_string(l) +
+                         " alloc past its extent");
+    }
+    for (const std::uint64_t subblock : level.free_list) {
+      if (subblock >= level.alloc) {
+        throw StorageError("grDB: meta level " + std::to_string(l) +
+                           " free entry past its alloc");
+      }
+    }
+  }
+  // max_vertex bounds every level-0 sweep (for_each_vertex, verify,
+  // defragment): its block was written, so it lies inside the extent.
+  if (image.max_vertex != 0 &&
+      image.max_vertex / levels_[0].spec.subblocks_per_block() >=
+          image.levels[0].initialized.size()) {
+    throw StorageError("grDB: meta max_vertex past the level-0 extent");
   }
   return image;
 }
@@ -716,7 +718,7 @@ GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock,
       snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
   if (snap != nullptr) {
     // Snapshot read.  Versions first: a block mutated after the pin MUST
-    // serve its shelved pre-image, whatever the live/mapped bytes say.
+    // serve its shelved pre-image, whatever the live bytes say.
     ++stats_.txn_snapshot_reads;
     auto pin = versions_.pin(key, snap->epoch());
     if (pin.version != nullptr) {
@@ -725,41 +727,11 @@ GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock,
       ref.keepalive = std::move(pin.version);
       return ref;
     }
-    // Then the sealed mapping (copy + revalidate — dodges the cache and
-    // its mutex entirely, which is where concurrent readers win).
-    if (auto copy = mapped_snapshot_copy(level, addr.block, key)) {
-      ref.view = std::span<const std::byte>(copy->data(), copy->size());
-      ref.keepalive = std::move(copy);
-      return ref;
-    }
     // Else the live frame, in place: the ref keeps the shelf latched
     // shared until it is released, so a writer's first mutation of this
     // block this epoch (whose capture takes the shelf exclusive) cannot
     // begin while the reader is inside the sub-block.
     ref.latch = std::move(pin.latch);
-    ref.handle = cache_.get(levels_[level].store_id, addr.block);
-    return ref;
-  }
-  // Sealed zero-copy path: a sequential scan (SequentialScanScope) on a
-  // mapped store reads the block in place — no cache frame, no copy.
-  // Point probes (no scope) keep the scan-resistant 2Q cache; an armed
-  // FaultInjector always takes the pread path so fault indices match
-  // what the crash sweeps were calibrated against.  The initialized
-  // bitmap is the frozen map-time copy: identical to the live one here
-  // (mutators unmap first outside snapshot mode), and safe to read
-  // without the meta lock.
-  if (mmap_enabled_ && SequentialScanScope::active() &&
-      !FaultInjector::instance().enabled() && mapped_or_map()) {
-    const DynamicBitset& init = mapped_init_[level];
-    if (addr.block < init.size() && init.test(addr.block)) {
-      ref.view = mapped_[level]->block(addr.block);
-      if (!ref.view.empty()) {
-        ++stats_.mmap_zero_copy_reads;
-        return ref;
-      }
-    }
-    // Uninitialized (the cache reader synthesizes all-0xFF without
-    // touching disk) or unbacked: fall through to the cache.
   }
   ref.handle = cache_.get(levels_[level].store_id, addr.block);
   return ref;
@@ -780,39 +752,7 @@ void GrDB::capture_version(int level, std::uint64_t block,
     const auto data = h.data();
     return std::vector<std::byte>(data.begin(), data.end());
   });
-  if (captured) {
-    ++stats_.txn_cow_pages;
-    std::lock_guard<std::mutex> lk(stale_mu_);
-    cow_since_map_.insert(key);
-  }
-}
-
-std::shared_ptr<const std::vector<std::byte>> GrDB::mapped_snapshot_copy(
-    int level, std::uint64_t block, std::uint64_t key) {
-  if (!mmap_enabled_ ||
-      !mapped_active_.load(std::memory_order_acquire)) {
-    return nullptr;
-  }
-  {
-    std::lock_guard<std::mutex> lk(stale_mu_);
-    if (cow_since_map_.contains(key)) return nullptr;
-  }
-  const DynamicBitset& init = mapped_init_[level];
-  if (block >= init.size() || !init.test(block)) return nullptr;
-  const std::span<const std::byte> view = mapped_[level]->block(block);
-  if (view.empty()) return nullptr;
-  auto copy =
-      std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-  {
-    // Revalidate after the copy: if the block was COW-captured while we
-    // copied, a subsequent eviction/flush may have been rewriting the
-    // mapped file bytes under us — discard and take the version path.
-    // (The capture publishes to cow_since_map_ BEFORE the first
-    // mutation, so a clean recheck proves the copy saw quiescent bytes.)
-    std::lock_guard<std::mutex> lk(stale_mu_);
-    if (cow_since_map_.contains(key)) return nullptr;
-  }
-  return copy;
+  if (captured) ++stats_.txn_cow_pages;
 }
 
 void GrDB::commit_epoch() {
@@ -834,141 +774,22 @@ GraphDB::TxnState GrDB::txn_state() const {
   return {epochs_.current(), epochs_.live_count(), versions_.versions()};
 }
 
-bool GrDB::mapped_or_map() {
-  if (mapped_active_.load(std::memory_order_acquire)) return true;
-  return try_map_sealed();
-}
-
-bool GrDB::try_map_sealed() {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  if (mapped_active_.load(std::memory_order_relaxed)) return true;
-  if (!mmap_retry_) return false;
-  mmap_retry_ = false;  // one attempt per epoch; flush re-arms
-  // Sealed means: every block the map could serve is byte-identical on
-  // disk — nothing dirty since the last full-commit flush and no journal
-  // group still deferring its boundary.  (Clean cached copies of the
-  // same bytes are fine.)
-  const bool sealed =
-      any_data_.load(std::memory_order_relaxed) &&
-      !dirty_since_flush_.load(std::memory_order_relaxed) &&
-      (journal_ == nullptr || !journal_->group_pending()) &&
-      !FaultInjector::instance().enabled();
-  if (!sealed) {
-    ++stats_.mmap_fallbacks;
-    return false;
-  }
-  // Freeze the per-level initialized bitmaps and sidecar CRCs as of this
-  // seal.  Readers consult the frozen copies lock-free: unlike the live
-  // tables (which a reader-thread eviction may grow mid-read), these
-  // never change while the mapping is active.  With snapshots on, the
-  // mapping may outlive later mutations — blocks COW'd since the seal
-  // are declined via cow_since_map_ before the frozen CRC could lie.
-  mapped_init_.assign(levels_.size(), {});
-  mapped_crc_.assign(levels_.size(), {});
-  {
-    std::lock_guard<std::mutex> mlk(meta_mu_);
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      mapped_init_[l] = levels_[l].initialized;
-      mapped_crc_[l] = levels_[l].block_crc;
-    }
-  }
-  std::vector<std::unique_ptr<MappedBlockSource>> sources;
-  sources.reserve(levels_.size());
-  try {
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      auto source = std::make_unique<MappedBlockSource>(
-          levels_[l].spec.block_bytes,
-          options_.geometry.blocks_per_file(static_cast<int>(l)),
-          // Mirrors the cache's verify hook exactly: same counter, same
-          // error text — bit rot classifies identically on both paths.
-          // pin_subblock only hands the source initialized blocks, which
-          // flush gave a sidecar CRC; the guard matches the hook's.
-          [this, l](std::uint64_t block, std::span<const std::byte> data) {
-            const std::vector<std::uint32_t>& crc = mapped_crc_[l];
-            if (block >= crc.size()) return;
-            if (crc32c(data) != crc[block]) {
-              ++stats_.checksum_failures;
-              throw StorageError("grDB: level " + std::to_string(l) +
-                                 " block " + std::to_string(block) +
-                                 " failed sidecar checksum");
-            }
-          },
-          &stats_);
-      // Level files are created densely (level<l>.0.dat, .1.dat, ...);
-      // map every one present.
-      for (std::uint64_t f = 0;; ++f) {
-        const auto path = dir_ / ("level" + std::to_string(l) + "." +
-                                  std::to_string(f) + ".dat");
-        if (!std::filesystem::exists(path)) break;
-        MappedFile file = MappedFile::map_readonly(path);
-        ++stats_.mmap_maps;
-        stats_.mmap_mapped_bytes += file.size();
-        source->attach(f, std::move(file));
-      }
-      // Level 0 is the sweep extent (for_each_vertex, analytics
-      // supersteps): tell readahead it is sequential.
-      if (l == 0) source->advise_sequential();
-      sources.push_back(std::move(source));
-    }
-  } catch (const Error&) {
-    // Mapping is an optimization: any failure (platform without mmap
-    // headroom, raced file) falls back to the pread path, silently
-    // correct.
-    ++stats_.mmap_fallbacks;
-    return false;
-  }
-  mapped_ = std::move(sources);
-  {
-    // Everything the map serves matches the files as of this seal; later
-    // COW captures re-populate the stale set.
-    std::lock_guard<std::mutex> slk(stale_mu_);
-    cow_since_map_.clear();
-  }
-  mapped_active_.store(true, std::memory_order_release);
-  return true;
-}
-
-void GrDB::unmap_sealed() {
-  if (!mmap_enabled_) return;
-  std::lock_guard<std::mutex> lock(map_mu_);
-  mmap_retry_ = false;
-  if (!mapped_active_.load(std::memory_order_relaxed)) return;
-  // Callers (mutations, journal replay, exclusive maintenance) run with
-  // no concurrent reader — nobody holds a view into these mappings.
-  mapped_active_.store(false, std::memory_order_release);
-  mapped_.clear();
-  mapped_init_.clear();
-  mapped_crc_.clear();
-  ++stats_.mmap_fallbacks;
-}
-
-void GrDB::rearm_mmap() {
-  if (!mmap_enabled_) return;
-  {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    if (!mapped_active_.load(std::memory_order_relaxed)) mmap_retry_ = true;
-  }
-  // With snapshots on, readers never map (pin_subblock only tests
-  // mapped_active_, since freezing the bitmaps must not race the
-  // writer): map eagerly from this writer context at every sealed
-  // boundary instead.
-  if (snapshots_enabled_) try_map_sealed();
-}
-
 std::uint64_t GrDB::allocate_subblock(int level) {
   MSSG_CHECK(level >= 1 && level < static_cast<int>(levels_.size()));
   Level& lvl = levels_[level];
-  std::uint64_t subblock;
-  if (!lvl.free_list.empty()) {
-    subblock = lvl.free_list.back();
-    lvl.free_list.pop_back();
-  } else {
-    subblock = lvl.alloc++;
-  }
+  const bool recycled = !lvl.free_list.empty();
+  const std::uint64_t subblock = recycled ? lvl.free_list.back() : lvl.alloc;
   // Fresh sub-blocks start all-empty (a recycled one may hold stale data).
   SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
   std::memset(ref.handle.mutable_data().data() + ref.offset, 0xFF,
               lvl.spec.subblock_bytes());
+  // Taken only once its block is dirty, so a pin that throws leaves no
+  // alloc past the extent for the next meta (decode_meta's bound).
+  if (recycled) {
+    lvl.free_list.pop_back();
+  } else {
+    ++lvl.alloc;
+  }
   return subblock;
 }
 
@@ -1011,11 +832,7 @@ std::vector<std::pair<int, std::uint64_t>> GrDB::chain_of(VertexId v) {
 void GrDB::poke_entry(int level, std::uint64_t subblock, std::uint64_t index,
                       std::uint64_t value) {
   MSSG_CHECK(level >= 0 && level < static_cast<int>(levels_.size()));
-  // Exclusive maintenance (fault-injection hook, fsck probes): the one
-  // context that still unmaps in snapshot mode — callers guarantee no
-  // reader is live.
   std::lock_guard<std::mutex> lock(write_mu_);
-  unmap_sealed();
   SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
   MSSG_CHECK(index < ref.entries);
   ref.set(index, value);
@@ -1050,15 +867,6 @@ void GrDB::publish_metrics(MetricsSnapshot& snap) const {
     snap.add(prefix + ".subblocks",
              gauges_[l].subblocks.load(std::memory_order_relaxed));
     snap.add(prefix + ".free", gauges_[l].free.load(std::memory_order_relaxed));
-  }
-  // Page-cache residency of the live sealed mapping (mincore sampling):
-  // how much of the mapped graph the OS is actually holding in memory.
-  std::lock_guard<std::mutex> lock(map_mu_);
-  if (mapped_active_.load(std::memory_order_relaxed)) {
-    MappedFile::Residency residency;
-    for (const auto& source : mapped_) residency += source->residency();
-    snap.add("mmap.resident_pages", residency.resident_pages);
-    snap.add("mmap.sampled_pages", residency.sampled_pages);
   }
   if (snapshots_enabled_) {
     const TxnState txn = txn_state();
@@ -1192,7 +1000,6 @@ void GrDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
     if (!snap->nonempty()) return;
     // Over-included vertices (stored after the pin) read their empty
     // pre-image and are skipped — the sweep sees exactly the epoch.
-    SequentialScanScope scan_scope;
     for (VertexId v = 0; v < snap->extent(); ++v) {
       if (level0_empty(v)) continue;
       if (!visit(v)) return;
@@ -1200,9 +1007,6 @@ void GrDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
     return;
   }
   if (!any_data_.load(std::memory_order_relaxed)) return;
-  // The level-0 sweep is the canonical sequential scan — mapped-path
-  // eligible regardless of what the caller installed.
-  SequentialScanScope scan_scope;
   const VertexId last = max_vertex_.load(std::memory_order_relaxed);
   for (VertexId v = 0; v <= last; ++v) {
     if (level0_empty(v)) continue;
@@ -1229,15 +1033,6 @@ void GrDB::prefetch(std::span<const VertexId> vertices) {
   }
   radix_sort(blocks, [](std::uint64_t block) { return block; });
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-  // A scan on a mapped store reads these blocks as views: the hint goes
-  // to the kernel (madvise WILLNEED) instead of the IoEngine — the
-  // engine would load copies into cache frames the scan never touches.
-  if (SequentialScanScope::active() &&
-      mapped_active_.load(std::memory_order_acquire) &&
-      !FaultInjector::instance().enabled()) {
-    mapped_[0]->willneed(blocks);
-    return;
-  }
   if (cache_.async_enabled()) {
     // Read-ahead through the engine: the fringe's blocks load in the
     // background while the caller returns to computation.
@@ -1280,12 +1075,6 @@ void GrDB::store_locked(std::span<const Edge> edges) {
   // Batch by source: one chain walk per distinct vertex per batch.
   std::unordered_map<VertexId, std::vector<VertexId>> by_source;
   for (const auto& e : edges) by_source[e.src].push_back(e.dst);
-  // With snapshots on the sealed mapping STAYS mapped: pinned readers may
-  // hold views into it, and every block this ingest mutates is COW'd
-  // into cow_since_map_ before its bytes change, so the mapped read path
-  // declines exactly the blocks that go stale.  Without snapshots the
-  // classic discipline holds — mutation unmaps first.
-  if (!snapshots_enabled_) unmap_sealed();
   try {
     for (const auto& [src, neighbors] : by_source) append(src, neighbors);
   } catch (...) {
@@ -1312,11 +1101,6 @@ void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
   if (neighbors.empty()) return;
   any_data_.store(true, std::memory_order_relaxed);
   dirty_since_flush_.store(true, std::memory_order_relaxed);
-  // write_mu_ serializes writers; the load-compare-store cannot race
-  // another writer, and readers tolerate any momentary value.
-  if (v > max_vertex_.load(std::memory_order_relaxed)) {
-    max_vertex_.store(v, std::memory_order_relaxed);
-  }
   const int last_level = static_cast<int>(levels_.size()) - 1;
 
   // Walk to the tail, remembering the parent sub-block for copy-up mode.
@@ -1336,6 +1120,15 @@ void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
   check_allocated(v, level, subblock);
 
   SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
+  // Raised only now, so every meta written from here on has v's level-0
+  // block inside level 0's extent: a non-empty level-0 sub-block was
+  // written before, and an empty one takes the first set below before
+  // anything can throw.  write_mu_ serializes writers; the
+  // load-compare-store cannot race another writer, and readers tolerate
+  // any momentary value.
+  if (v > max_vertex_.load(std::memory_order_relaxed)) {
+    max_vertex_.store(v, std::memory_order_relaxed);
+  }
   std::uint64_t d = ref.entries;
   // First empty slot; d means the sub-block is completely full.
   std::uint64_t idx = 0;
@@ -1540,10 +1333,7 @@ std::vector<int> optimal_levels(std::uint64_t degree,
 
 std::uint64_t GrDB::defragment() {
   if (!any_data_.load(std::memory_order_relaxed)) return 0;
-  // Exclusive maintenance: like poke_entry, runs with no reader live, so
-  // unmapping is safe even in snapshot mode.
   std::lock_guard<std::mutex> lock(write_mu_);
-  unmap_sealed();
   dirty_since_flush_.store(true, std::memory_order_relaxed);
   checkpoint_due_ = true;  // no edge-log record describes a rewrite
   std::uint64_t rewritten = 0;

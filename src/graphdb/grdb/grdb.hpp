@@ -32,7 +32,6 @@
 #include "storage/edge_log.hpp"
 #include "storage/file.hpp"
 #include "storage/journal.hpp"
-#include "storage/mapped_file.hpp"
 
 namespace mssg {
 
@@ -74,9 +73,9 @@ class GrDB final : public GraphDB {
   ///  - a log commit: the edges stored since the last commit are
   ///    appended to the node's edge log as one record and only that file
   ///    is fdatasync'd; the blocks stay dirty in the cache.  Taken when
-  ///    journal_sync_interval is 1, mmap_sealed is off, every mutation
-  ///    since the last commit came through store_edges, the record fits
-  ///    under kEdgeLogBoundBytes, and the last checkpoint completed;
+  ///    journal_sync_interval is 1, every mutation since the last commit
+  ///    came through store_edges, the record fits under
+  ///    kEdgeLogBoundBytes, and the last checkpoint completed;
   ///  - a checkpoint otherwise, and whenever the log holds records but
   ///    nothing new was stored: the redo/commit/in-place/trim sequence
   ///    over every dirty block, after which the log starts over.
@@ -93,9 +92,9 @@ class GrDB final : public GraphDB {
   /// Pins the last committed epoch (DESIGN.md "Snapshot isolation").
   /// With `GraphDBConfig::snapshots` on, reads under a SnapshotScope
   /// holding the ref serve exactly that epoch — version pre-images
-  /// first, then the sealed mapping, then the live cache frame read in
-  /// place under a shared latch on the version shelf — while
-  /// store_edges/flush advance the next epoch concurrently.
+  /// first, then the live cache frame read in place under a shared
+  /// latch on the version shelf — while store_edges/flush advance the
+  /// next epoch concurrently.
   [[nodiscard]] SnapshotRef begin_snapshot() override;
   [[nodiscard]] TxnState txn_state() const override;
 
@@ -112,11 +111,10 @@ class GrDB final : public GraphDB {
 
   /// Adds per-level sub-block allocation and free-list depth gauges
   /// ("grdb.level<l>.subblocks" / ".free") and the edge log's size
-  /// ("storage.edge_log_bytes") on top of the registry, plus
-  /// mmap page-cache residency (mincore sampling) while the sealed
-  /// mapping is live.  The level gauges are the values the writer last
-  /// published (at open, each flush and each defragment), so a call is
-  /// safe next to queries and next to live ingest.
+  /// ("storage.edge_log_bytes") on top of the registry.  The level
+  /// gauges are the values the writer last published (at open, each
+  /// flush and each defragment), so a call is safe next to queries and
+  /// next to live ingest.
   void publish_metrics(MetricsSnapshot& snap) const override;
 
   /// Evicts every file in the storage directory (level files, meta,
@@ -179,12 +177,10 @@ class GrDB final : public GraphDB {
   };
 
   /// A pinned sub-block: the owning block handle plus entry accessors.
-  /// On the sealed mmap path `view` is set instead of `handle` — the
-  /// entries read directly from the mapping, no cache frame involved;
-  /// such refs are read-only (set() asserts).  Snapshot reads set `view`
-  /// over `keepalive`, a refcounted immutable block image (a COW
-  /// pre-image or a sealed-mapping copy) that outlives any purge — or,
-  /// when no version serves the pin, read the live frame through
+  /// A snapshot read a version serves sets `view` over `keepalive`
+  /// instead of `handle`: a refcounted immutable COW pre-image that
+  /// outlives any purge; such refs are read-only (set() asserts).  When
+  /// no version serves the pin, the read takes the live frame through
   /// `handle` while `latch` holds the version shelf shared, which keeps
   /// the writer's first capture of the block (and so its first change)
   /// out until the ref is released.  A thread holds at most one ref
@@ -192,7 +188,7 @@ class GrDB final : public GraphDB {
   /// calling out to code that may read this store.
   struct SubblockRef {
     BlockHandle handle;
-    std::span<const std::byte> view;  ///< zero-copy mapped block, or empty
+    std::span<const std::byte> view;  ///< shelved pre-image, or empty
     std::shared_ptr<const std::vector<std::byte>> keepalive;
     std::uint64_t offset = 0;  ///< byte offset of the sub-block in block
     std::uint64_t entries = 0;
@@ -253,8 +249,13 @@ class GrDB final : public GraphDB {
     };
     std::vector<LevelImage> levels;  ///< empty: no meta
   };
-  /// Throws StorageError on a bad magic, a geometry mismatch or a bitmap
-  /// that disagrees with its extent, and FormatError on truncation.
+  /// Throws StorageError on a bad magic, a geometry mismatch, a bitmap
+  /// that disagrees with its extent, or a field past the extent: a
+  /// max_vertex whose level-0 block lies outside level 0's extent, an
+  /// alloc past its level's extent in sub-blocks, or a free entry at or
+  /// past its level's alloc.  Throws FormatError on truncation.  The
+  /// file has no CRC, so these bounds are what keep a flipped bit from
+  /// steering a sweep or an allocation past the store.
   [[nodiscard]] MetaImage decode_meta(std::span<const std::byte> bytes) const;
   [[nodiscard]] std::vector<std::byte> read_meta_file();
   void load_meta();
@@ -292,35 +293,12 @@ class GrDB final : public GraphDB {
   /// open epoch's pre-image, once per (block, epoch).  Runs before every
   /// mutable pin while snapshots are enabled.
   void capture_version(int level, std::uint64_t block, std::uint64_t key);
-  /// Snapshot read from the sealed mapping: copy-then-revalidate.  The
-  /// block must have been initialized at map time (frozen bitmap) and
-  /// never COW-captured since the map (cow_since_map_) — checked again
-  /// after the copy, so a racing first mutation (whose eviction/flush
-  /// could rewrite the mapped file bytes mid-copy) discards the copy and
-  /// falls back.  Returns nullptr to decline.
-  std::shared_ptr<const std::vector<std::byte>> mapped_snapshot_copy(
-      int level, std::uint64_t block, std::uint64_t key);
   /// Commit boundary bookkeeping: advances the epoch and purges
   /// versions no live snapshot can read.
   void commit_epoch();
   /// Copies each level's allocation extent and free-list depth into
   /// gauges_ (writer context).
   void publish_level_gauges();
-
-  /// True when the sealed mapping is live (fast path), otherwise one
-  /// map attempt per sealed epoch.
-  bool mapped_or_map();
-  /// Maps every level file read-only iff the store is sealed: flushed
-  /// (no dirty blocks, no open journal group) and no FaultInjector
-  /// armed.  One attempt per epoch — a decline counts mmap.fallbacks
-  /// and stands until the next full-commit flush re-arms it.
-  bool try_map_sealed();
-  /// Drops the mapping before a mutation or journal replay touches the
-  /// level files.  Callers run exclusively (scheduler contract: writers
-  /// never overlap readers), so no live scan holds a view.
-  void unmap_sealed();
-  /// Re-allows a map attempt after a flush that left the store sealed.
-  void rearm_mmap();
 
   GrDBOptions options_;
   std::filesystem::path dir_;
@@ -350,7 +328,7 @@ class GrDB final : public GraphDB {
 
   // Commit state (writer-owned, under write_mu_).  A flush may be a log
   // commit only while log_commits_ holds and checkpoint_due_ does not.
-  bool log_commits_ = false;  // journal on, interval 1, mmap_sealed off
+  bool log_commits_ = false;  // journal on, interval 1
   bool checkpoint_due_ = false;
   std::vector<Edge> pending_;  // the open commit's record
   std::uint64_t generation_ = 0;  // carried by the last committed meta
@@ -360,7 +338,7 @@ class GrDB final : public GraphDB {
   std::mutex write_mu_;
   // Leaf mutex over per-level metadata a reader-thread cache callback
   // can mutate (initialized bitmap, sidecar CRCs, fresh set) while the
-  // writer reads it outside the cache lock (encode_meta, map freezing).
+  // writer reads it outside the cache lock (encode_meta).
   // Callbacks already exclude each other via the cache mutex; this only
   // orders them against those non-callback readers.
   mutable std::mutex meta_mu_;
@@ -372,26 +350,6 @@ class GrDB final : public GraphDB {
   bool snapshots_enabled_ = false;
   EpochManager epochs_;
   VersionStore<std::vector<std::byte>> versions_;  // key = level<<48 | block
-
-  // The sealed zero-copy read path (GraphDBConfig::mmap_sealed).
-  // mapped_active_ is the lock-free fast-path flag concurrent scan
-  // readers check; map_mu_ serializes map/unmap/re-arm.  Without
-  // snapshots, mutators run exclusively and unmap first, so no reader
-  // holds a view across a transition.  With snapshots the mapping is
-  // never unmapped while readers run: pin_subblock serves mapped bytes
-  // only for blocks frozen at map time (mapped_init_/mapped_crc_ are
-  // immutable copies) and never COW-captured since (cow_since_map_), so
-  // file rewrites by eviction/flush can only touch blocks the mapped
-  // path already declines.
-  bool mmap_enabled_ = false;
-  bool mmap_retry_ = true;  // one map attempt per sealed epoch (map_mu_)
-  std::atomic<bool> mapped_active_{false};
-  mutable std::mutex map_mu_;
-  std::vector<std::unique_ptr<MappedBlockSource>> mapped_;  // per level
-  std::vector<DynamicBitset> mapped_init_;          // frozen at map time
-  std::vector<std::vector<std::uint32_t>> mapped_crc_;  // frozen at map time
-  mutable std::mutex stale_mu_;
-  std::unordered_set<std::uint64_t> cow_since_map_;  // keys captured since map
 };
 
 }  // namespace mssg

@@ -2,13 +2,11 @@
 
 #include <bit>
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/radix_sort.hpp"
 #include "common/timer.hpp"
-#include "storage/mapped_file.hpp"
 
 namespace mssg {
 
@@ -172,14 +170,6 @@ void MsBfsRun::merge_candidate(VertexId u, std::uint64_t mask) {
 }
 
 void MsBfsRun::expand_frontier() {
-  // A *batched* level expansion reads the whole shared frontier's
-  // adjacency — the scan regime: with GraphDBConfig::mmap_sealed those
-  // reads take the zero-copy mapped path instead of the 2Q cache.  A
-  // single-source run (cbfs point probes ride this engine) is the
-  // opposite workload — a narrow cone whose blocks re-hit across levels
-  // and queries — so it stays on the cache and keeps its hit rate.
-  std::optional<SequentialScanScope> scan_scope;
-  if (sources_.size() > 1) scan_scope.emplace();
   fetch_scratch_.clear();
   fetch_masks_.clear();
   for (const auto& [v, mask] : frontier_) {

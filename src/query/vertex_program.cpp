@@ -6,7 +6,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
-#include "storage/mapped_file.hpp"
 
 namespace mssg {
 
@@ -257,12 +256,6 @@ void VertexProgramEngine::publish_stats() const {
 VertexProgramStats VertexProgramEngine::run(VertexProgram& program) {
   Timer timer;
   MSSG_CHECK(ids_.empty());  // one run per engine
-  // Every superstep streams adjacency for the whole frontier (the whole
-  // graph, in dense mode): the sequential-scan regime.  With
-  // GraphDBConfig::mmap_sealed the scatter/apply reads on this rank
-  // thread take the zero-copy mapped path; point probes on other
-  // threads keep the 2Q cache.
-  SequentialScanScope scan_scope;
   load_local_vertices(program);
   std::sort(frontier_.begin(), frontier_.end());
 

@@ -43,11 +43,6 @@ struct IoStats {
         journal_deferred_flushes(reg.counter("journal.deferred_flushes")),
         vectored_merges(reg.counter("io.vectored_merges")),
         engine_dropped_errors(reg.counter("io.engine.dropped_errors")),
-        mmap_maps(reg.counter("mmap.maps")),
-        mmap_mapped_bytes(reg.counter("mmap.mapped_bytes")),
-        mmap_zero_copy_reads(reg.counter("mmap.zero_copy_reads")),
-        mmap_lazy_verifies(reg.counter("mmap.lazy_verifies")),
-        mmap_fallbacks(reg.counter("mmap.fallbacks")),
         txn_snapshot_reads(reg.counter("txn.snapshot_reads")),
         txn_cow_pages(reg.counter("txn.cow_pages")) {}
 
@@ -91,16 +86,6 @@ struct IoStats {
                              ///< counts k-1)
   Counter& engine_dropped_errors;  ///< async I/O errors still unpolled when
                                    ///< their IoEngine was destroyed
-  Counter& mmap_maps;          ///< files mapped read-only for the sealed
-                               ///< zero-copy path
-  Counter& mmap_mapped_bytes;  ///< bytes covered by those maps
-  Counter& mmap_zero_copy_reads;  ///< sub-block reads served as mapped
-                                  ///< views (no cache-frame copy)
-  Counter& mmap_lazy_verifies;  ///< mapped blocks whose sidecar checksum
-                                ///< was paid (once, on first mapped access)
-  Counter& mmap_fallbacks;  ///< mapped-path declines: unsealed state at map
-                            ///< time, or a mutation/replay unmapping a live
-                            ///< mapping
   Counter& txn_snapshot_reads;  ///< reads served from a pinned epoch (COW
                                 ///< version or frozen extent) instead of
                                 ///< live state

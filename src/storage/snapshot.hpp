@@ -317,7 +317,7 @@ class VersionStore {
 };
 
 /// Thread-local snapshot installation, in the idiom of
-/// SequentialScanScope / CacheAttributionScope: a query runner installs
+/// CacheAttributionScope: a query runner installs
 /// the snapshot it pinned, and every read the thread makes through that
 /// backend serves the pinned epoch.  Scopes nest (innermost wins per
 /// owner) so a query over one backend can call helpers that pin another.

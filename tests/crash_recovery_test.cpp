@@ -581,17 +581,6 @@ TEST_P(CrashRecovery, SnapshotModeSweepRecoversCommittedEpoch) {
   run_snapshot_sweep(GetParam(), config);
 }
 
-// Snapshots + the sealed mmap read path: the eager remap at every flush
-// boundary and the COW stale-set bookkeeping must not widen the crash
-// surface (mappings are read-only; recovery runs before any map).
-TEST(CrashRecovery, GrdbSnapshotSweepWithMmapSealed) {
-  GraphDBConfig config;
-  config.cache_bytes = 64u << 10;
-  config.async_io = false;
-  config.mmap_sealed = true;
-  run_snapshot_sweep(Backend::kGrDB, config);
-}
-
 // Async write-behind moves writes onto the engine worker, so kill points
 // land nondeterministically — every one must still recover.
 TEST(CrashRecovery, KvstoreSweepWithAsyncWriteBehind) {

@@ -26,26 +26,14 @@
 namespace mssg {
 namespace {
 
+using testing::read_file;
 using testing::sorted;
+using testing::write_file;
 
 struct InjectorGuard {
   InjectorGuard() { FaultInjector::instance().clear(); }
   ~InjectorGuard() { FaultInjector::instance().clear(); }
 };
-
-std::vector<std::byte> read_file(const std::filesystem::path& path) {
-  const File file = File::open_readonly(path);
-  std::vector<std::byte> bytes(file.size());
-  file.read_at(0, bytes);
-  return bytes;
-}
-
-void write_file(const std::filesystem::path& path,
-                std::span<const std::byte> bytes) {
-  std::filesystem::remove(path);
-  const File file = File::open(path);
-  if (!bytes.empty()) file.write_at(0, bytes);
-}
 
 // Arms a sticky kill on every write and sync under `dir`, from its nth.
 void arm_kill(const std::filesystem::path& dir, std::uint64_t nth = 0) {
@@ -598,10 +586,7 @@ class EdgeLogFuzz : public ::testing::Test {
   // batches before it are checked (present whole, as a superset).
   static int reopen(const std::vector<std::byte>& log, int forged = -1) {
     TempDir work;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(base_->path())) {
-      std::filesystem::copy(entry.path(), work.path() / entry.path().filename());
-    }
+    testing::copy_store(base_->path(), work.path());
     write_file(work.path() / "grdb.edges", log);
     try {
       GrDB db(log_config(work));

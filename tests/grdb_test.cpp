@@ -1,9 +1,18 @@
 // grDB-specific tests: address arithmetic, pointer tagging, chain growth
-// across levels, link vs copy-up, defragmentation, and persistence.
+// across levels, link vs copy-up, defragmentation, persistence, bit rot
+// in a level file, and a seeded mutation suite over grdb.meta
+// (GrdbMetaFuzz, the `fuzz` ctest label).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <numeric>
+#include <optional>
+#include <random>
+#include <set>
 
+#include "common/error.hpp"
+#include "common/serial.hpp"
 #include "common/temp_dir.hpp"
 #include "graphdb/grdb/format.hpp"
 #include "graphdb/grdb/grdb.hpp"
@@ -12,6 +21,10 @@
 
 namespace mssg {
 namespace {
+
+using testing::copy_store;
+using testing::read_file;
+using testing::write_file;
 
 // ---- Format / addressing ---------------------------------------------------
 
@@ -384,6 +397,358 @@ TEST(Grdb, SourcePastLevelZeroAddressSpaceRejected) {
   db->get_adjacency(past, out);
   db->get_adjacency(kMaxVertexId, out);
   EXPECT_TRUE(out.empty());
+}
+
+// Bit rot planted in a level file behind grDB's back fails the block's
+// sidecar CRC32C when a sweep loads it through the cache: a StorageError,
+// counted in storage.checksum_failures.
+TEST(Grdb, BitRotFailsTheSidecarChecksumOnASweep) {
+  TempDir dir;
+  {
+    auto db = make_grdb(dir, small_options());
+    db->store_edges(std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}, {0, 4}});
+    db->flush();
+  }
+  auto level0 = read_file(dir.path() / "level0.0.dat");
+  ASSERT_GT(level0.size(), 8u);
+  level0[8] ^= std::byte{0x40};  // one bit inside vertex 0's sub-block
+  write_file(dir.path() / "level0.0.dat", level0);
+
+  auto db = make_grdb(dir, small_options());
+  try {
+    db->for_each_vertex([](VertexId) { return true; });
+    FAIL() << "bit rot not detected";
+  } catch (const StorageError& e) {
+    EXPECT_NE(std::string(e.what()).find("sidecar checksum"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_GE(db->metrics().counter("storage.checksum_failures"), 1u);
+}
+
+// ---- GrdbMetaFuzz ----------------------------------------------------------
+//
+// grdb.meta carries no CRC, so every byte of it reaches decode_meta.  A
+// closed store is copied, its meta truncated, bit-flipped or overwritten,
+// and reopened.  Each reopen must end in a typed error (StorageError or
+// FormatError), or in a store whose sweep and reads finish -- never UB,
+// an abort or a hang.  The fields decode_meta bounds (max_vertex, each
+// level's alloc and free list) must be rejected exactly when they leave
+// their extent.  MSSG_FUZZ_SEED picks the seed.
+
+std::uint64_t meta_fuzz_seed() {
+  if (const char* env = std::getenv("MSSG_FUZZ_SEED")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return 20261020;
+}
+
+/// Where each field of a grdb.meta image sits (the order of
+/// GrDB::encode_meta), and the values the bounds depend on.
+struct MetaLayout {
+  static constexpr std::size_t kGeneration = 8;
+  static constexpr std::size_t kMaxFileBytes = 16;
+  static constexpr std::size_t kMaxVertex = 24;
+  static constexpr std::size_t kLevelCount = 32;
+
+  struct Level {
+    std::size_t spec = 0;   ///< entries_per_subblock, then block_bytes
+    std::size_t alloc = 0;  ///< u64
+    std::uint64_t alloc_value = 0;
+    std::size_t free_entries = 0;  ///< first entry, after the length varint
+    std::vector<std::uint64_t> free_list;
+    std::uint64_t extent = 0;  ///< initialized blocks
+  };
+
+  explicit MetaLayout(std::span<const std::byte> meta) {
+    ByteReader reader(meta);
+    const auto at = [&] { return meta.size() - reader.remaining(); };
+    for (int i = 0; i < 3; ++i) reader.get_u64();  // magic .. file size
+    max_vertex = reader.get_u64();
+    const std::uint32_t count = reader.get_u32();
+    for (std::uint32_t l = 0; l < count; ++l) {
+      Level level;
+      level.spec = at();
+      reader.get_u64();
+      reader.get_u64();
+      level.alloc = at();
+      level.alloc_value = reader.get_u64();
+      level.free_list = reader.get_vector<std::uint64_t>();
+      level.free_entries = at() - 8 * level.free_list.size();
+      level.extent = reader.get_varint();
+      reader.get_vector<std::uint8_t>();
+      reader.get_vector<std::uint32_t>();
+      levels.push_back(std::move(level));
+    }
+  }
+
+  VertexId max_vertex = 0;
+  std::vector<Level> levels;
+};
+
+class GrdbMetaFuzz : public ::testing::Test {
+ protected:
+  enum class Outcome {
+    kOk,          ///< opened; the sweep and every read finished
+    kRejected,    ///< the open threw StorageError or FormatError
+    kReadError,   ///< opened; a read threw StorageError or FormatError
+    kUntyped,     ///< any other exception (reported as a failure)
+  };
+
+  static GraphDBConfig config(const TempDir& dir) {
+    GraphDBConfig config;
+    config.dir = dir.path();
+    config.cache_bytes = 1 << 16;
+    config.async_io = false;
+    return config;
+  }
+
+  static void SetUpTestSuite() {
+    base_ = std::make_unique<TempDir>();
+    {
+      GrDB db(config(*base_), small_options());
+      // A hub whose chain crosses every level, a shorter chain, and a few
+      // level-0 vertices; defragment recycles sub-blocks, so the free
+      // lists are not empty.
+      db.store_edges(star_edges(5, 25));
+      db.store_edges(star_edges(40, 6));
+      db.store_edges(std::vector<Edge>{{2, 7}, {9, 1}, {9, 4}, {17, 3}});
+      db.defragment();
+      db.flush();
+    }
+    meta_ = read_file(base_->path() / "grdb.meta");
+  }
+  static void TearDownTestSuite() { base_.reset(); }
+
+  void SetUp() override {
+    const MetaLayout layout(meta_);
+    ASSERT_EQ(layout.max_vertex, 40u);
+    ASSERT_EQ(layout.levels.size(), 3u);
+    std::size_t free_entries = 0;
+    for (const auto& level : layout.levels) {
+      free_entries += level.free_list.size();
+    }
+    ASSERT_GT(free_entries, 0u) << "the base store recycled no sub-block";
+  }
+
+  /// Reopens a copy of the base store carrying `meta`, then sweeps it and
+  /// reads every vertex the sweep visits.
+  static Outcome reopen(const std::vector<std::byte>& meta) {
+    TempDir work;
+    copy_store(base_->path(), work.path());
+    write_file(work.path() / "grdb.meta", meta);
+    std::unique_ptr<GrDB> db;
+    try {
+      db = std::make_unique<GrDB>(config(work), small_options());
+    } catch (const StorageError&) {
+      return Outcome::kRejected;
+    } catch (const FormatError&) {
+      return Outcome::kRejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "the open threw an untyped error: " << e.what();
+      return Outcome::kUntyped;
+    }
+    try {
+      std::vector<VertexId> vertices;
+      db->for_each_vertex([&vertices](VertexId v) {
+        vertices.push_back(v);
+        return true;
+      });
+      std::vector<VertexId> out;
+      for (const VertexId v : vertices) {
+        out.clear();
+        db->get_adjacency(v, out);
+      }
+      return Outcome::kOk;
+    } catch (const StorageError&) {
+      return Outcome::kReadError;
+    } catch (const FormatError&) {
+      return Outcome::kReadError;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "a read threw an untyped error: " << e.what();
+      return Outcome::kUntyped;
+    }
+  }
+
+  static std::vector<std::byte> with_u64(std::size_t offset,
+                                         std::uint64_t value) {
+    auto meta = meta_;
+    std::memcpy(meta.data() + offset, &value, 8);
+    return meta;
+  }
+
+  /// Offsets of the u64 fields decode_meta bounds: max_vertex, and each
+  /// level's alloc and free entries.
+  static std::vector<std::size_t> bounded_fields(const MetaLayout& layout) {
+    std::vector<std::size_t> fields{MetaLayout::kMaxVertex};
+    for (const auto& level : layout.levels) {
+      fields.push_back(level.alloc);
+      for (std::size_t i = 0; i < level.free_list.size(); ++i) {
+        fields.push_back(level.free_entries + 8 * i);
+      }
+    }
+    return fields;
+  }
+
+  /// What a reopen must end in once the bounded field at `offset` holds
+  /// `value` and the rest of the meta is the base's.
+  static Outcome bound_for(std::size_t offset, std::uint64_t value) {
+    const MetaLayout layout(meta_);
+    const auto ok_unless = [](bool bad) {
+      return bad ? Outcome::kRejected : Outcome::kOk;
+    };
+    if (offset == MetaLayout::kMaxVertex) {
+      const std::uint64_t k0 =
+          small_options().geometry.levels[0].subblocks_per_block();
+      return ok_unless(value != 0 && value / k0 >= layout.levels[0].extent);
+    }
+    for (std::size_t l = 0; l < layout.levels.size(); ++l) {
+      const MetaLayout::Level& level = layout.levels[l];
+      if (offset == level.alloc) {
+        const std::uint64_t per_block =
+            small_options().geometry.levels[l].subblocks_per_block();
+        bool bad = value / per_block + (value % per_block != 0 ? 1 : 0) >
+                   level.extent;
+        for (const std::uint64_t entry : level.free_list) {
+          bad = bad || entry >= value;
+        }
+        return ok_unless(bad);
+      }
+      if (offset >= level.free_entries &&
+          offset < level.free_entries + 8 * level.free_list.size()) {
+        return ok_unless(value >= level.alloc_value);
+      }
+    }
+    ADD_FAILURE() << "no bound speaks about offset " << offset;
+    return Outcome::kUntyped;
+  }
+
+  static inline std::unique_ptr<TempDir> base_;
+  static inline std::vector<std::byte> meta_;
+};
+
+TEST_F(GrdbMetaFuzz, UnmutatedMetaReopensWhole) {
+  TempDir work;
+  copy_store(base_->path(), work.path());
+  GrDB db(config(work), small_options());
+  std::vector<VertexId> vertices;
+  db.for_each_vertex([&vertices](VertexId v) {
+    vertices.push_back(v);
+    return true;
+  });
+  EXPECT_EQ(vertices, (std::vector<VertexId>{2, 5, 9, 17, 40}));
+  std::vector<VertexId> out;
+  db.get_adjacency(5, out);
+  EXPECT_EQ(out.size(), 25u);
+  out.clear();
+  db.get_adjacency(40, out);
+  EXPECT_EQ(out.size(), 6u);
+  EXPECT_TRUE(db.verify().ok());
+}
+
+TEST_F(GrdbMetaFuzz, TruncationAtEveryByteIsRejected) {
+  for (std::size_t size = 0; size < meta_.size(); ++size) {
+    const std::vector<std::byte> cut(meta_.begin(),
+                                     meta_.begin() + static_cast<long>(size));
+    EXPECT_EQ(reopen(cut), Outcome::kRejected) << "truncated at " << size;
+  }
+}
+
+TEST_F(GrdbMetaFuzz, FlippedBitsInEveryFieldEndTypedOrFinish) {
+  const MetaLayout layout(meta_);
+  // Fields that must match the store's geometry exactly: the magic, the
+  // file size, the level count and every level's spec.
+  std::set<std::size_t> geometry{0, 1, 2, 3, 4, 5, 6, 7};
+  for (std::size_t b = 0; b < 8; ++b) {
+    geometry.insert(MetaLayout::kMaxFileBytes + b);
+  }
+  for (std::size_t b = 0; b < 4; ++b) {
+    geometry.insert(MetaLayout::kLevelCount + b);
+  }
+  for (const auto& level : layout.levels) {
+    for (std::size_t b = 0; b < 16; ++b) geometry.insert(level.spec + b);
+  }
+  const std::vector<std::size_t> bounded = bounded_fields(layout);
+  for (std::size_t pos = 0; pos < meta_.size(); ++pos) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      auto meta = meta_;
+      meta[pos] ^= std::byte(1u << bit);
+      const Outcome got = reopen(meta);
+      std::optional<Outcome> want;
+      for (const std::size_t field : bounded) {
+        if (field <= pos && pos < field + 8) {
+          std::uint64_t value = 0;
+          std::memcpy(&value, meta.data() + field, 8);
+          want = bound_for(field, value);
+        }
+      }
+      if (geometry.contains(pos)) {
+        EXPECT_EQ(got, Outcome::kRejected) << "byte " << pos << " bit " << bit;
+      } else if (pos >= MetaLayout::kGeneration &&
+                 pos < MetaLayout::kGeneration + 8) {
+        // The generation only decides which edge-log records replay, and
+        // the closed store's log holds none.
+        EXPECT_EQ(got, Outcome::kOk) << "generation bit " << bit;
+      } else if (want) {
+        EXPECT_EQ(got, *want) << "byte " << pos << " bit " << bit;
+      } else {
+        EXPECT_NE(got, Outcome::kUntyped) << "byte " << pos << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST_F(GrdbMetaFuzz, MaxVertexPastTheLevelZeroExtentIsRejected) {
+  const MetaLayout layout(meta_);
+  const std::uint64_t k0 =
+      small_options().geometry.levels[0].subblocks_per_block();
+  const std::uint64_t first_past = layout.levels[0].extent * k0;
+  EXPECT_EQ(reopen(with_u64(MetaLayout::kMaxVertex, first_past - 1)),
+            Outcome::kOk);
+  // A sweep to one of these never finished before decode_meta bounded it.
+  for (const std::uint64_t past :
+       {first_past, std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+        ~std::uint64_t{0}}) {
+    EXPECT_EQ(reopen(with_u64(MetaLayout::kMaxVertex, past)),
+              Outcome::kRejected)
+        << "max_vertex " << past;
+  }
+}
+
+TEST_F(GrdbMetaFuzz, AllocPastItsExtentOrFreeEntryPastAllocIsRejected) {
+  const MetaLayout layout(meta_);
+  for (std::size_t l = 1; l < layout.levels.size(); ++l) {
+    const MetaLayout::Level& level = layout.levels[l];
+    const std::uint64_t per_block =
+        small_options().geometry.levels[l].subblocks_per_block();
+    const std::uint64_t last = level.extent * per_block;
+    EXPECT_EQ(reopen(with_u64(level.alloc, last)), Outcome::kOk) << l;
+    EXPECT_EQ(reopen(with_u64(level.alloc, last + 1)), Outcome::kRejected)
+        << l;
+    EXPECT_EQ(reopen(with_u64(level.alloc, ~std::uint64_t{0})),
+              Outcome::kRejected)
+        << l;
+    for (std::size_t i = 0; i < level.free_list.size(); ++i) {
+      const std::size_t at = level.free_entries + 8 * i;
+      EXPECT_EQ(reopen(with_u64(at, level.alloc_value - 1)), Outcome::kOk);
+      EXPECT_EQ(reopen(with_u64(at, level.alloc_value)), Outcome::kRejected)
+          << "level " << l << " free entry " << i;
+    }
+  }
+}
+
+TEST_F(GrdbMetaFuzz, RandomByteOverwritesEndTypedOrFinish) {
+  const std::uint64_t seed = meta_fuzz_seed();
+  SCOPED_TRACE("MSSG_FUZZ_SEED=" + std::to_string(seed));
+  std::mt19937_64 rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    auto meta = meta_;
+    const int bytes = 1 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < bytes; ++i) {
+      meta[rng() % meta.size()] = static_cast<std::byte>(rng());
+    }
+    EXPECT_NE(reopen(meta), Outcome::kUntyped) << "trial " << trial;
+  }
 }
 
 }  // namespace

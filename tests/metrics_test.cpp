@@ -186,9 +186,8 @@ constexpr std::string_view kContractNames[] = {
     "io.engine.dropped_errors", "io.engine.lanes", "io.prefetch_hits",
     "io.prefetch_issued", "io.read_stalls", "io.reads", "io.syncs",
     "io.vectored_merges", "io.writes", "journal.deferred_flushes",
-    "journal.group_commits", "mmap.fallbacks", "mmap.lazy_verifies",
-    "mmap.mapped_bytes", "mmap.maps", "mmap.zero_copy_reads", "span.bfs.level",
-    "span.ingest.window", "storage.checksum_failures", "storage.checksum_torn",
+    "journal.group_commits", "span.bfs.level", "span.ingest.window",
+    "storage.checksum_failures", "storage.checksum_torn",
     "storage.journal_records", "storage.journal_replays", "txn.committed_epoch",
     "txn.cow_pages", "txn.epochs_live", "txn.snapshot_reads",
     "txn.versions_held",
@@ -201,10 +200,8 @@ constexpr std::string_view kStorageNames[] = {
     "io.cache_misses", "io.cache_pin_leaks", "io.engine.dropped_errors",
     "io.prefetch_hits", "io.prefetch_issued", "io.read_stalls", "io.reads",
     "io.syncs", "io.vectored_merges", "io.writes", "journal.deferred_flushes",
-    "journal.group_commits", "mmap.fallbacks", "mmap.lazy_verifies",
-    "mmap.mapped_bytes", "mmap.maps", "mmap.zero_copy_reads",
-    "storage.checksum_failures", "storage.checksum_torn",
-    "storage.journal_records", "storage.journal_replays", "txn.cow_pages",
+    "journal.group_commits", "storage.checksum_failures",
+    "storage.checksum_torn", "storage.journal_records", "storage.journal_replays", "txn.cow_pages",
     "txn.snapshot_reads",
 };
 

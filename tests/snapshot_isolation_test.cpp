@@ -1,5 +1,5 @@
 // Snapshot isolation test suite (`txn` label; DESIGN.md "Snapshot
-// isolation").  Four layers:
+// isolation").  Three layers:
 //
 //   EpochMechanics   the primitives alone — EpochManager pin / advance /
 //                    retire accounting and the VersionStore serving and
@@ -8,10 +8,6 @@
 //                    pre-image while live state moves on, pages are
 //                    captured once per epoch and shared by identity, and
 //                    versions drain when the last reader releases.
-//   SnapshotMmap     grDB's sealed mmap read path interoperating with
-//                    concurrent ingest: the mapped epoch keeps serving
-//                    pinned readers while the successor epoch mutates
-//                    through the cache.
 //   SnapshotStress   8 reader threads racing 1 ingest thread on every
 //                    backend, with a closed-form expected state — the
 //                    suite ci_sanitize.sh runs under tsan.
@@ -304,113 +300,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return std::string("unknown");
     });
-
-// ---- SnapshotMmap ----------------------------------------------------------
-
-// The sealed mmap read path under concurrent ingest: the sealed epoch
-// stays mapped (and keeps serving pinned readers) while the successor
-// epoch mutates through the cache.  Blocks COW'd since the seal are
-// served from the version shelf instead of the stale mapping.
-TEST(SnapshotMmap, SealedReadersSurviveConcurrentStoreAndFlush) {
-  constexpr VertexId kV = 8;
-  constexpr std::uint64_t kBatches = 12;
-
-  TempDir dir;
-  GraphDBConfig config;
-  config.snapshots = true;
-  config.mmap_sealed = true;
-  auto db = make_db(Backend::kGrDB, dir, config);
-
-  // Seal a first epoch so the level files are mapped before ingest runs.
-  std::vector<Edge> first;
-  for (VertexId v = 0; v < kV; ++v) first.push_back(Edge{v, kV + 0});
-  db->store_edges(first);
-  db->flush();
-  EXPECT_GT(db->metrics().counter("mmap.maps"), 0u);
-
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> lo{1}, hi{1};
-  std::mutex fail_mu;
-  std::vector<std::string> failures;
-  auto fail = [&](const std::string& msg) {
-    std::lock_guard<std::mutex> lock(fail_mu);
-    failures.push_back(msg);
-  };
-
-  // One pin held across the WHOLE ingest: epoch 1 must stay readable no
-  // matter how many successor epochs seal and remap behind it.
-  SnapshotRef sealed_pin = db->begin_snapshot();
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&, r] {
-      while (!done.load(std::memory_order_acquire) && failures.empty()) {
-        if (r == 0) {
-          // Reader 0 re-reads the long-lived epoch-1 pin.
-          SnapshotScope scope(sealed_pin);
-          for (VertexId v = 0; v < kV; ++v) {
-            std::vector<VertexId> adj;
-            db->get_adjacency(v, adj);
-            if (adj != std::vector<VertexId>{kV + 0}) {
-              fail("epoch-1 pin drifted at vertex " + std::to_string(v));
-              return;
-            }
-          }
-          continue;
-        }
-        const std::uint64_t floor = lo.load(std::memory_order_acquire);
-        SnapshotScope scope(db->begin_snapshot());
-        std::optional<std::size_t> k;
-        for (VertexId v = 0; v < kV; ++v) {
-          std::vector<VertexId> adj;
-          db->get_adjacency(v, adj);
-          std::sort(adj.begin(), adj.end());
-          for (std::size_t i = 0; i < adj.size(); ++i) {
-            if (adj[i] != kV + i) {
-              fail("stale or torn block at vertex " + std::to_string(v));
-              return;
-            }
-          }
-          if (!k) {
-            k = adj.size();
-          } else if (adj.size() != *k) {
-            fail("epochs mixed across vertices under mmap");
-            return;
-          }
-        }
-        const std::uint64_t ceil = hi.load(std::memory_order_acquire);
-        if (*k < floor || *k > ceil) {
-          fail("mapped snapshot outside committed bounds");
-          return;
-        }
-      }
-    });
-  }
-
-  for (std::uint64_t b = 1; b < kBatches; ++b) {
-    hi.store(b + 1, std::memory_order_release);
-    std::vector<Edge> batch;
-    for (VertexId v = 0; v < kV; ++v) batch.push_back(Edge{v, kV + b});
-    db->store_edges(batch);
-    db->flush();  // seals + remaps eagerly from this writer context
-    lo.store(b + 1, std::memory_order_release);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  for (const auto& msg : failures) ADD_FAILURE() << msg;
-
-  // The epoch-1 pin is still exact after every remap.
-  {
-    SnapshotScope scope(sealed_pin);
-    std::vector<VertexId> adj;
-    db->get_adjacency(0, adj);
-    EXPECT_EQ(adj, (std::vector<VertexId>{kV + 0}));
-  }
-  sealed_pin.reset();
-  const auto state = db->txn_state();
-  EXPECT_EQ(state.live_snapshots, 0u);
-  EXPECT_EQ(state.versions, 0u);
-}
 
 // ---- SnapshotStress --------------------------------------------------------
 

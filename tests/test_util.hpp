@@ -1,6 +1,7 @@
 // Shared helpers for the MSSG test suite.
 #pragma once
 
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/types.hpp"
 #include "gen/memory_graph.hpp"
 #include "graphdb/graphdb.hpp"
+#include "storage/file.hpp"
 
 namespace mssg::testing {
 
@@ -58,6 +60,30 @@ inline std::vector<std::vector<VertexId>> batch_lists(
         return true;
       });
   return lists;
+}
+
+/// A whole file's bytes.
+inline std::vector<std::byte> read_file(const std::filesystem::path& path) {
+  const File file = File::open_readonly(path);
+  std::vector<std::byte> bytes(file.size());
+  file.read_at(0, bytes);
+  return bytes;
+}
+
+/// Replaces the file at `path` with `bytes`.
+inline void write_file(const std::filesystem::path& path,
+                       std::span<const std::byte> bytes) {
+  std::filesystem::remove(path);
+  const File file = File::open(path);
+  if (!bytes.empty()) file.write_at(0, bytes);
+}
+
+/// Copies every file of a closed store's directory into `to`.
+inline void copy_store(const std::filesystem::path& from,
+                       const std::filesystem::path& to) {
+  for (const auto& entry : std::filesystem::directory_iterator(from)) {
+    std::filesystem::copy(entry.path(), to / entry.path().filename());
+  }
 }
 
 /// Sorted copy (adjacency order is backend-specific).

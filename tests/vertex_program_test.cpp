@@ -9,7 +9,9 @@
 //   - CC label determinism: byte-identical snapshots across 1/2/4-node
 //     runs (the label-tie nondeterminism fix),
 //   - PageRank / k-core / triangles / SSSP against sequential
-//     references (power iteration, peeling, brute force, Dijkstra),
+//     references (power iteration, peeling, brute force, Dijkstra), and
+//     pagerank / lp-cc / kcore on grDB clusters whose scans churn their
+//     caches against HashMap clusters of the same size,
 //   - the full concurrent mix through QueryScheduler with per-query
 //     sched.q<id>.* attribution, zero-budget admission rejection, and
 //     failing-query accounting.
@@ -544,6 +546,50 @@ TEST(AnalyticsReference, SsspMatchesDijkstra) {
     if (comm.rank() == 0) point = s;
   });
   EXPECT_EQ(point.distance, expected.at(target));
+}
+
+// grDB clusters with 64 KB caches, which the full-graph scans churn,
+// answer pagerank, lp-cc and kcore exactly as a HashMap cluster of the
+// same size does, and Algorithm 1 finds the reference distances, at 1, 2
+// and 4 nodes: every grDB read goes through the 2Q cache.
+TEST(AnalyticsReference, ChurnedGrdbCachesMatchHashMapAcrossNodeCounts) {
+  const ChungLuConfig gen{.vertices = 400, .edges = 1800, .seed = 77};
+  const auto edges = generate_chung_lu(gen);
+  const MemoryGraph reference(gen.vertices, edges);
+  const auto pairs = sample_random_pairs(reference, 6, 991);
+  ASSERT_FALSE(pairs.empty());
+  // Everything but the trailing wall-clock seconds entry.
+  const auto without_seconds = [](std::vector<double> result) {
+    if (!result.empty()) result.pop_back();
+    return result;
+  };
+
+  for (const int nodes : {1, 2, 4}) {
+    ClusterConfig grdb_config;
+    grdb_config.backend = Backend::kGrDB;
+    grdb_config.backend_nodes = nodes;
+    grdb_config.db.cache_bytes = 64 << 10;
+    ClusterConfig hashmap_config = grdb_config;
+    hashmap_config.backend = Backend::kHashMap;
+    MssgCluster grdb(grdb_config);
+    MssgCluster hashmap(hashmap_config);
+    grdb.ingest(edges);
+    hashmap.ingest(edges);
+
+    for (const auto& [name, params] :
+         std::vector<std::pair<std::string, std::vector<std::uint64_t>>>{
+             {"pagerank", {5}}, {"lp-cc", {}}, {"kcore", {3}}}) {
+      EXPECT_EQ(without_seconds(grdb.run_analysis(name, params)),
+                without_seconds(hashmap.run_analysis(name, params)))
+          << name << " diverged at " << nodes << " nodes";
+    }
+    for (const auto& pair : pairs) {
+      EXPECT_EQ(grdb.bfs(pair.src, pair.dst).distance, pair.distance)
+          << pair.src << "->" << pair.dst << " at " << nodes << " nodes";
+    }
+    EXPECT_GT(grdb.metrics_snapshot().counter("io.cache_evictions"), 0u)
+        << "the scans never churned the cache at " << nodes << " nodes";
+  }
 }
 
 // ---- the concurrent mix through the scheduler ------------------------------

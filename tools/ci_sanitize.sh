@@ -50,12 +50,6 @@ FILTER+=':IoEngineStress.*'
 # A14 mixed-workload smoke) also runs via ctest under BOTH presets below.
 FILTER+=':VertexProgramEngine.*:*UnitSsspHopEquivalence*:CcDeterminism.*'
 FILTER+=':AnalyticsReference.*:*AnalyticsScheduler*'
-# PR 9: the zero-copy mmap read path — scan threads read MAP_SHARED
-# views while the verified-bitmap latches lazily (fetch_or) and map/unmap
-# transitions race point probes on the cache path.  The full mmap label
-# (these suites plus the A15 smoke) also runs via ctest under BOTH
-# presets below.
-FILTER+=':MappedFile.*:MappedBlockSource.*:Mmap*'
 # PR 10: epoch-based snapshot isolation — reader threads pin epochs and
 # walk COW pre-images while the ingest path captures versions, advances
 # epochs and retires them; the stress suites race 8 readers against a
@@ -65,7 +59,7 @@ FILTER+=':MappedFile.*:MappedBlockSource.*:Mmap*'
 # literal dot sits after "Differential", so the new suite is listed
 # explicitly.)  The full txn label also runs via ctest under BOTH
 # presets below.
-FILTER+=':EpochMechanics.*:*SnapshotCow*:SnapshotMmap.*:*SnapshotStress*'
+FILTER+=':EpochMechanics.*:*SnapshotCow*:*SnapshotStress*'
 FILTER+=':*DifferentialTxn*'
 # PR 11: the serving front-end — the parser fuzz wall hammers the
 # lexer's byte handling (mutated non-UTF8 input is exactly where a
@@ -92,8 +86,8 @@ FILTER+=':*GraphDBContract*'
 # replay bounds (asan: a count that sized a read past the record), the
 # log-commit/checkpoint and corrupt-journal suites (a journal record's
 # block index reaching ensure_file), and the rest of grDB's unit suite.
-# The fuzz label (the log mutation suite) runs via ctest under
-# asan-ubsan below.
+# The fuzz label (EdgeLogFuzz.* and GrdbMetaFuzz.*, the edge-log and
+# grdb.meta mutation suites) runs via ctest under asan-ubsan below.
 FILTER+=':EdgeLog.*:GrdbEdgeLog.*:GrdbCorruptJournal.*:Grdb.*'
 # The radix sort behind the codec, grDB's staged walk and MS-BFS's
 # frontier: its scatter indexes a scratch vector by prefix-summed digit
@@ -126,20 +120,11 @@ run_preset() {
   #  - analytics (VertexProgram engine suites + the A14 smoke): tsan for
   #    the rank threads racing the shared budget/cache, asan for the
   #    slot/bitset arithmetic in the engine's frontier machinery.
-  #  - mmap (MappedFile/MappedBlockSource mechanics, mmap-on/off
-  #    equivalence, bit-rot parity, the A15 smoke): tsan for the
-  #    mapped-active/verified-bitmap atomics against concurrent scans,
-  #    asan because mmap regions are *not* heap — asan poisons no
-  #    redzones around them, so the per-block span bounds in
-  #    MappedBlockSource are the only thing standing between a stale
-  #    block index and a silent out-of-bounds read; shadow memory for
-  #    MAP_SHARED pages is materialized lazily and must not trip
-  #    intra-object checks.
   #  - txn (epoch/COW mechanics, snapshot stress, the interleaved
   #    differential harness, the crash-label epoch sweeps' sibling
   #    suites, the A16 smoke): tsan because snapshot isolation IS a
   #    cross-thread visibility claim — readers on retired pins, the
-  #    version-shelf double-check, the eager-remap handoff — and asan for
+  #    version-shelf double-check, the in-place frame latch — and asan for
   #    the captured pre-image buffers (a version outliving its block, or
   #    a purge racing a reader, shows up as heap-use-after-free here
   #    first).
@@ -149,13 +134,14 @@ run_preset() {
   #    asan-ubsan for the hand-written lexer over hostile bytes (the fuzz
   #    corpus exists to catch exactly the out-of-bounds reads asan sees
   #    first).
-  for label in io analytics mmap txn serve; do
+  for label in io analytics txn serve; do
     echo "=== [$preset] ctest -L $label ==="
     ctest --test-dir "$build_dir" -L "$label" --output-on-failure
   done
-  #  - fuzz (seeded mutations of the edge log's bytes, each reopened
-  #    through grDB's replay): asan-ubsan, where a read or allocation
-  #    sized by a mutated field shows first.
+  #  - fuzz (GrdbMetaFuzz.* and EdgeLogFuzz.*: seeded mutations of
+  #    grdb.meta's and the edge log's bytes, each reopened through grDB):
+  #    asan-ubsan, where a read or allocation sized by a mutated field
+  #    shows first.
   if [ "$preset" = asan-ubsan ]; then
     echo "=== [$preset] ctest -L fuzz ==="
     ctest --test-dir "$build_dir" -L fuzz --output-on-failure
