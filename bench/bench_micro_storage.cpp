@@ -1,20 +1,43 @@
 // A5 — storage-substrate microbenchmarks: B+tree point ops, heap-file
 // rows, block-cache hit/miss paths, overflow chains, the CRC32C kernels
-// behind every integrity check, and the id sorts and vertex codec on the
-// traversal's wire path.  These calibrate the substrate underneath the
-// KVStore/Relational backends and grDB.
+// behind every integrity check, grDB's batched adjacency read, and the
+// id sorts and vertex codec on the traversal's wire path.  These
+// calibrate the substrate underneath the KVStore/Relational backends and
+// grDB.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <new>
 
 #include "common/crc32c.hpp"
 #include "common/radix_sort.hpp"
 #include "common/rng.hpp"
 #include "common/temp_dir.hpp"
 #include "common/vertex_codec.hpp"
+#include "gen/datasets.hpp"
+#include "graphdb/grdb/grdb.hpp"
 #include "storage/btree.hpp"
 #include "storage/heap_file.hpp"
 #include "storage/overflow.hpp"
+
+// Every operator new of this binary is counted, so a bench can report
+// the heap allocations one operation makes.
+std::atomic<std::uint64_t> g_allocations{0};
+
+// Not inlined, so the compiler never pairs a new-expression with the
+// free() inside.
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -159,6 +182,92 @@ void BM_CacheMissEvict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheMissEvict);
+
+// grDB's batched adjacency read, the call every traversal hands its
+// fringe to: one get_adjacency_batch over a fixed 4096-vertex fringe of a
+// PubMed-S store (scale 0.1, one node holding every directed edge).  Arg
+// 0 runs it with a cache that holds the store, arg 1 with a cache a
+// quarter of the store's level files, which adds the miss path (frame,
+// pread, sidecar CRC) to the staged walk's decode and visit.  Items are
+// the adjacency entries delivered; allocs_per_read counts the heap
+// allocations of one read, and block_pins_per_read and misses_per_read
+// its cache accesses.
+struct BatchReadStore {
+  TempDir dir;
+  std::uint64_t level_bytes = 0;
+  std::vector<VertexId> fringe;
+};
+
+GraphDBConfig batch_read_config(const TempDir& dir, std::size_t cache_bytes) {
+  GraphDBConfig config;
+  config.dir = dir.path();
+  config.cache_bytes = cache_bytes;
+  config.journal = false;
+  config.async_io = false;
+  return config;
+}
+
+const BatchReadStore& batch_read_store() {
+  static const std::unique_ptr<BatchReadStore> store = [] {
+    auto s = std::make_unique<BatchReadStore>();
+    const DatasetSpec spec = pubmed_s(0.1);
+    std::vector<Edge> directed;
+    for (const Edge& e : build_dataset(spec)) {
+      directed.push_back(e);
+      directed.push_back(Edge{e.dst, e.src});
+    }
+    {
+      GrDB db(batch_read_config(s->dir, std::size_t{1} << 30));
+      db.store_edges(directed);
+      db.flush();
+    }
+    for (const auto& entry :
+         std::filesystem::directory_iterator(s->dir.path())) {
+      if (entry.path().filename().string().starts_with("level")) {
+        s->level_bytes += entry.file_size();
+      }
+    }
+    Rng rng(23);
+    for (int i = 0; i < 4096; ++i) s->fringe.push_back(rng.below(spec.vertices));
+    return s;
+  }();
+  return *store;
+}
+
+void BM_GrdbBatchRead(benchmark::State& state) {
+  const BatchReadStore& store = batch_read_store();
+  const bool quarter = state.range(0) != 0;
+  GrDB db(batch_read_config(
+      store.dir, quarter ? store.level_bytes / 4 : 2 * store.level_bytes));
+  std::uint64_t entries = 0;
+  const auto read = [&] {
+    db.get_adjacency_batch(store.fringe,
+                           [&](std::size_t, std::span<const VertexId> list) {
+                             entries += list.size();
+                             benchmark::DoNotOptimize(list.data());
+                             return true;
+                           });
+  };
+  const Counter& hits = db.metrics().counter("io.cache_hits");
+  const Counter& misses = db.metrics().counter("io.cache_misses");
+  read();  // the cache reaches its steady state
+  entries = 0;
+  const std::uint64_t allocations = g_allocations.load();
+  const std::uint64_t pins = hits + misses;
+  const std::uint64_t missed = misses;
+  for (auto _ : state) read();
+  const double reads = static_cast<double>(state.iterations());
+  state.counters["allocs_per_read"] =
+      static_cast<double>(g_allocations.load() - allocations) / reads;
+  state.counters["block_pins_per_read"] =
+      static_cast<double>(hits + misses - pins) / reads;
+  state.counters["misses_per_read"] =
+      static_cast<double>(misses - missed) / reads;
+  state.counters["entries_per_read"] = static_cast<double>(entries) / reads;
+  state.SetItemsProcessed(static_cast<std::int64_t>(entries));
+  state.SetLabel(quarter ? "cache:quarter" : "cache:store");
+}
+BENCHMARK(BM_GrdbBatchRead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_OverflowRoundTrip(benchmark::State& state) {
   TempDir dir;

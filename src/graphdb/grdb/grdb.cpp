@@ -4,6 +4,7 @@
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/crc32c.hpp"
 #include "common/radix_sort.hpp"
@@ -80,40 +81,59 @@ class ChainWalk {
   std::uint64_t hops_ = 0;
 };
 
+static_assert(sizeof(VertexId) == grdb::kEntryBytes);
+
 /// Appends the vertex entries of the pinned sub-block `ref` to `out`.
 /// Returns true when the chain continues: the sub-block ended in a
-/// pointer, and `walk` now stands on its target.
+/// pointer, and `walk` now stands on its target.  Vertex entries (tag 0,
+/// the id itself) fill a sub-block from its first slot, so one scan
+/// finds their run, one copy appends it, and only the word that ends the
+/// run is classified: the empty sentinel ends the chain, a pointer is
+/// followed, and any other tag-7 word throws StorageError.
 template <typename Ref>
 bool decode_subblock(const Ref& ref, ChainWalk& walk,
                      std::vector<VertexId>& out) {
-  for (std::uint64_t i = 0; i < ref.entries; ++i) {
-    const std::uint64_t entry = ref.get(i);
-    switch (grdb::classify(entry)) {
-      case EntryKind::kVertex:
-        out.push_back(grdb::entry_vertex(entry));
-        break;
-      case EntryKind::kEmpty:
-        return false;  // slots are filled left-to-right; first empty ends it
-      case EntryKind::kPointer:
-        walk.follow(entry);
-        return true;
-    }
+  const std::byte* const bytes = ref.bytes();
+  std::uint64_t run = 0;
+  std::uint64_t entry = 0;
+  for (; run < ref.entries; ++run) {
+    std::memcpy(&entry, bytes + run * grdb::kEntryBytes, sizeof(entry));
+    if (entry >> grdb::kTagShift != 0) break;
   }
-  return false;
+  if (run != 0) {
+    const std::size_t at = out.size();
+    out.resize(at + run);
+    std::memcpy(out.data() + at, bytes, run * grdb::kEntryBytes);
+  }
+  if (run == ref.entries || grdb::classify(entry) == EntryKind::kEmpty) {
+    return false;
+  }
+  walk.follow(entry);  // classify found a pointer
+  return true;
 }
 
-// Requests per staged walk in get_adjacency_batch.  A slice's lists are
+// Requests per staged walk in get_adjacency_batch.  A slice's entries are
 // held until the slice is visited, so the slice bounds that memory and
 // the reads a visitor that stops early leaves unused.
 constexpr std::size_t kBatchSlice = 4096;
+// Entries per chunk of a batched read's arena: 256 KB, the cache's
+// largest frame.  A chunk is filled, never grown, so decoded entries
+// never move and no buffer of the walk outgrows a frame: one arena that
+// grew by doubling to a slice's megabytes raised glibc's dynamic mmap
+// threshold, and with it the freed heap each thread keeps.
+constexpr std::size_t kArenaChunk = 32768;
 }  // namespace
 
 // ---- SubblockRef -----------------------------------------------------------
 
+const std::byte* GrDB::SubblockRef::bytes() const {
+  const std::byte* base = view.empty() ? handle.data().data() : view.data();
+  return base + offset;
+}
+
 std::uint64_t GrDB::SubblockRef::get(std::uint64_t i) const {
   std::uint64_t value;
-  const std::byte* base = view.empty() ? handle.data().data() : view.data();
-  std::memcpy(&value, base + offset + i * grdb::kEntryBytes, sizeof(value));
+  std::memcpy(&value, bytes() + i * grdb::kEntryBytes, sizeof(value));
   return value;
 }
 
@@ -222,12 +242,16 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
              std::lock_guard<std::mutex> mlk(meta_mu_);
              // Only disk-backed blocks have a recorded CRC; the reader's
              // all-0xFF synthesis for uninitialized blocks never had one.
+             // An initialized block always has one: it is recorded no
+             // later than the block's bit, and decode_meta rejects a
+             // table that does not cover the bitmap.
              if (block >= lvl.initialized.size() ||
-                 !lvl.initialized.test(block) ||
-                 block >= lvl.block_crc.size()) {
+                 !lvl.initialized.test(block)) {
                return;
              }
-             if (crc == lvl.block_crc[block]) return;
+             if (block < lvl.block_crc.size() && crc == lvl.block_crc[block]) {
+               return;
+             }
            }
            ++stats_.checksum_failures;
            throw StorageError("grDB: level " + std::to_string(l) +
@@ -650,6 +674,16 @@ GrDB::MetaImage GrDB::decode_meta(std::span<const std::byte> bytes) const {
       if ((bits[b / 8] >> (b % 8)) & 1) level.initialized.set(b);
     }
     level.block_crc = reader.get_vector<std::uint32_t>();
+    // Every initialized block is checked against its CRC on a read, so
+    // the table must cover the bitmap: a block past it would be read
+    // unchecked.
+    for (std::uint64_t b = level.block_crc.size(); b < extent; ++b) {
+      if (level.initialized.test(b)) {
+        throw StorageError("grDB: meta level " + std::to_string(l) +
+                           " block " + std::to_string(b) +
+                           " is initialized but has no CRC");
+      }
+    }
     // The file has no CRC.  alloc bounds check_allocated and the free
     // list feeds allocate_subblock, so both must lie inside the extent:
     // every sub-block the allocator handed out sits in a written block.
@@ -665,6 +699,10 @@ GrDB::MetaImage GrDB::decode_meta(std::span<const std::byte> bytes) const {
                            " free entry past its alloc");
       }
     }
+  }
+  if (!reader.empty()) {
+    throw StorageError("grDB: meta has " + std::to_string(reader.remaining()) +
+                       " bytes after its last level");
   }
   // max_vertex bounds every level-0 sweep (for_each_vertex, verify,
   // defragment): its block was written, so it lies inside the extent.
@@ -919,34 +957,95 @@ void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
   }
 }
 
+/// The buffers of one get_adjacency_batch call.  Each slice reuses them,
+/// so a steady-state slice allocates nothing per request or per stage.
+struct GrDB::BatchScratch {
+  /// A walk with a sub-block left to read in this stage; `block` is its
+  /// (level << 48 | block) key, the cache key of the block it reads (a
+  /// block index is below kBlockLimit: addressable() and
+  /// ChainWalk::follow check it).
+  struct Cursor {
+    std::uint64_t block;
+    std::uint32_t request;
+  };
+  /// One decoded sub-block's vertex entries, inside an arena chunk.
+  struct Segment {
+    const VertexId* entries;
+    std::size_t length;
+    std::uint32_t request;
+  };
+
+  std::vector<ChainWalk> walks;  ///< one per request of the slice
+  std::vector<Cursor> live;
+  std::vector<Cursor> next;
+  /// The arena: every stage's entries, in decode order.
+  std::vector<std::vector<VertexId>> chunks;
+  std::size_t filling = 0;        ///< the chunk being filled
+  std::vector<Segment> segments;  ///< decode order
+  /// Indices into `segments`, stably sorted by request.
+  std::vector<std::size_t> by_request;
+  /// ends[i]: one past request i's last segment in by_request.
+  std::vector<std::size_t> ends;
+  std::vector<VertexId> joined;  ///< a multi-segment list, for its visit
+
+  /// Empties the arena for the next slice, keeping its chunks.
+  void clear_arena() {
+    for (auto& chunk : chunks) chunk.clear();
+    filling = 0;
+    segments.clear();
+  }
+
+  /// The chunk to decode a sub-block of `slots` entries into: the one
+  /// being filled while it has room for all of them, else the next.
+  std::vector<VertexId>& room_for(std::size_t slots) {
+    for (;; ++filling) {
+      if (filling == chunks.size()) {
+        chunks.emplace_back().reserve(std::max(kArenaChunk, slots));
+      }
+      std::vector<VertexId>& chunk = chunks[filling];
+      if (chunk.capacity() - chunk.size() >= slots) return chunk;
+    }
+  }
+
+  /// Request i's list: a single segment straight from the arena, several
+  /// joined (in chain order) into `joined`.
+  std::span<const VertexId> list(std::size_t i) {
+    const std::size_t first = i == 0 ? 0 : ends[i - 1];
+    const std::size_t last = ends[i];
+    if (last - first == 1) {
+      const Segment& only = segments[by_request[first]];
+      return {only.entries, only.length};
+    }
+    joined.clear();
+    for (std::size_t k = first; k < last; ++k) {
+      const Segment& part = segments[by_request[k]];
+      joined.insert(joined.end(), part.entries, part.entries + part.length);
+    }
+    return joined;
+  }
+};
+
 void GrDB::get_adjacency_batch(std::span<const VertexId> vertices,
                                const AdjacencyVisitor& visit) {
   const Snapshot* snap =
       snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
-  std::vector<std::vector<VertexId>> lists;
+  BatchScratch scratch;
   for (std::size_t start = 0; start < vertices.size(); start += kBatchSlice) {
     const auto slice = vertices.subspan(
         start, std::min(kBatchSlice, vertices.size() - start));
-    read_chains(slice, snap, lists);
+    read_chains(slice, snap, scratch);
     // Every ref of the walk is released: the visitor may read this store.
     for (std::size_t i = 0; i < slice.size(); ++i) {
-      if (!visit(start + i, lists[i])) return;
+      if (!visit(start + i, scratch.list(i))) return;
     }
   }
 }
 
 void GrDB::read_chains(std::span<const VertexId> slice, const Snapshot* snap,
-                       std::vector<std::vector<VertexId>>& lists) {
-  if (lists.size() < slice.size()) lists.resize(slice.size());
+                       BatchScratch& scratch) {
+  using Cursor = BatchScratch::Cursor;
   // One walk per request, so every chain keeps its own geometry, block
-  // index and cycle checks.  A cursor is a walk that has a sub-block
-  // left to read in this stage; `block` is its (level << 48 | block)
-  // key, the cache key of the block it reads (a block index is below
-  // kBlockLimit: addressable() and ChainWalk::follow check it).
-  struct Cursor {
-    std::uint64_t block;
-    std::uint32_t request;
-  };
+  // index and cycle checks.
   const auto cursor = [this](const ChainWalk& walk, std::size_t request) {
     const int level = walk.level();
     const std::uint64_t block =
@@ -954,12 +1053,16 @@ void GrDB::read_chains(std::span<const VertexId> slice, const Snapshot* snap,
     return Cursor{static_cast<std::uint64_t>(level) << 48 | block,
                   static_cast<std::uint32_t>(request)};
   };
-  std::vector<ChainWalk> walks;
+  std::vector<ChainWalk>& walks = scratch.walks;
+  std::vector<Cursor>& live = scratch.live;
+  std::vector<Cursor>& next = scratch.next;
+  walks.clear();
+  live.clear();
+  scratch.clear_arena();
   walks.reserve(slice.size());
-  std::vector<Cursor> live;
-  std::vector<Cursor> next;
+  live.reserve(slice.size());
+  next.reserve(slice.size());
   for (std::size_t i = 0; i < slice.size(); ++i) {
-    lists[i].clear();
     walks.emplace_back(options_.geometry, slice[i]);
     if (may_hold(slice[i], snap)) live.push_back(cursor(walks[i], i));
   }
@@ -968,7 +1071,7 @@ void GrDB::read_chains(std::span<const VertexId> slice, const Snapshot* snap,
   while (!live.empty()) {
     // Block order within each level: ascending file offsets (§4.2).  The
     // key only has to group a block's cursors: each decodes into its own
-    // request's list, and the next stage sorts again.
+    // segment, and the next stage sorts again.
     radix_sort(live, [](const Cursor& c) { return c.block; });
     next.clear();
     for (std::size_t j = 0; j < live.size();) {
@@ -984,12 +1087,31 @@ void GrDB::read_chains(std::span<const VertexId> slice, const Snapshot* snap,
         const std::uint32_t request = live[j].request;
         ChainWalk& walk = walks[request];
         ref.offset = spec.subblock_bytes() * (walk.subblock() % per_block);
-        if (decode_subblock(ref, walk, lists[request])) {
-          next.push_back(cursor(walk, request));
+        // The chunk has room for every slot, so it does not reallocate
+        // and the segments already taken from it stay valid.
+        std::vector<VertexId>& chunk = scratch.room_for(ref.entries);
+        const std::size_t offset = chunk.size();
+        const bool more = decode_subblock(ref, walk, chunk);
+        if (chunk.size() != offset) {
+          scratch.segments.push_back(
+              {chunk.data() + offset, chunk.size() - offset, request});
         }
+        if (more) next.push_back(cursor(walk, request));
       }
     }
     live.swap(next);
+  }
+  // Counting sort by request.  It is stable, and a request has at most
+  // one segment per stage, so each request's segments stay in chain
+  // order.
+  std::vector<std::size_t>& ends = scratch.ends;
+  ends.assign(slice.size(), 0);
+  for (const auto& segment : scratch.segments) ++ends[segment.request];
+  std::size_t begin = 0;
+  for (std::size_t& end : ends) begin += std::exchange(end, begin);
+  scratch.by_request.resize(scratch.segments.size());
+  for (std::size_t k = 0; k < scratch.segments.size(); ++k) {
+    scratch.by_request[ends[scratch.segments[k].request]++] = k;
   }
 }
 

@@ -63,9 +63,13 @@ class GrDB final : public GraphDB {
   /// a chain block read it once per stage instead of once each.  A
   /// stage's cursors are radix-sorted by their block's cache key
   /// (level << 48 | block): that groups a block's cursors, and their
-  /// order inside the group does not matter, since each decodes into
-  /// its own request's list.  The slice is then visited in request
-  /// order.
+  /// order inside the group does not matter.  Every stage decodes into
+  /// one arena of fixed-size chunks per call, each decoded sub-block a
+  /// (request, entries, length) segment of it; the segments are
+  /// counting-sorted by request, keeping chain order.  The slice is then
+  /// visited in request order: a one-segment list straight from the
+  /// arena, a longer one joined into one reused buffer just before its
+  /// visit.
   void get_adjacency_batch(std::span<const VertexId> vertices,
                            const AdjacencyVisitor& visit) override;
   /// Commits everything stored so far (DESIGN.md "Durability &
@@ -196,6 +200,8 @@ class GrDB final : public GraphDB {
     // write back, which a capture need not wait for.
     std::shared_lock<SharedLatch> latch;
 
+    /// The sub-block's first byte.
+    [[nodiscard]] const std::byte* bytes() const;
     [[nodiscard]] std::uint64_t get(std::uint64_t i) const;
     void set(std::uint64_t i, std::uint64_t value);
   };
@@ -224,10 +230,13 @@ class GrDB final : public GraphDB {
   /// True when v may have a chain to read: addressable, and inside the
   /// snapshot's extent when one is installed, or any data stored.
   [[nodiscard]] bool may_hold(VertexId v, const Snapshot* snap) const;
+  /// The reused buffers of one get_adjacency_batch call (grdb.cpp).
+  struct BatchScratch;
   /// One slice of get_adjacency_batch: walks every request's chain,
-  /// stage by stage, appending each list into `lists[i]`.
+  /// stage by stage, decoding each sub-block into the scratch arena as
+  /// one segment, then sorts the segments by request.
   void read_chains(std::span<const VertexId> slice, const Snapshot* snap,
-                   std::vector<std::vector<VertexId>>& lists);
+                   BatchScratch& scratch);
 
   /// Appends neighbors to one vertex's chain.
   void append(VertexId v, std::span<const VertexId> neighbors);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -151,7 +152,7 @@ std::size_t BlockCache::prefetch_async(std::uint16_t store,
     req.kind = IoRequest::Kind::kRead;
     req.file = target->file;
     req.offset = target->offset;
-    req.buffer.resize(s.block_size);
+    req.buffer = take_frame(s.block_size);
     req.key = key;
     batch.push_back(std::move(req));
     pending_reads_.insert(key);
@@ -184,6 +185,7 @@ void BlockCache::poll_async_locked() {
       if (!req.error.empty() && deferred_error_.empty()) {
         deferred_error_ = "async write-behind failed: " + req.error;
       }
+      stash_frame(std::move(req.buffer));
       continue;
     }
     MSSG_CHECK(pending_reads_.erase(req.key) == 1);
@@ -283,7 +285,7 @@ BlockHandle BlockCache::get(std::uint16_t store, std::uint64_t block) {
   attribute(false);
   auto entry = std::make_unique<detail::CacheEntry>();
   entry->key = key;
-  entry->data.resize(stores_[store].block_size);
+  entry->data = take_frame(stores_[store].block_size);
   stores_[store].reader(block, entry->data);
   if (stores_[store].hooks.verify != nullptr) {
     stores_[store].hooks.verify(block, entry->data);
@@ -330,7 +332,7 @@ BlockHandle BlockCache::create(std::uint16_t store, std::uint64_t block) {
     attribute(false);
     auto entry = std::make_unique<detail::CacheEntry>();
     entry->key = key;
-    entry->data.resize(stores_[store].block_size);
+    entry->data = take_frame(stores_[store].block_size);
     entry->pins = 1;
     raw = entry.get();
     map_.emplace(key, std::move(entry));
@@ -357,6 +359,7 @@ void BlockCache::unpin(detail::CacheEntry* entry) {
     } catch (const std::exception& e) {
       if (deferred_error_.empty()) deferred_error_ = e.what();
     }
+    stash_frame(std::move(entry->data));
     map_.erase(entry->key);
     return;
   }
@@ -371,8 +374,13 @@ void BlockCache::unpin(detail::CacheEntry* entry) {
 
 void BlockCache::make_resident(detail::CacheEntry& entry) {
   auto& list = entry.hot ? protected_ : probation_;
-  list.push_front(entry.key);
-  entry.lru_pos = list.begin();
+  if (entry.parked) {
+    list.splice(list.begin(), parked_, entry.lru_pos);
+    entry.parked = false;
+  } else {
+    list.push_front(entry.key);
+    entry.lru_pos = list.begin();
+  }
   entry.in_protected = entry.hot;
   entry.resident = true;
   const std::size_t size = entry.data.size();
@@ -383,7 +391,8 @@ void BlockCache::make_resident(detail::CacheEntry& entry) {
 
 void BlockCache::unlink(detail::CacheEntry& entry) {
   auto& list = entry.in_protected ? protected_ : probation_;
-  list.erase(entry.lru_pos);
+  parked_.splice(parked_.begin(), list, entry.lru_pos);
+  entry.parked = true;
   entry.resident = false;
   const std::size_t size = entry.data.size();
   resident_bytes_ -= size;
@@ -395,15 +404,14 @@ void BlockCache::rebalance_protected() {
   // capacity; the overflow tail gets one more life in probation.
   while (protected_bytes_ > protected_capacity() && !protected_.empty()) {
     const std::uint64_t key = protected_.back();
-    protected_.pop_back();
+    probation_.splice(probation_.begin(), protected_,
+                      std::prev(protected_.end()));  // lru_pos follows
     detail::CacheEntry& entry = *map_.at(key);
     const std::size_t size = entry.data.size();
     protected_bytes_ -= size;
     probation_bytes_ += size;
     entry.in_protected = false;
     entry.hot = false;  // must be re-referenced again to re-promote
-    probation_.push_front(key);
-    entry.lru_pos = probation_.begin();
   }
 }
 
@@ -445,14 +453,18 @@ void BlockCache::evict_to_capacity() {
       bool deferred = false;
       if (victim.dirty && engine_ != nullptr &&
           stores_[store].locator != nullptr) {
+        // Sealed before the locator runs, so a store that records the
+        // seal in its metadata (grDB's sidecar CRC) has it in place no
+        // later than anything the locator marks (grDB's initialized
+        // bit).  A locator that declines leaves write_back to seal again.
+        if (stores_[store].hooks.seal != nullptr) {
+          stores_[store].hooks.seal(block, victim.data);
+        }
         // The locator runs here, on the owning thread, so any store
         // metadata update (file creation, allocation bitmap) is done
         // before the payload leaves for the worker.
         if (std::optional<AsyncTarget> target =
                 stores_[store].locator(block, true)) {
-          if (stores_[store].hooks.seal != nullptr) {
-            stores_[store].hooks.seal(block, victim.data);
-          }
           IoRequest req;
           req.kind = IoRequest::Kind::kWrite;
           req.file = target->file;
@@ -469,6 +481,7 @@ void BlockCache::evict_to_capacity() {
       if (deferred_error_.empty()) deferred_error_ = e.what();
       victim.dirty = false;  // its contents die with this crash epoch
     }
+    stash_frame(std::move(victim.data));  // empty if it left as a write
 
     const std::size_t size = stores_[store].block_size;
     resident_bytes_ -= size;
@@ -509,6 +522,32 @@ void BlockCache::evict_to_capacity() {
     }
     if (!write_behind.empty()) engine_->submit(std::move(write_behind));
   }
+}
+
+std::vector<std::byte> BlockCache::take_frame(std::size_t size) {
+  for (auto& frame : stash_) {
+    if (frame.size() != size) continue;
+    std::swap(frame, stash_.back());
+    std::vector<std::byte> taken = std::move(stash_.back());
+    stash_.pop_back();
+    return taken;
+  }
+  return std::vector<std::byte>(size);
+}
+
+void BlockCache::stash_frame(std::vector<std::byte> frame) {
+  if (frame.empty()) return;
+  for (const auto& kept : stash_) {
+    if (kept.size() == frame.size()) return;  // one per size: free this one
+  }
+  stash_.push_back(std::move(frame));
+}
+
+std::size_t BlockCache::stashed_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t bytes = 0;
+  for (const auto& frame : stash_) bytes += frame.size();
+  return bytes;
 }
 
 void BlockCache::drain_async() {

@@ -78,8 +78,11 @@ struct CacheEntry {
                            // the tail holds the store's checksum trailer
   bool dirty = false;
   int pins = 0;
-  std::list<std::uint64_t>::iterator lru_pos;  // valid iff resident
+  // The entry's list node: on a 2Q list while resident, parked on the
+  // cache's parked list while a once-resident entry is pinned.
+  std::list<std::uint64_t>::iterator lru_pos;  // valid iff resident || parked
   bool resident = false;
+  bool parked = false;
   bool in_protected = false;  // which 2Q list lru_pos points into
   bool hot = false;   // re-referenced: joins the protected list when it
                       // next becomes resident
@@ -169,6 +172,11 @@ class CacheAttributionScope {
 
 class BlockCache {
  public:
+  /// Fills `out` with the block's bytes.  It must write every byte of
+  /// the span: a miss may hand it a reused frame that still holds
+  /// another block's bytes (File::read_at zero-fills past EOF, grDB
+  /// fills a never-written block with 0xFF).  An async prefetch reads
+  /// into such a frame too, through File::read_at or read_vectored.
   using Reader = std::function<void(std::uint64_t block, std::span<std::byte>)>;
   using Writer =
       std::function<void(std::uint64_t block, std::span<const std::byte>)>;
@@ -291,6 +299,10 @@ class BlockCache {
     return protected_bytes_;
   }
 
+  /// Bytes of evicted frames kept for the next miss: at most one frame
+  /// per block size.
+  [[nodiscard]] std::size_t stashed_bytes() const;
+
   /// The attribution sink installed on this thread (nullptr when none).
   [[nodiscard]] static CacheAttribution* current_attribution();
 
@@ -315,9 +327,10 @@ class BlockCache {
   void drain_async();
   void poll_async_locked();
   /// Inserts an adopted/unpinned entry at the front of its 2Q list
-  /// (protected when re-referenced, probation otherwise).
+  /// (protected when re-referenced, probation otherwise), reusing its
+  /// parked list node when it has one.
   void make_resident(detail::CacheEntry& entry);
-  /// Removes a resident entry from its 2Q list.
+  /// Removes a resident entry from its 2Q list, parking its list node.
   void unlink(detail::CacheEntry& entry);
   /// Demotes the protected tail to probation until protected fits its
   /// share of capacity.
@@ -325,6 +338,14 @@ class BlockCache {
   /// Throws StorageError if an async write-behind failed earlier.
   void maybe_rethrow();
   void flush_locked();
+  /// A frame of `size` bytes for a miss, a prefetch or create(): the
+  /// stashed one of that size, else a new one.  A stashed frame still
+  /// holds the bytes of the block it was evicted from; every caller
+  /// overwrites its whole span.
+  std::vector<std::byte> take_frame(std::size_t size);
+  /// Keeps an evicted frame for the next take_frame of its size, unless
+  /// one of that size is already kept (then it is freed).
+  void stash_frame(std::vector<std::byte> frame);
   [[nodiscard]] std::size_t usable_of(std::uint16_t store) const {
     const Store& s = stores_[store];
     return s.hooks.usable_bytes != 0 ? s.hooks.usable_bytes : s.block_size;
@@ -343,9 +364,16 @@ class BlockCache {
   // lives on exactly one of them (entry.in_protected says which).
   std::list<std::uint64_t> probation_;
   std::list<std::uint64_t> protected_;
+  // The list nodes of pinned entries that were resident before: spliced
+  // here on a hit and back on its unpin, so a hit allocates nothing.
+  std::list<std::uint64_t> parked_;
   std::size_t resident_bytes_ = 0;
   std::size_t probation_bytes_ = 0;
   std::size_t protected_bytes_ = 0;
+  // Evicted frames reused by the next miss, at most one per block size:
+  // a miss in a full cache evicts one block, so one frame per size
+  // covers the steady state.
+  std::vector<std::vector<std::byte>> stash_;
   std::unique_ptr<IoEngine> engine_;
   std::unordered_set<std::uint64_t> pending_reads_;
   // key -> in-flight write-behind count (re-eviction can stack writes).

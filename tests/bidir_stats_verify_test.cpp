@@ -278,6 +278,38 @@ TEST(GrdbCorruptChain, TagSevenThatIsNotTheEmptySentinel) {
   expect_every_walk_throws(*db);
 }
 
+TEST(GrdbCorruptChain, TagSevenBetweenVertexEntriesOfALevelTwoSubblock) {
+  TempDir dir;
+  const std::uint64_t word = (std::uint64_t{7} << grdb::kTagShift) | 5;
+  // Slot 3 of the level-2 sub-block [5..11, empty]: vertex entries on
+  // both sides, so the decoder's run of vertex entries ends on it.
+  auto db = corrupt_chain(dir, [word](GrDB& g, const Chain& chain) {
+    g.poke_entry(chain[2].first, chain[2].second, 3, word);
+  });
+  std::string per_entry;
+  try {
+    (void)grdb::classify(word);
+  } catch (const StorageError& e) {
+    per_entry = e.what();
+  }
+  ASSERT_FALSE(per_entry.empty()) << "classify accepted a tag-7 word";
+  try {
+    std::vector<VertexId> out;
+    db->get_adjacency(0, out);
+    ADD_FAILURE() << "read of a corrupt sub-block did not throw";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.what(), per_entry);
+  }
+  try {
+    (void)testing::batch_lists(*db, std::vector<VertexId>{1, 0, 2});
+    ADD_FAILURE() << "batch read of a corrupt sub-block did not throw";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.what(), per_entry);
+  }
+  // append scans the tail sub-block for its first empty slot.
+  EXPECT_THROW(db->store_edges(std::vector<Edge>{{0, 99}}), StorageError);
+}
+
 TEST(GrdbCorruptChain, SubblockPointingAtItself) {
   TempDir dir;
   auto db = corrupt_chain(dir, [](GrDB& g, const Chain& chain) {

@@ -115,12 +115,16 @@ TEST(Crc32c, DispatchedMatchesTableKernel) {
   Rng rng(0xC3C32);
   // Room for every start offset 0-7 in front of the largest length.
   const auto bytes = random_bytes(rng, kMax + 8);
-  // Word-boundary lengths, grDB's block sizes (4, 32 and 256 KB) and the
-  // 300 KB maximum, then random lengths up to it.
-  std::vector<std::size_t> lengths = {0,    1,    7,     8,      9,
-                                      15,   16,   17,    255,    256,
-                                      4096, 4097, 32768, 262144, kMax};
+  // Word-boundary lengths, the three-stream boundaries (3 x 256 B and
+  // 3 x 8 KiB), grDB's block sizes (4, 32 and 256 KB) and the 300 KB
+  // maximum, then random lengths up to it.
+  std::vector<std::size_t> lengths = {
+      0,     1,     7,     8,     9,     15,    16,     17,     255, 256,
+      767,   768,   769,   4096,  4097,  24575, 24576,  24577,  32768,
+      262144, kMax};
   for (int i = 0; i < 8; ++i) lengths.push_back(rng.below(kMax + 1));
+  // Each check also continues the previous one's checksum.
+  std::uint32_t chained = 0;
   for (const std::size_t length : lengths) {
     for (std::size_t offset = 0; offset < 8; ++offset) {
       const std::span<const std::byte> data(bytes.data() + offset, length);
@@ -129,6 +133,11 @@ TEST(Crc32c, DispatchedMatchesTableKernel) {
           << "length " << length << " offset " << offset;
       EXPECT_EQ(crc32c(data, seed), crc32c_table(data, seed))
           << "length " << length << " offset " << offset << " seed " << seed;
+      const std::uint32_t next = crc32c_table(data, chained);
+      EXPECT_EQ(crc32c(data, chained), next)
+          << "length " << length << " offset " << offset << " chained seed "
+          << chained;
+      chained = next;
     }
   }
 }

@@ -4,8 +4,10 @@
 // (GrdbMetaFuzz, the `fuzz` ctest label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -458,6 +460,7 @@ struct MetaLayout {
     std::size_t free_entries = 0;  ///< first entry, after the length varint
     std::vector<std::uint64_t> free_list;
     std::uint64_t extent = 0;  ///< initialized blocks
+    std::size_t crc_table = 0;  ///< the CRC table's length varint
   };
 
   explicit MetaLayout(std::span<const std::byte> meta) {
@@ -477,6 +480,7 @@ struct MetaLayout {
       level.free_entries = at() - 8 * level.free_list.size();
       level.extent = reader.get_varint();
       reader.get_vector<std::uint8_t>();
+      level.crc_table = at();
       reader.get_vector<std::uint32_t>();
       levels.push_back(std::move(level));
     }
@@ -515,6 +519,7 @@ class GrdbMetaFuzz : public ::testing::Test {
       db.store_edges(std::vector<Edge>{{2, 7}, {9, 1}, {9, 4}, {17, 3}});
       db.defragment();
       db.flush();
+      hub_chain_ = db.chain_of(5);
     }
     meta_ = read_file(base_->path() / "grdb.meta");
   }
@@ -532,11 +537,15 @@ class GrdbMetaFuzz : public ::testing::Test {
   }
 
   /// Reopens a copy of the base store carrying `meta`, then sweeps it and
-  /// reads every vertex the sweep visits.
-  static Outcome reopen(const std::vector<std::byte>& meta) {
+  /// reads every vertex the sweep visits.  `tamper`, when given, edits
+  /// the copy's directory before the open.
+  static Outcome reopen(
+      const std::vector<std::byte>& meta,
+      const std::function<void(const std::filesystem::path&)>& tamper = {}) {
     TempDir work;
     copy_store(base_->path(), work.path());
     write_file(work.path() / "grdb.meta", meta);
+    if (tamper) tamper(work.path());
     std::unique_ptr<GrDB> db;
     try {
       db = std::make_unique<GrDB>(config(work), small_options());
@@ -625,6 +634,8 @@ class GrdbMetaFuzz : public ::testing::Test {
 
   static inline std::unique_ptr<TempDir> base_;
   static inline std::vector<std::byte> meta_;
+  /// The (level, sub-block) chain of the hub, vertex 5.
+  static inline std::vector<std::pair<int, std::uint64_t>> hub_chain_;
 };
 
 TEST_F(GrdbMetaFuzz, UnmutatedMetaReopensWhole) {
@@ -734,6 +745,44 @@ TEST_F(GrdbMetaFuzz, AllocPastItsExtentOrFreeEntryPastAllocIsRejected) {
       EXPECT_EQ(reopen(with_u64(at, level.alloc_value)), Outcome::kRejected)
           << "level " << l << " free entry " << i;
     }
+  }
+}
+
+TEST_F(GrdbMetaFuzz, CrcTableShorterThanItsBitmapIsRejected) {
+  const MetaLayout layout(meta_);
+  const int last = static_cast<int>(layout.levels.size()) - 1;
+  // The last level's CRC table cut to zero entries: a length varint of 0
+  // and nothing after it.
+  std::vector<std::byte> meta(
+      meta_.begin(),
+      meta_.begin() + static_cast<long>(layout.levels[last].crc_table));
+  meta.push_back(std::byte{0});
+  // One flipped bit in the first entry of a last-level sub-block of the
+  // hub's chain: with no CRC to check it, a reopened store would return
+  // a wrong neighbour and count no checksum failure.
+  const auto hop = std::find_if(
+      hub_chain_.begin(), hub_chain_.end(),
+      [last](const auto& link) { return link.first == last; });
+  ASSERT_NE(hop, hub_chain_.end()) << "the hub's chain misses the last level";
+  const grdb::SubblockAddress addr =
+      grdb::locate(small_options().geometry, last, hop->second);
+  const auto flip = [&](const std::filesystem::path& dir) {
+    const auto file = dir / ("level" + std::to_string(last) + "." +
+                             std::to_string(addr.file) + ".dat");
+    auto bytes = read_file(file);
+    ASSERT_GT(bytes.size(), addr.file_offset + addr.block_offset);
+    bytes[addr.file_offset + addr.block_offset] ^= std::byte{1};
+    write_file(file, bytes);
+  };
+  EXPECT_EQ(reopen(meta, flip), Outcome::kRejected);
+  EXPECT_EQ(reopen(meta), Outcome::kRejected);
+}
+
+TEST_F(GrdbMetaFuzz, BytesAfterTheLastLevelAreRejected) {
+  for (const std::size_t extra : {1, 4, 8, 64}) {
+    auto meta = meta_;
+    meta.resize(meta.size() + extra, std::byte{0});
+    EXPECT_EQ(reopen(meta), Outcome::kRejected) << extra << " bytes";
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -342,6 +343,132 @@ TEST(BlockCache, RepinnedBlockLeavesLru) {
   repinned = BlockHandle{};  // unpin
   { auto h = cache.get(id, 1); }
   EXPECT_EQ(store.reads_, 0);
+}
+
+// ---- BlockCache frame reuse -------------------------------------------------
+// A miss or a prefetch takes its frame from a stash of evicted frames,
+// which still hold the bytes of the block they last held.  Every reader
+// writes its whole span, so a pinned frame must hold exactly its own
+// block.
+
+std::vector<std::byte> frame_pattern(std::size_t size, std::uint64_t block) {
+  std::vector<std::byte> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::byte>((block * 167 + i * 13 + size) & 0xff);
+  }
+  return bytes;
+}
+
+TEST(BlockCache, ReusedFrameHoldsOnlyItsOwnBlock) {
+  TempDir dir;
+  constexpr std::size_t kSizes[] = {64, 256};
+  constexpr std::uint64_t kBlocks = 40;
+  // Blocks whose synchronous read fills the frame with junk, then throws.
+  const auto throws = [](std::uint64_t block) { return block % 8 == 5; };
+  std::vector<std::unique_ptr<File>> files;
+  for (const std::size_t size : kSizes) {
+    files.push_back(std::make_unique<File>(
+        File::open(dir.path() / ("store" + std::to_string(size)))));
+    for (std::uint64_t block = 0; block < kBlocks; ++block) {
+      files.back()->write_at(block * size, frame_pattern(size, block));
+    }
+  }
+  // A few blocks of each size fit.
+  BlockCache cache(3 * kSizes[0] + 3 * kSizes[1]);
+  std::vector<std::uint16_t> stores;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const std::size_t size = kSizes[s];
+    File* file = files[s].get();
+    stores.push_back(cache.register_store(
+        size,
+        [=](std::uint64_t block, std::span<std::byte> out) {
+          if (throws(block)) {
+            std::memset(out.data(), 0xEE, out.size());
+            throw StorageError("planted read failure");
+          }
+          file->read_at(block * size, out);
+        },
+        [=](std::uint64_t block, std::span<const std::byte> in) {
+          file->write_at(block * size, in);
+        },
+        // A throwing block is never read ahead, so it always reaches the
+        // synchronous reader.
+        [=](std::uint64_t block, bool) -> std::optional<AsyncTarget> {
+          if (throws(block)) return std::nullopt;
+          return AsyncTarget{file, block * size};
+        }));
+  }
+  cache.enable_async_io(1);
+
+  std::uint64_t rng = 0x2545F4914F6CDD1Dull;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  for (int round = 0; round < 300; ++round) {
+    // Read-ahead for a few blocks of one store; later gets adopt them.
+    const std::size_t ahead = next() % 2;
+    std::vector<std::uint64_t> blocks;
+    for (int i = 0; i < 3; ++i) blocks.push_back(next() % kBlocks);
+    std::sort(blocks.begin(), blocks.end());
+    blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+    cache.prefetch_async(stores[ahead], blocks);
+    // Several frames pinned at once, from both stores.
+    std::vector<BlockHandle> pinned;
+    std::vector<std::pair<std::size_t, std::uint64_t>> pinned_blocks;
+    for (int i = 0; i < 4; ++i) {
+      const std::size_t s = next() % 2;
+      const std::uint64_t block = next() % kBlocks;
+      if (throws(block)) {
+        EXPECT_THROW((void)cache.get(stores[s], block), StorageError);
+        continue;
+      }
+      pinned.push_back(cache.get(stores[s], block));
+      pinned_blocks.emplace_back(s, block);
+    }
+    for (std::size_t i = 0; i < pinned.size(); ++i) {
+      const auto [s, block] = pinned_blocks[i];
+      const auto want = frame_pattern(kSizes[s], block);
+      const auto got = pinned[i].data();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "round " << round << " store " << kSizes[s] << " block "
+          << block;
+    }
+  }
+  EXPECT_GT(cache.stashed_bytes(), 0u) << "no frame was ever reused";
+}
+
+TEST(BlockCache, FrameStashStaysBounded) {
+  FakeStore small(64), large(256);
+  BlockCache cache(2 * 256 + 2 * 64);
+  const auto ids = cache.register_store(64, small.reader(), small.writer());
+  const auto idl = cache.register_store(256, large.reader(), large.writer());
+  for (std::uint64_t block = 0; block < 500; ++block) {
+    {
+      auto h = cache.get(ids, block);
+      if (block % 3 == 0) h.mutable_data()[0] = std::byte{1};
+    }
+    {
+      auto h = cache.get(idl, block / 2);
+      if (block % 5 == 0) h.mutable_data()[0] = std::byte{2};
+    }
+    ASSERT_LE(cache.stashed_bytes(), 64u + 256u) << "block " << block;
+  }
+  EXPECT_GT(small.writes_, 0);
+  EXPECT_GT(large.writes_, 0);
+  EXPECT_GT(cache.stashed_bytes(), 0u);
+  EXPECT_LE(cache.resident_bytes(), cache.capacity_bytes());
+  // A cache that keeps nothing drops every frame on unpin: one per size.
+  BlockCache off(0);
+  const auto offs = off.register_store(64, small.reader(), small.writer());
+  const auto offl = off.register_store(256, large.reader(), large.writer());
+  for (std::uint64_t block = 0; block < 50; ++block) {
+    { auto h = off.get(offs, block); }
+    { auto h = off.get(offl, block); }
+  }
+  EXPECT_EQ(off.stashed_bytes(), 64u + 256u);
 }
 
 // ---- BlockCache 2Q (scan resistance) ---------------------------------------
