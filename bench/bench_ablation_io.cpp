@@ -1,14 +1,11 @@
-// Ablation A13 — the parallel vectored I/O engine and journal group
+// Ablation A13 — the vectored read-ahead engine and journal group
 // commit.  Two questions, priced separately:
 //
-//  1. Engine sweep: a cold multi-file read sweep (the prefetch pattern:
-//     sorted batches fanned across files) through the raw IoEngine, as
-//     (a) the old engine — one worker, no merging, one pread per block;
-//     (b) one worker with vectored merging (adjacent blocks fused into
-//         preadv, fewer syscalls);
-//     (c) four workers with merging (independent files overlap).
-//     Multi-worker vectored must beat single-worker on wall time while
-//     reading identical bytes.
+//  1. Engine sweep: a cold multi-file read sweep (sorted batches spanning
+//     several files) through the raw IoEngine, as
+//     (a) no merging — one pread per block;
+//     (b) vectored merging — adjacent blocks fused into one preadv, fewer
+//         syscalls for identical bytes.
 //
 //  2. Group commit: the A11 journal-on ingest overhead, re-measured with
 //     the ingest sliced into many flush epochs.  sync_interval=1 pays
@@ -60,8 +57,7 @@ const std::filesystem::path& sweep_dir() {
   return dir.path();
 }
 
-void engine_sweep(benchmark::State& state, std::size_t workers,
-                  std::size_t max_merge) {
+void engine_sweep(benchmark::State& state, std::size_t max_merge) {
   const std::size_t blocks = sweep_blocks_per_file();
   MetricsRegistry metrics;
   IoStats stats(metrics);
@@ -75,25 +71,20 @@ void engine_sweep(benchmark::State& state, std::size_t workers,
   std::uint64_t batches = 0;
   for (auto _ : state) {
     // Cold means the device: evict the sweep files from the OS page
-    // cache so the workers' reads actually block (and can overlap).
+    // cache so the worker's reads actually block.
     state.PauseTiming();
     for (const auto& file : files) file->drop_page_cache();
     state.ResumeTiming();
-    IoEngineOptions options;
-    options.workers = workers;
-    options.max_merge = max_merge;
-    options.stats = &stats;
-    IoEngine engine(options);
+    IoEngine engine({.max_merge = max_merge, .stats = &stats});
     for (std::size_t start = 0; start < blocks; start += kChunk) {
-      // The block cache's prefetch shape: one sorted batch spanning all
-      // files, which submit() splits across the per-file lanes.
+      // One sorted batch spanning all files: merge runs never cross a
+      // file, so each file's chunk is one run.
       std::vector<IoRequest> batch;
       batch.reserve(kSweepFiles * kChunk);
       for (std::size_t f = 0; f < kSweepFiles; ++f) {
         for (std::size_t b = start; b < std::min(start + kChunk, blocks);
              ++b) {
           IoRequest req;
-          req.kind = IoRequest::Kind::kRead;
           req.file = files[f].get();
           req.offset = b * kSweepBlock;
           req.buffer.resize(kSweepBlock);
@@ -118,13 +109,11 @@ void engine_sweep(benchmark::State& state, std::size_t workers,
   // Wall time on this harness is bounded by one machine and the host's
   // caches; the modeled 2006-era device time (8 ms seek per issued op,
   // 50 MB/s sequential — bench_util.hpp's CostModel) prices the measured
-  // syscall counts on the paper's hardware.  The sweep's files are
-  // equal-sized, so W lanes divide the device time by min(W, files).
+  // syscall counts on the paper's hardware.
   state.counters["modeled_device_ms"] =
       1e3 *
       (static_cast<double>(stats.reads) * 8e-3 +
        static_cast<double>(stats.bytes_read) / 50e6) /
-      static_cast<double>(std::min(workers, kSweepFiles)) /
       static_cast<double>(state.iterations());
 }
 
@@ -200,18 +189,13 @@ int main(int argc, char** argv) {
 
   struct EngineConfig {
     const char* label;
-    std::size_t workers;
     std::size_t max_merge;
   };
-  for (const EngineConfig& c :
-       {EngineConfig{"workers:1/vectored:off", 1, 1},
-        EngineConfig{"workers:1/vectored:on", 1, 16},
-        EngineConfig{"workers:4/vectored:on", 4, 16}}) {
+  for (const EngineConfig& c : {EngineConfig{"vectored:off", 1},
+                                EngineConfig{"vectored:on", 16}}) {
     benchmark::RegisterBenchmark(
         (std::string("AblationIo/ColdSweep/") + c.label).c_str(),
-        [c](benchmark::State& state) {
-          engine_sweep(state, c.workers, c.max_merge);
-        })
+        [c](benchmark::State& state) { engine_sweep(state, c.max_merge); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(g_smoke ? 1 : 3);
   }

@@ -1,21 +1,22 @@
-// Ablation A-prefetch — synchronous vs asynchronous fringe prefetch.
+// Ablation A-prefetch — asynchronous fringe prefetch against none.
 //
 // The §4.2 prefetch sorts the next fringe's block reads by file offset;
-// the IoEngine additionally overlaps them with the fringe exchange
-// (FlashGraph-style async issue).  This bench runs the same search
-// bucket in three configurations on grDB and BerkeleyDB:
+// the IoEngine overlaps them with the fringe exchange (FlashGraph-style
+// async issue).  This bench runs the same search bucket in two
+// configurations on grDB and BerkeleyDB:
 //
-//   sync    — prefetch on, async_io off: sorted reads, but every block
-//             loads inline on the query thread (counts io.read_stalls).
 //   async   — prefetch on, async_io on: reads issue through the engine
 //             while the exchange drains; get() adopts the completions.
-//   none    — prefetch off entirely, as the stall-heavy baseline.
+//   none    — prefetch off, async_io off: every block loads on the query
+//             thread when the walk reaches it.
 //
-// The headline comparison is io.read_stalls (blocking reads on the query
-// thread): async must show fewer than sync on the same workload.  BFS
-// work counters (edges scanned, messages) are identical across all three
-// by construction — the engine changes *when* blocks load, never what
-// the query computes.
+// Without an engine, prefetch() does nothing (a synchronous warm-up is
+// the same blocking read the walk would make), so prefetch-on/async-off
+// measures the same as none and is not a leg.  The headline comparison
+// is io.read_stalls (blocking reads on the query thread).  BFS work
+// counters (edges scanned, messages) are identical across both legs by
+// construction — the engine changes *when* blocks load, never what the
+// query computes.
 #include "bench_util.hpp"
 
 namespace {
@@ -58,7 +59,6 @@ int main(int argc, char** argv) {
 
   for (const Backend backend : {Backend::kGrDB, Backend::kKVStore}) {
     register_variant(w, backend, "none", /*prefetch=*/false, /*async=*/false);
-    register_variant(w, backend, "sync", /*prefetch=*/true, /*async=*/false);
     register_variant(w, backend, "async", /*prefetch=*/true, /*async=*/true);
   }
   benchmark::Initialize(&argc, argv);

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
         bench::ClusterSpec spec;
         spec.backend = backend;
         spec.backend_nodes = 16;
-        spec.cache_enabled = cache;
+        if (!cache) spec.cache_bytes = 0;
         benchmark::RegisterBenchmark((std::string(            "Fig5_2/" + bench::short_name(backend) +
                 (cache ? "/cache:on" : "/cache:off") +
                 "/pathlen:" + std::to_string(distance))).c_str(),

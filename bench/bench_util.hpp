@@ -94,19 +94,19 @@ struct ClusterSpec {
   Backend backend = Backend::kGrDB;
   int backend_nodes = 16;
   int frontend_nodes = 4;
-  bool cache_enabled = true;
-  /// 0 = auto: 32x this node's share of the graph, enough to hold every
+  /// Unset = auto: 32x this node's share of the graph, enough to hold every
   /// backend's full on-disk footprint with room to spare (grDB's sparse
   /// global-GID level 0 and oversized upper-level sub-blocks cost ~3-4x
   /// the raw data; the B-tree packs tighter).  This is the paper's
   /// regime: its nodes had 8 GB RAM against per-node shares of at most
   /// ~260 MB (a ratio >= 30:1), so the PubMed experiments ran warm.  The
   /// genuinely cache-starved regime belongs to the Syn-2B figures
-  /// (cache_bytes set explicitly there).
-  std::size_t cache_bytes = 0;
+  /// (cache_bytes set explicitly there).  0 disables the cache (Figure
+  /// 5.2's "without cache").
+  std::optional<std::size_t> cache_bytes;
   bool external_metadata = false;
-  /// Background IoEngine for prefetch read-ahead + write-behind; false
-  /// gives the fully synchronous baseline (ablation A-prefetch).
+  /// Background IoEngine for prefetch read-ahead; false gives the fully
+  /// synchronous baseline (ablation A-prefetch).
   bool async_io = true;
   /// Cold legs: drop the OS page cache for every node's storage before
   /// each timed iteration (File::drop_page_cache per file), so "cold"
@@ -117,7 +117,7 @@ struct ClusterSpec {
   [[nodiscard]] std::string key(const Workload& w) const {
     std::ostringstream os;
     os << to_string(backend) << '/' << backend_nodes << '/' << frontend_nodes
-       << '/' << cache_enabled << '/' << cache_bytes << '/'
+       << '/' << (cache_bytes ? std::to_string(*cache_bytes) : "auto") << '/'
        << external_metadata << '/' << async_io << '/'
        << cold << '/' << w.spec.name << '/' << w.edges.size();
     return os.str();
@@ -138,12 +138,8 @@ inline ReadyCluster& cluster_for(const Workload& w, const ClusterSpec& spec) {
     config.backend = spec.backend;
     config.backend_nodes = spec.backend_nodes;
     config.frontend_nodes = spec.frontend_nodes;
-    config.db.cache_enabled = spec.cache_enabled;
-    config.db.cache_bytes =
-        spec.cache_bytes != 0
-            ? spec.cache_bytes
-            : std::max<std::size_t>(
-                  256 << 10, 32 * w.directed_bytes() / spec.backend_nodes);
+    config.db.cache_bytes = spec.cache_bytes.value_or(std::max<std::size_t>(
+        256 << 10, 32 * w.directed_bytes() / spec.backend_nodes));
     config.db.external_metadata = spec.external_metadata;
     config.db.async_io = spec.async_io;
     config.db.max_vertices = w.spec.vertices;

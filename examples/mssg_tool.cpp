@@ -5,7 +5,7 @@
 //   mssg_tool gen   <out.txt> [--model pubmed-s|pubmed-l|syn|ba] [--scale S]
 //   mssg_tool stats <edges.txt>
 //   mssg_tool ingest <edges.txt> <storage-dir> [--nodes N] [--backend B]
-//                   [--io-workers W] [--group-commit N]
+//                   [--group-commit N]
 //   mssg_tool bfs   <storage-dir> <src> <dst> [--nodes N] [--backend B]
 //                   [--concurrency Q] [--budget T] [--live-ingest E.txt]
 //   mssg_tool khop  <storage-dir> <src> <k>   [--nodes N] [--backend B]
@@ -98,7 +98,6 @@ struct CommonArgs {
   bool metrics = false;
   int concurrency = 1;
   std::uint64_t budget = 0;
-  int io_workers = 2;
   int group_commit = 1;
   bool fifo = false;  ///< serve/query: disable SLO class policies
   std::string live_ingest;  ///< edge file streamed concurrently (empty = off)
@@ -124,10 +123,6 @@ CommonArgs parse_flags(int argc, char** argv, int first) {
       args.concurrency = std::stoi(next());
     } else if (flag == "--budget") {
       args.budget = std::stoull(next());
-    } else if (flag == "--io-workers") {
-      // Worker lanes in the background I/O engine (per-file ordering is
-      // preserved regardless of the count).
-      args.io_workers = std::stoi(next());
     } else if (flag == "--group-commit") {
       // Journal group commit: fsync every N-th flush (1 = every flush,
       // the classic fully-durable behavior).
@@ -187,7 +182,6 @@ MssgCluster open_cluster(const std::string& dir, const CommonArgs& args) {
   config.storage_root = dir;
   config.scheduler.max_inflight = std::max(args.concurrency, 1);
   config.scheduler.token_budget = args.budget;
-  config.db.io_workers = static_cast<std::size_t>(std::max(args.io_workers, 1));
   config.db.journal_sync_interval =
       static_cast<std::uint32_t>(std::max(args.group_commit, 1));
   config.db.snapshots = !args.live_ingest.empty();

@@ -187,14 +187,15 @@ enum class Backend {
 struct GraphDBConfig {
   /// Node-local storage directory (ignored by in-memory backends).
   std::filesystem::path dir;
-  /// Block/page cache budget for out-of-core backends.
+  /// Block/page cache budget for out-of-core backends; 0 disables the
+  /// cache entirely (Figure 5.2's "without cache").
   std::size_t cache_bytes = 16u << 20;
-  /// Disable the block cache entirely (Figure 5.2's "without cache").
-  bool cache_enabled = true;
-  /// Run prefetch and dirty-block write-back through the background
-  /// IoEngine (overlapping disk access with computation, §4.2).  Only
-  /// meaningful for out-of-core backends with the cache enabled; turning
-  /// it off gives the fully synchronous baseline of the ablation bench.
+  /// Read the next fringe's blocks ahead through the background IoEngine
+  /// (overlapping disk reads with computation, §4.2).  Only meaningful
+  /// for out-of-core backends with a nonzero cache; turning it off gives
+  /// the fully synchronous baseline of the ablation bench, in which
+  /// prefetch() does nothing.  Dirty blocks are written back
+  /// synchronously either way.
   bool async_io = true;
   /// Use an external-memory metadata/visited store instead of in-memory
   /// (Figures 5.8/5.9 discussion).
@@ -208,11 +209,6 @@ struct GraphDBConfig {
   /// the journal-ablation baseline (EXPERIMENTS.md A11); checksum
   /// trailers stay on either way.
   bool journal = true;
-  /// Worker lanes in the background IoEngine (with async_io).  Requests
-  /// are routed to a lane by file, so per-file submission order — and
-  /// with it same-offset write ordering — is preserved; more lanes let
-  /// independent files overlap their disk time.
-  std::size_t io_workers = 2;
   /// Journal group commit: every n-th flush() commits durably, the ones
   /// in between batch their redo records into the group and skip both
   /// fsyncs (1 = every flush commits).  A crash inside a group rolls

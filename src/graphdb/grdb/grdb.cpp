@@ -150,7 +150,7 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
     : GraphDB(config),
       options_(std::move(options)),
       dir_(config.dir),
-      cache_(config.cache_enabled ? config.cache_bytes : 0, &stats_) {
+      cache_(config.cache_bytes, &stats_) {
   options_.geometry.validate();
   cache_.set_miss_penalty_us(config.sim_miss_penalty_us);
   const int level_count = options_.geometry.level_count();
@@ -180,9 +180,9 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
         },
         [this, l](std::uint64_t block, std::span<const std::byte> in) {
           Level& lvl = levels_[l];
+          // The pre-image must be durable before the block is
+          // overwritten in place.
           maybe_log_undo(l, block);
-          // Synchronous write-back overwrites immediately; the async
-          // path batches this barrier per eviction batch instead.
           if (journal_ != nullptr) journal_->undo_barrier();
           {
             std::lock_guard<std::mutex> mlk(meta_mu_);
@@ -195,22 +195,12 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
           ensure_file(l, block / n)
               .write_at(lvl.spec.block_bytes * (block % n), in);
         },
-        // Locator for the async engine — runs on the thread driving the
-        // cache (under its mutex), so callbacks exclude each other; the
-        // worker only gets a (File*, offset).
-        [this, l](std::uint64_t block,
-                  bool for_write) -> std::optional<AsyncTarget> {
+        // Locator for the read-ahead engine — runs on the thread driving
+        // the cache (under its mutex), so callbacks exclude each other;
+        // the worker only gets a (File*, offset).
+        [this, l](std::uint64_t block) -> std::optional<AsyncTarget> {
           Level& lvl = levels_[l];
-          if (for_write) {
-            // Undo capture happens here, at submit time, before the
-            // payload can reach the worker.
-            maybe_log_undo(l, block);
-            std::lock_guard<std::mutex> mlk(meta_mu_);
-            if (block >= lvl.initialized.size()) {
-              lvl.initialized.resize(block + 1);
-            }
-            lvl.initialized.set(block);
-          } else {
+          {
             std::lock_guard<std::mutex> mlk(meta_mu_);
             if (block >= lvl.initialized.size() ||
                 !lvl.initialized.test(block)) {
@@ -258,17 +248,13 @@ GrDB::GrDB(const GraphDBConfig& config, GrDBOptions options)
                               " block " + std::to_string(block) +
                               " failed sidecar checksum");
          },
-         /*usable_bytes=*/0,
-         // One undo fdatasync per write-behind batch, not per block.
-         [this] {
-           if (journal_ != nullptr) journal_->undo_barrier();
-         }});
+         /*usable_bytes=*/0});
   }
   // Prompt retirement: dropping the last snapshot of an epoch purges
   // the versions it pinned without waiting for the next commit.
   epochs_.set_retire_hook(
       [this](Epoch min_live) { versions_.purge(min_live); });
-  if (config.async_io) cache_.enable_async_io(config.io_workers);
+  if (config.async_io) cache_.enable_async_io();
   if (config.journal) {
     journal_ = std::make_unique<WriteJournal>(dir_ / "grdb", &stats_,
                                               config.journal_sync_interval);
@@ -435,8 +421,8 @@ void GrDB::flush_impl(bool force_checkpoint) {
     return;
   }
 
-  // Write-behind payloads must be on disk (and any deferred async error
-  // surfaced) before the commit.
+  // A write that failed during an eviction surfaces here, before the
+  // commit.
   cache_.drain_pending();
   // store_locked keeps a pending record only while a log commit can take
   // it: log commits on, the log ready for the committed generation with
@@ -802,9 +788,12 @@ void GrDB::commit_epoch() {
 SnapshotRef GrDB::begin_snapshot() {
   if (!snapshots_enabled_) return nullptr;
   // The live extent over-approximates the committed one; over-included
-  // vertices resolve to their (empty) pre-image versions.
-  return epochs_.pin(this, max_vertex_.load(std::memory_order_relaxed) + 1,
-                     any_data_.load(std::memory_order_relaxed));
+  // vertices resolve to their (empty) pre-image versions.  Read under
+  // the pin, so it never falls short of the pinned epoch's.
+  return epochs_.pin(this, [this] {
+    return SnapshotBounds{max_vertex_.load(std::memory_order_relaxed) + 1,
+                          any_data_.load(std::memory_order_relaxed)};
+  });
 }
 
 GraphDB::TxnState GrDB::txn_state() const {
@@ -1144,7 +1133,11 @@ bool GrDB::level0_empty(VertexId v) {
 }
 
 void GrDB::prefetch(std::span<const VertexId> vertices) {
-  if (!any_data_.load(std::memory_order_relaxed)) return;
+  // Without an engine there is nothing to overlap: warming a block on
+  // the query thread is the same blocking read the walk would make.
+  if (!cache_.async_enabled() || !any_data_.load(std::memory_order_relaxed)) {
+    return;
+  }
   // Distinct level-0 blocks, ascending => file offsets ascending.
   std::vector<std::uint64_t> blocks;
   blocks.reserve(vertices.size());
@@ -1155,15 +1148,9 @@ void GrDB::prefetch(std::span<const VertexId> vertices) {
   }
   radix_sort(blocks, [](std::uint64_t block) { return block; });
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-  if (cache_.async_enabled()) {
-    // Read-ahead through the engine: the fringe's blocks load in the
-    // background while the caller returns to computation.
-    cache_.prefetch_async(levels_[0].store_id, blocks);
-    return;
-  }
-  for (const std::uint64_t block : blocks) {
-    BlockHandle handle = cache_.get(levels_[0].store_id, block);
-  }
+  // Read-ahead through the engine: the fringe's blocks load in the
+  // background while the caller returns to computation.
+  cache_.prefetch_async(levels_[0].store_id, blocks);
 }
 
 // ---- Writes ----------------------------------------------------------------

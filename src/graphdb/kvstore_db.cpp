@@ -13,8 +13,7 @@ KVStoreDB::KVStoreDB(const GraphDBConfig& config)
     : GraphDB(config),
       snapshots_enabled_(config.snapshots),
       pager_(config.dir / "kvstore.db", kPageBytes,
-             config.cache_enabled ? config.cache_bytes : 0, &stats_,
-             config.async_io, config.journal, config.io_workers,
+             config.cache_bytes, &stats_, config.async_io, config.journal,
              config.journal_sync_interval),
       tree_(pager_),
       backend_(tree_),

@@ -112,9 +112,8 @@ RelationalDB::RelationalDB(const GraphDBConfig& config)
     : GraphDB(config),
       snapshots_enabled_(config.snapshots),
       pager_(config.dir / "relational.db", kPageBytes,
-             config.cache_enabled ? config.cache_bytes : 0, &stats_,
-             /*async_io=*/false, config.journal, config.io_workers,
-             config.journal_sync_interval),
+             config.cache_bytes, &stats_, /*async_io=*/false,
+             config.journal, config.journal_sync_interval),
       index_(pager_, /*meta_base=*/0),
       heap_(pager_, /*meta_base=*/2),
       backend_(index_, heap_),

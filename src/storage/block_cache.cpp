@@ -63,9 +63,9 @@ void BlockHandle::release() {
 
 BlockCache::~BlockCache() {
   // Callers should flush() explicitly; this is a last-resort write-back so
-  // data is never silently lost.  Write-behind requests already handed to
-  // the engine must land before the files can be closed, and unadopted
-  // prefetches are folded in so their accounting isn't dropped.
+  // data is never silently lost.  Reads in flight must finish before the
+  // files can be closed, and unadopted prefetches are folded in so their
+  // accounting isn't dropped.
   std::lock_guard<std::mutex> lock(mu_);
   drain_async();
   // Entries still pinned here are leaked BlockHandles: persist them, then
@@ -113,15 +113,12 @@ void BlockCache::set_store_hooks(std::uint16_t store, StoreHooks hooks) {
   stores_[store].hooks = std::move(hooks);
 }
 
-void BlockCache::enable_async_io(std::size_t workers) {
+void BlockCache::enable_async_io() {
   std::lock_guard<std::mutex> lock(mu_);
   if (engine_ != nullptr || capacity_bytes_ == 0) return;
-  IoEngineOptions options;
-  options.workers = workers == 0 ? 1 : workers;
   // The engine counts its merges, batches and dropped errors next to
   // the cache's own counters.
-  options.stats = stats_;
-  engine_ = std::make_unique<IoEngine>(options);
+  engine_ = std::make_unique<IoEngine>(IoEngineOptions{.stats = stats_});
 }
 
 std::size_t BlockCache::prefetch_async(std::uint16_t store,
@@ -138,18 +135,12 @@ std::size_t BlockCache::prefetch_async(std::uint16_t store,
     MSSG_CHECK(block < (std::uint64_t{1} << kStoreShift));
     const std::uint64_t key =
         (static_cast<std::uint64_t>(store) << kStoreShift) | block;
-    // Skip anything already cached or in flight; a key with a pending
-    // write-behind must not be re-read from disk concurrently (get()
-    // handles it by draining first).
-    if (map_.contains(key) || pending_reads_.contains(key) ||
-        pending_writes_.contains(key)) {
-      continue;
-    }
-    const std::optional<AsyncTarget> target = s.locator(block, false);
+    // Skip anything already cached or in flight.
+    if (map_.contains(key) || pending_reads_.contains(key)) continue;
+    const std::optional<AsyncTarget> target = s.locator(block);
     if (!target.has_value()) continue;  // sync reader resolves without disk
 
     IoRequest req;
-    req.kind = IoRequest::Kind::kRead;
     req.file = target->file;
     req.offset = target->offset;
     req.buffer = take_frame(s.block_size);
@@ -178,16 +169,6 @@ void BlockCache::poll_async_locked() {
   std::vector<IoRequest> done = engine_->poll_completions();
   bool adopted = false;
   for (IoRequest& req : done) {
-    if (req.kind == IoRequest::Kind::kWrite) {
-      auto it = pending_writes_.find(req.key);
-      MSSG_CHECK(it != pending_writes_.end());
-      if (--it->second == 0) pending_writes_.erase(it);
-      if (!req.error.empty() && deferred_error_.empty()) {
-        deferred_error_ = "async write-behind failed: " + req.error;
-      }
-      stash_frame(std::move(req.buffer));
-      continue;
-    }
     MSSG_CHECK(pending_reads_.erase(req.key) == 1);
     // A failed or checksum-bad prefetch is simply dropped: a real get()
     // of the block falls back to the synchronous reader and surfaces the
@@ -226,21 +207,14 @@ BlockHandle BlockCache::get(std::uint16_t store, std::uint64_t block) {
   poll_async_locked();
   maybe_rethrow();
   auto it = map_.find(key);
-  if (it == map_.end() && engine_ != nullptr) {
-    if (pending_reads_.contains(key)) {
-      // The prefetch covering this block is still in flight: wait for it
-      // and adopt, so the block is read from disk exactly once.
-      do {
-        engine_->wait_for_completion();
-        poll_async_locked();
-      } while (pending_reads_.contains(key));
-      it = map_.find(key);  // rarely absent: adopted then instantly evicted
-    } else if (pending_writes_.contains(key)) {
-      // A write-behind of this block's last contents has not landed yet;
-      // reading the file now could return stale bytes.
-      drain_async();
-      maybe_rethrow();
-    }
+  if (it == map_.end() && pending_reads_.contains(key)) {
+    // The prefetch covering this block is still in flight: wait for it
+    // and adopt, so the block is read from disk exactly once.
+    do {
+      engine_->wait_for_completion();
+      poll_async_locked();
+    } while (pending_reads_.contains(key));
+    it = map_.find(key);  // rarely absent: adopted then instantly evicted
   }
 
   if (it != map_.end()) {
@@ -313,11 +287,8 @@ BlockHandle BlockCache::create(std::uint16_t store, std::uint64_t block) {
 
   poll_async_locked();
   maybe_rethrow();
-  if (engine_ != nullptr &&
-      (pending_reads_.contains(key) || pending_writes_.contains(key))) {
-    drain_async();
-    maybe_rethrow();
-  }
+  // A read in flight is adopted first: adoption expects an unmapped key.
+  if (pending_reads_.contains(key)) drain_async();
 
   detail::CacheEntry* raw = nullptr;
   auto it = map_.find(key);
@@ -428,7 +399,6 @@ void BlockCache::write_back(detail::CacheEntry& entry) {
 }
 
 void BlockCache::evict_to_capacity() {
-  std::vector<IoRequest> write_behind;
   while (resident_bytes_ > capacity_bytes_ &&
          (!probation_.empty() || !protected_.empty())) {
     // Scan resistance: first-touch (probation) blocks go first; the
@@ -441,86 +411,22 @@ void BlockCache::evict_to_capacity() {
     MSSG_CHECK(it != map_.end());
     detail::CacheEntry& victim = *it->second;
     MSSG_CHECK(victim.pins == 0);
-    const auto store = static_cast<std::uint16_t>(victim_key >> kStoreShift);
-    const std::uint64_t block =
-        victim_key & ((std::uint64_t{1} << kStoreShift) - 1);
 
     // Eviction happens on unpin paths (handle destructors included), so
     // a failing store must not unwind out of here: the victim's last
     // version is lost — as on a dying disk — and the error is parked for
     // the next get()/flush()/drain_pending().
     try {
-      bool deferred = false;
-      if (victim.dirty && engine_ != nullptr &&
-          stores_[store].locator != nullptr) {
-        // Sealed before the locator runs, so a store that records the
-        // seal in its metadata (grDB's sidecar CRC) has it in place no
-        // later than anything the locator marks (grDB's initialized
-        // bit).  A locator that declines leaves write_back to seal again.
-        if (stores_[store].hooks.seal != nullptr) {
-          stores_[store].hooks.seal(block, victim.data);
-        }
-        // The locator runs here, on the owning thread, so any store
-        // metadata update (file creation, allocation bitmap) is done
-        // before the payload leaves for the worker.
-        if (std::optional<AsyncTarget> target =
-                stores_[store].locator(block, true)) {
-          IoRequest req;
-          req.kind = IoRequest::Kind::kWrite;
-          req.file = target->file;
-          req.offset = target->offset;
-          req.buffer = std::move(victim.data);
-          req.key = victim_key;
-          write_behind.push_back(std::move(req));
-          ++pending_writes_[victim_key];
-          deferred = true;
-        }
-      }
-      if (!deferred) write_back(victim);
+      write_back(victim);
     } catch (const std::exception& e) {
       if (deferred_error_.empty()) deferred_error_ = e.what();
-      victim.dirty = false;  // its contents die with this crash epoch
     }
-    stash_frame(std::move(victim.data));  // empty if it left as a write
-
-    const std::size_t size = stores_[store].block_size;
+    const std::size_t size = victim.data.size();
+    stash_frame(std::move(victim.data));
     resident_bytes_ -= size;
     (from_probation ? probation_bytes_ : protected_bytes_) -= size;
     if (stats_ != nullptr) ++stats_->cache_evictions;
     map_.erase(it);
-  }
-  if (!write_behind.empty()) {
-    // Durability barrier before the payloads leave for the workers: the
-    // Locator calls above captured undo pre-images (owning thread); one
-    // barrier per contributing store makes the whole batch's pre-images
-    // durable before any worker can overwrite a block in place.  A
-    // store whose barrier fails must NOT overwrite anything — its
-    // victims' last versions die with this crash epoch (parked error,
-    // like any other eviction failure), never a torn recovery.
-    std::unordered_set<std::uint16_t> barriered;
-    std::unordered_set<std::uint16_t> failed;
-    for (const IoRequest& req : write_behind) {
-      const auto store = static_cast<std::uint16_t>(req.key >> kStoreShift);
-      if (!barriered.insert(store).second) continue;
-      if (stores_[store].hooks.write_barrier == nullptr) continue;
-      try {
-        stores_[store].hooks.write_barrier();
-      } catch (const std::exception& e) {
-        if (deferred_error_.empty()) deferred_error_ = e.what();
-        failed.insert(store);
-      }
-    }
-    if (!failed.empty()) {
-      std::erase_if(write_behind, [&](const IoRequest& req) {
-        const auto store = static_cast<std::uint16_t>(req.key >> kStoreShift);
-        if (!failed.contains(store)) return false;
-        auto it = pending_writes_.find(req.key);
-        MSSG_CHECK(it != pending_writes_.end());
-        if (--it->second == 0) pending_writes_.erase(it);
-        return true;
-      });
-    }
-    if (!write_behind.empty()) engine_->submit(std::move(write_behind));
   }
 }
 
@@ -552,13 +458,10 @@ std::size_t BlockCache::stashed_bytes() const {
 
 void BlockCache::drain_async() {
   if (engine_ == nullptr) return;
-  // Adoption can evict, and eviction can submit new write-behind
-  // requests, so loop until the engine is truly quiet.
-  while (!pending_reads_.empty() || !pending_writes_.empty() ||
-         engine_->has_completions()) {
-    engine_->drain();
-    poll_async_locked();
-  }
+  // Every pending read was submitted under mu_, which the caller holds,
+  // so once the engine is idle one poll adopts them all.
+  engine_->drain();
+  poll_async_locked();
 }
 
 void BlockCache::maybe_rethrow() {

@@ -32,21 +32,15 @@
 // bumps the query-scoped hit/miss counters, giving the scheduler
 // per-query hit ratios over the *shared* cache.
 //
-// enable_async_io() attaches a background IoEngine without weakening the
-// locking rule — the owning thread resolves each block to a
+// enable_async_io() attaches a background read-ahead IoEngine without
+// weakening the locking rule — the owning thread resolves each block to a
 // (File*, offset) via the store's Locator at submit time, so the worker
-// thread only ever performs positional I/O on shared fds:
-//
-//  - prefetch_async() submits a sorted read batch for blocks the caller
-//    will need soon; get() adopts finished buffers (or waits for the
-//    in-flight one) instead of re-reading, and never reads a block twice;
-//  - eviction hands dirty victims to the engine as write-behind requests,
-//    keeping the disk write off the caller's critical path; a get() of a
-//    block whose write is still in flight drains first, so readers can
-//    never observe stale bytes.
-//
-// flush() and the destructor drain the engine, so the durability
-// contract ("flush persists everything") is unchanged.
+// thread only ever performs positional reads on shared fds.
+// prefetch_async() submits a sorted read batch for blocks the caller will
+// need soon; get() adopts finished buffers (or waits for the in-flight
+// one) instead of re-reading, and never reads a block twice.  Writes
+// never go through the engine: a dirty block is written back by the
+// thread that evicts or flushes it (write_back), engine or not.
 #pragma once
 
 #include <atomic>
@@ -177,17 +171,18 @@ class BlockCache {
   /// another block's bytes (File::read_at zero-fills past EOF, grDB
   /// fills a never-written block with 0xFF).  An async prefetch reads
   /// into such a frame too, through File::read_at or read_vectored.
+  /// The Writer is the one way a block reaches its store: on eviction,
+  /// flush and a capacity-0 unpin alike.
   using Reader = std::function<void(std::uint64_t block, std::span<std::byte>)>;
   using Writer =
       std::function<void(std::uint64_t block, std::span<const std::byte>)>;
-  /// Resolves a block to its on-disk location — called on the OWNING
-  /// thread at submit time, so it may freely mutate store metadata
-  /// (create/extend files, set allocation bitmaps).  Returning nullopt
-  /// means the block cannot be handled asynchronously (e.g. a grDB block
-  /// that was never written reads as 0xFF without touching disk); such
-  /// blocks fall back to the synchronous Reader/Writer.
-  using Locator = std::function<std::optional<AsyncTarget>(
-      std::uint64_t block, bool for_write)>;
+  /// Resolves a block to its on-disk location for read-ahead — called
+  /// on the OWNING thread at submit time, so it may open files.
+  /// Returning nullopt means the block is not read ahead (e.g. a grDB
+  /// block that was never written reads as 0xFF without touching disk);
+  /// such blocks load through the synchronous Reader.
+  using Locator =
+      std::function<std::optional<AsyncTarget>(std::uint64_t block)>;
 
   /// `capacity_bytes` bounds the total size of unpinned resident blocks;
   /// zero disables caching (write-through / read-through).
@@ -197,7 +192,7 @@ class BlockCache {
   BlockCache(const BlockCache&) = delete;
   BlockCache& operator=(const BlockCache&) = delete;
 
-  /// Writes back all dirty blocks (draining the I/O engine first).
+  /// Writes back all dirty blocks (draining the read-ahead engine first).
   /// Entries still pinned here indicate a leaked BlockHandle: each is
   /// logged, counted in `IoStats::cache_pin_leaks` (debug builds
   /// additionally assert), and handed over to its handle, which frees it
@@ -206,7 +201,7 @@ class BlockCache {
   ~BlockCache();
 
   /// Registers a backing store.  Returns the store id used in get().
-  /// `locator` is optional; stores without one never use the async path.
+  /// `locator` is optional; stores without one are never read ahead.
   std::uint16_t register_store(std::size_t block_size, Reader reader,
                                Writer writer, Locator locator = nullptr);
 
@@ -217,31 +212,24 @@ class BlockCache {
   void set_miss_penalty_us(std::uint32_t us) { miss_penalty_us_ = us; }
 
   /// Optional per-store integrity hooks.  `seal` runs on the full
-  /// physical block right before any disk write (sync write-back and
-  /// async write-behind alike); `verify` runs right after any disk read
-  /// — it may throw, or repair the block in place (self-healing stores
-  /// like the visited structure reset a corrupt page instead of dying).
-  /// `usable_bytes` (0 = whole block) caps what BlockHandle exposes, so
-  /// a trailing checksum region never leaks into store payloads.
+  /// physical block right before every disk write; `verify` runs right
+  /// after any disk read (synchronous or read-ahead) — it may throw, or
+  /// repair the block in place (self-healing stores like the visited
+  /// structure reset a corrupt page instead of dying).  `usable_bytes`
+  /// (0 = whole block) caps what BlockHandle exposes, so a trailing
+  /// checksum region never leaks into store payloads.
   struct StoreHooks {
     std::function<void(std::uint64_t block, std::span<std::byte>)> seal;
     std::function<void(std::uint64_t block, std::span<std::byte>)> verify;
     std::size_t usable_bytes = 0;
-    /// Durability barrier for write-behind: called once per eviction
-    /// batch, after the store's Locators resolved every victim (and
-    /// captured their undo pre-images) but BEFORE the payloads reach the
-    /// engine.  Journaled stores fdatasync their undo log here, so a
-    /// whole batch amortizes one sync instead of paying one per block.
-    std::function<void()> write_barrier;
   };
 
   void set_store_hooks(std::uint16_t store, StoreHooks hooks);
 
-  /// Starts the background I/O engine with `workers` lanes (idempotent;
-  /// the first call wins).  No-op when the cache is disabled (capacity
-  /// 0): with nothing retained between unpins there is nothing to
-  /// prefetch into or write behind from.
-  void enable_async_io(std::size_t workers = 1);
+  /// Starts the background read-ahead engine (idempotent).  No-op when
+  /// the cache is disabled (capacity 0): with nothing retained between
+  /// unpins there is nothing to prefetch into.
+  void enable_async_io();
 
   [[nodiscard]] bool async_enabled() const { return engine_ != nullptr; }
 
@@ -268,14 +256,13 @@ class BlockCache {
 
   /// Visits every dirty resident block in ascending key order with its
   /// FULL physical span (trailer included) — what a journal records as
-  /// redo images.  Call drain_pending() first if async write-behind may
-  /// be in flight (in-flight payloads are not resident).
+  /// redo images.
   void for_each_dirty(
       const std::function<void(std::uint16_t store, std::uint64_t block,
                                std::span<std::byte> data)>& fn);
 
-  /// Drains the async engine (if any) and rethrows the first deferred
-  /// write-behind error as StorageError.
+  /// Drains the read-ahead engine (if any) and rethrows the first
+  /// deferred eviction or release write error as StorageError.
   void drain_pending();
 
   /// Writes back all dirty blocks (keeps them resident).
@@ -335,7 +322,7 @@ class BlockCache {
   /// Demotes the protected tail to probation until protected fits its
   /// share of capacity.
   void rebalance_protected();
-  /// Throws StorageError if an async write-behind failed earlier.
+  /// Throws StorageError if a deferred write failed earlier.
   void maybe_rethrow();
   void flush_locked();
   /// A frame of `size` bytes for a miss, a prefetch or create(): the
@@ -376,11 +363,9 @@ class BlockCache {
   std::vector<std::vector<std::byte>> stash_;
   std::unique_ptr<IoEngine> engine_;
   std::unordered_set<std::uint64_t> pending_reads_;
-  // key -> in-flight write-behind count (re-eviction can stack writes).
-  std::unordered_map<std::uint64_t, std::uint32_t> pending_writes_;
-  // First error from an async write-behind (the worker cannot throw into
-  // this thread) or from a write during handle release (a destructor
-  // cannot throw at all); rethrown by get()/flush()/drain_pending().
+  // First error from a write-back during eviction or handle release (an
+  // unpin runs in a destructor and cannot throw); rethrown by
+  // get()/create()/flush()/drain_pending().
   std::string deferred_error_;
 };
 

@@ -18,8 +18,8 @@
 namespace mssg {
 
 namespace {
-// A vectored call's iovecs: on the stack up to IoEngine's default merge
-// limit, so an engine worker issues a merged run without touching the
+// A vectored read's iovecs: on the stack up to IoEngine's default merge
+// limit, so the engine's worker issues a merged run without touching the
 // heap; a longer list takes a heap array.
 class IovecScratch {
  public:
@@ -188,56 +188,6 @@ void File::read_vectored(std::uint64_t offset,
   if (stats_ != nullptr) {
     ++stats_->reads;
     stats_->bytes_read += total;
-  }
-}
-
-void File::write_vectored(
-    std::uint64_t offset,
-    std::span<const std::span<const std::byte>> buffers) const {
-  MSSG_CHECK(is_open());
-  if (buffers.empty()) return;
-  unsynced_.store(true);
-  if (FaultInjector::instance().enabled()) {
-    std::uint64_t pos = offset;
-    for (const auto& buf : buffers) {
-      write_at(pos, buf);
-      pos += buf.size();
-    }
-    return;
-  }
-  IovecScratch scratch;
-  const std::span<iovec> iov = scratch.get(buffers.size());
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < buffers.size(); ++i) {
-    iov[i].iov_base = const_cast<std::byte*>(buffers[i].data());
-    iov[i].iov_len = buffers[i].size();
-    total += buffers[i].size();
-  }
-  std::size_t done = 0;
-  std::size_t skip = 0;
-  while (done < total) {
-    while (skip < iov.size() && iov[skip].iov_len == 0) ++skip;
-    const ssize_t n =
-        ::pwritev(fd_, iov.data() + skip, static_cast<int>(iov.size() - skip),
-                  static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw StorageError(std::string("pwritev failed: ") +
-                         std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-    std::size_t left = static_cast<std::size_t>(n);
-    while (left > 0 && skip < iov.size()) {
-      const std::size_t take = std::min(left, iov[skip].iov_len);
-      iov[skip].iov_base = static_cast<std::byte*>(iov[skip].iov_base) + take;
-      iov[skip].iov_len -= take;
-      left -= take;
-      if (iov[skip].iov_len == 0) ++skip;
-    }
-  }
-  if (stats_ != nullptr) {
-    ++stats_->writes;
-    stats_->bytes_written += done;
   }
 }
 

@@ -56,16 +56,11 @@ class File {
   void read_vectored(std::uint64_t offset,
                      std::span<const std::span<std::byte>> buffers) const;
 
-  /// Writes `buffers` back-to-back starting at `offset` with a single
-  /// pwritev (see read_vectored for the FaultInjector fallback).
-  void write_vectored(std::uint64_t offset,
-                      std::span<const std::span<const std::byte>> buffers) const;
-
   [[nodiscard]] std::uint64_t size() const;
   void truncate(std::uint64_t new_size) const;
   /// fdatasync — skipped (no syscall, no fault-injector consultation,
-  /// not counted) when this handle saw no write, vectored write or
-  /// truncate since its last successful sync.
+  /// not counted) when this handle saw no write or truncate since its
+  /// last successful sync.
   void sync() const;
   void close();
 
@@ -87,8 +82,8 @@ class File {
   std::string path_;
   // Set before every mutation through this handle (so a torn write
   // leaves it set), cleared before each fdatasync and restored if the
-  // fdatasync throws.  Atomic: IoEngine workers write through the same
-  // handle the writer thread syncs.
+  // fdatasync throws.  Atomic: one handle may be written by a query
+  // thread's eviction and synced by the writer thread.
   mutable std::atomic<bool> unsynced_{false};
 };
 

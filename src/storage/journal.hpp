@@ -92,9 +92,7 @@ class WriteJournal {
   void undo_record(std::uint64_t tag, std::span<const std::byte> payload);
 
   /// Makes every appended pre-image durable (no-op when none is
-  /// pending).  One barrier may cover many undo_record()s — the
-  /// batched-eviction path captures a whole write-behind batch, then
-  /// barriers once before handing the payloads to the engine.
+  /// pending).  One barrier may cover many undo_record()s.
   void undo_barrier();
 
   /// True if any pre-image was captured since the last trim(): the data

@@ -11,8 +11,7 @@ namespace mssg {
 
 Pager::Pager(const std::filesystem::path& path, std::size_t page_size,
              std::size_t cache_capacity_bytes, IoStats* stats, bool async_io,
-             bool journal, std::size_t io_workers,
-             std::uint32_t journal_sync_interval)
+             bool journal, std::uint32_t journal_sync_interval)
     : page_size_(page_size),
       usable_(page_checksum::usable_bytes(page_size)),
       file_(File::open(path, stats)),
@@ -26,19 +25,15 @@ Pager::Pager(const std::filesystem::path& path, std::size_t page_size,
         file_.read_at(block * page_size_, out);
       },
       [this](std::uint64_t block, std::span<const std::byte> in) {
+        // The pre-image must be durable before the page is overwritten
+        // in place.
         capture_undo(block);
-        // Synchronous write-back overwrites immediately, so the barrier
-        // is per-call here; the async path batches it (write_barrier).
         if (journal_ != nullptr) journal_->undo_barrier();
         file_.write_at(block * page_size_, in);
       },
       // Pages map 1:1 to file offsets, so the locator never needs store
       // metadata; past-EOF reads zero-fill exactly like the sync reader.
-      [this](std::uint64_t block, bool for_write) -> std::optional<AsyncTarget> {
-        // The pre-image must be durable before the worker can overwrite
-        // in place; capturing here, on the owning thread at submit time,
-        // keeps the journal single-threaded.
-        if (for_write) capture_undo(block);
+      [this](std::uint64_t block) -> std::optional<AsyncTarget> {
         return AsyncTarget{&file_, block * page_size_};
       });
   cache_.set_store_hooks(
@@ -49,12 +44,8 @@ Pager::Pager(const std::filesystem::path& path, std::size_t page_size,
        [this](std::uint64_t block, std::span<std::byte> page) {
          verify_page(block, page);
        },
-       usable_,
-       // One undo fdatasync per write-behind batch, not per page.
-       [this] {
-         if (journal_ != nullptr) journal_->undo_barrier();
-       }});
-  if (async_io) cache_.enable_async_io(io_workers);
+       usable_});
+  if (async_io) cache_.enable_async_io();
 
   if (journal) {
     journal_ =
@@ -271,8 +262,8 @@ void Pager::flush(bool force_commit) {
     return;
   }
 
-  // Write-behind payloads must be on disk (and their undo records
-  // captured at submit time made good) before we enumerate dirty pages.
+  // A write that failed during an eviction surfaces here, before the
+  // dirty pages are enumerated.
   cache_.drain_pending();
   // A previous flush may have died between redo-commit and trim; finish
   // its in-place phase first so epochs never interleave.  With a group

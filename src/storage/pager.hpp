@@ -36,8 +36,8 @@ class Pager {
  public:
   /// Opens (or creates) a paged file.  `cache_capacity_bytes` sizes the
   /// page cache; zero means write-through (no caching).  `async_io`
-  /// attaches the background IoEngine (with `io_workers` lanes) for
-  /// prefetch() read-ahead and write-behind eviction.  `journal` arms
+  /// attaches the background IoEngine for prefetch() read-ahead.
+  /// `journal` arms
   /// crash-safe flushes (see file comment); recovery, if needed, runs
   /// here before the header loads.  `journal_sync_interval` is the
   /// group-commit knob: every n-th flush() commits durably, the ones in
@@ -46,7 +46,7 @@ class Pager {
   Pager(const std::filesystem::path& path, std::size_t page_size,
         std::size_t cache_capacity_bytes, IoStats* stats = nullptr,
         bool async_io = false, bool journal = false,
-        std::size_t io_workers = 1, std::uint32_t journal_sync_interval = 1);
+        std::uint32_t journal_sync_interval = 1);
 
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
@@ -74,7 +74,7 @@ class Pager {
   BlockHandle pin(PageId page);
 
   /// Issues sorted async read-ahead for the given pages (no-op without
-  /// async I/O — callers warm synchronously in that case).
+  /// async I/O).
   void prefetch(std::span<const PageId> pages);
 
   [[nodiscard]] bool async_enabled() const { return cache_.async_enabled(); }

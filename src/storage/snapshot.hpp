@@ -95,6 +95,12 @@ class Snapshot {
 
 using SnapshotRef = std::shared_ptr<const Snapshot>;
 
+/// A snapshot's frozen high-water mark (see Snapshot).
+struct SnapshotBounds {
+  std::uint64_t extent = 0;
+  bool nonempty = false;
+};
+
 /// The committed-epoch counter and the live-snapshot ledger.  All ops
 /// take one short mutex; none are on a per-read hot path (reads consult
 /// the Snapshot handle, not the manager).
@@ -116,9 +122,20 @@ class EpochManager {
   /// Pins the current committed epoch and returns the handle.  The
   /// caller owns `owner`/`extent`/`nonempty` semantics (see Snapshot).
   SnapshotRef pin(const void* owner, std::uint64_t extent, bool nonempty) {
+    return pin(owner, [=] { return SnapshotBounds{extent, nonempty}; });
+  }
+
+  /// As above, with the extent read by `bounds()` under the manager's
+  /// mutex once the epoch is fixed: a writer publishes its extent before
+  /// advance() takes that mutex, so the extent covers every commit up to
+  /// the pinned epoch.
+  template <typename Bounds>
+  SnapshotRef pin(const void* owner, Bounds&& bounds) {
     std::lock_guard lk(mu_);
+    const SnapshotBounds b = bounds();
     ++live_[current_];
-    return std::make_shared<Snapshot>(this, current_, owner, extent, nonempty);
+    return std::make_shared<Snapshot>(this, current_, owner, b.extent,
+                                      b.nonempty);
   }
 
   /// Commit boundary: everything written in the open epoch becomes the

@@ -581,21 +581,5 @@ TEST_P(CrashRecovery, SnapshotModeSweepRecoversCommittedEpoch) {
   run_snapshot_sweep(GetParam(), config);
 }
 
-// Async write-behind moves writes onto the engine worker, so kill points
-// land nondeterministically — every one must still recover.
-TEST(CrashRecovery, KvstoreSweepWithAsyncWriteBehind) {
-  GraphDBConfig config;
-  config.cache_bytes = 64u << 10;
-  config.async_io = true;
-  run_sweep(Backend::kKVStore, config);
-}
-
-TEST(CrashRecovery, GrdbSweepWithAsyncWriteBehind) {
-  GraphDBConfig config;
-  config.cache_bytes = 64u << 10;
-  config.async_io = true;
-  run_sweep(Backend::kGrDB, config);
-}
-
 }  // namespace
 }  // namespace mssg

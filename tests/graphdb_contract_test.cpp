@@ -387,7 +387,7 @@ class GraphDBNoCache : public ::testing::TestWithParam<Backend> {};
 TEST_P(GraphDBNoCache, NoCacheMatchesCached) {
   TempDir dir_cached, dir_raw;
   GraphDBConfig no_cache;
-  no_cache.cache_enabled = false;
+  no_cache.cache_bytes = 0;
   auto cached = make_db(GetParam(), dir_cached);
   auto raw = make_db(GetParam(), dir_raw, no_cache);
 

@@ -1,10 +1,10 @@
-// Multi-worker IoEngine stress — the tsan drill for the parallel lane
-// rewrite.  Several submitter threads, a dedicated poller, waiters, and
-// a registry reader hammer one engine across several files at once; the
-// invariants checked (no request lost, no request failed, every byte
-// where it belongs, accounting totals reconcile) must hold under every
-// interleaving.  Runs under both sanitizers via the `io` ctest label
-// (tools/ci_sanitize.sh).
+// IoEngine stress — the tsan drill for the read-ahead engine's handoffs.
+// Several submitter threads, a dedicated poller, waiters, and a registry
+// reader hammer one engine (one worker) across several files at once;
+// the invariants checked (no request lost, no request failed, every
+// buffer holding the bytes of the block it named, accounting totals
+// reconcile) must hold under every interleaving.  Runs under both
+// sanitizers via the `io` ctest label (tools/ci_sanitize.sh).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,15 +43,16 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
         File::open(dir.path() / ("data" + std::to_string(f)), &stats)));
   }
 
-  IoEngineOptions options;
-  options.workers = 4;
-  options.stats = &stats;
-  IoEngine engine(options);
-
   // Every request gets a globally unique index; file and offset derive
-  // from it, so no two requests ever race on the same byte range.
+  // from it, and the block there holds the index's pattern.
   auto file_of = [&](std::uint64_t idx) { return files[idx % kFiles].get(); };
   auto offset_of = [&](std::uint64_t idx) { return (idx / kFiles) * kBlock; };
+  for (std::uint64_t idx = 0; idx < kTotal; ++idx) {
+    file_of(idx)->write_at(offset_of(idx), pattern_block(idx));
+  }
+  const std::uint64_t reads_before = stats.reads;
+
+  IoEngine engine({.stats = &stats});
 
   std::vector<std::thread> submitters;
   for (std::size_t s = 0; s < kSubmitters; ++s) {
@@ -61,10 +62,9 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
         for (std::size_t r = 0; r < kPerBatch; ++r) {
           const std::uint64_t idx = (s * kBatches + b) * kPerBatch + r;
           IoRequest req;
-          req.kind = IoRequest::Kind::kWrite;
           req.file = file_of(idx);
           req.offset = offset_of(idx);
-          req.buffer = pattern_block(idx);
+          req.buffer.resize(kBlock);
           req.key = idx;
           batch.push_back(std::move(req));
         }
@@ -74,18 +74,20 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
     });
   }
 
-  // Concurrent poller: steals completions while submitters and workers
-  // are both live.  Every completion must carry an empty error and a key
-  // it was submitted with.
+  // Concurrent poller: steals completions while submitters and the
+  // worker are both live.  Every completion must carry an empty error, a
+  // key it was submitted with and the bytes of the block that key names.
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> polled{0};
+  const auto check = [&](const IoRequest& req) {
+    EXPECT_TRUE(req.error.empty()) << req.error;
+    ASSERT_LT(req.key, kTotal);
+    EXPECT_EQ(req.buffer, pattern_block(req.key)) << "request " << req.key;
+    polled.fetch_add(1, std::memory_order_relaxed);
+  };
   std::thread poller([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      for (IoRequest& req : engine.poll_completions()) {
-        EXPECT_TRUE(req.error.empty()) << req.error;
-        EXPECT_LT(req.key, kTotal);
-        polled.fetch_add(1, std::memory_order_relaxed);
-      }
+      for (const IoRequest& req : engine.poll_completions()) check(req);
       std::this_thread::yield();
     }
   });
@@ -95,22 +97,13 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
   stop.store(true, std::memory_order_release);
   poller.join();
   // Whatever the poller's last pass missed is still queued as completed.
-  for (IoRequest& req : engine.poll_completions()) {
-    EXPECT_TRUE(req.error.empty()) << req.error;
-    polled.fetch_add(1, std::memory_order_relaxed);
-  }
+  for (const IoRequest& req : engine.poll_completions()) check(req);
 
-  // Nothing lost, everything accounted (as it ran, on the workers).
+  // Nothing lost, everything accounted (as it ran, on the worker): one
+  // read syscall per request or per merged run.
   EXPECT_EQ(polled.load(), kTotal);
-  EXPECT_EQ(stats.bytes_written, kTotal * kBlock);
+  EXPECT_EQ(stats.reads - reads_before + stats.vectored_merges, kTotal);
   EXPECT_EQ(stats.engine_dropped_errors, 0u);
-
-  // Every byte where it belongs, regardless of which lane carried it.
-  std::vector<std::byte> out(kBlock);
-  for (std::uint64_t idx = 0; idx < kTotal; ++idx) {
-    file_of(idx)->read_at(offset_of(idx), out);
-    EXPECT_EQ(out, pattern_block(idx)) << "request " << idx;
-  }
 }
 
 // The lost-wakeup regression: null-file-only batches complete almost
@@ -119,9 +112,7 @@ TEST(IoEngineStress, ConcurrentSubmitPollDrainAcrossWorkers) {
 // leaving wait_for_completion() blocked on "completed_ non-empty"
 // forever.  The sequence-number predicate must return regardless.
 TEST(IoEngineStress, WaitForCompletionSurvivesConcurrentPoller) {
-  IoEngineOptions options;
-  options.workers = 4;
-  IoEngine engine(options);
+  IoEngine engine;
 
   std::atomic<bool> stop{false};
   std::thread poller([&] {
@@ -133,7 +124,6 @@ TEST(IoEngineStress, WaitForCompletionSurvivesConcurrentPoller) {
   for (std::uint64_t i = 0; i < 200; ++i) {
     std::vector<IoRequest> batch;
     IoRequest req;
-    req.kind = IoRequest::Kind::kRead;
     req.file = nullptr;  // resolved without disk I/O
     req.key = i;
     batch.push_back(std::move(req));
@@ -147,7 +137,7 @@ TEST(IoEngineStress, WaitForCompletionSurvivesConcurrentPoller) {
 }
 
 // The engine's registry is read live, with no quiescing, while a
-// submitter keeps the workers busy: totals can only grow between
+// submitter keeps the worker busy: totals can only grow between
 // snapshots, tsan must see no unsynchronized access, and once drained
 // the counts reconcile with what was submitted.
 TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
@@ -155,21 +145,21 @@ TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
   MetricsRegistry metrics;
   IoStats stats(metrics);
   File file = File::open(dir.path() / "data", &stats);
-  IoEngineOptions options;
-  options.workers = 2;
-  options.stats = &stats;
-  IoEngine engine(options);
+  for (std::uint64_t slot = 0; slot < 64; ++slot) {
+    file.write_at(slot * kBlock, pattern_block(slot));
+  }
+  const std::uint64_t reads_before = stats.reads;
+  IoEngine engine({.stats = &stats});
 
   std::atomic<bool> stop{false};
-  std::uint64_t n = 0;  // batches submitted (one write each)
+  std::uint64_t n = 0;  // batches submitted (one read each)
   std::thread submitter([&] {
     while (!stop.load(std::memory_order_acquire)) {
       std::vector<IoRequest> batch;
       IoRequest req;
-      req.kind = IoRequest::Kind::kWrite;
       req.file = &file;
       req.offset = (n++ % 64) * kBlock;
-      req.buffer = pattern_block(n);
+      req.buffer.resize(kBlock);
       batch.push_back(std::move(req));
       engine.submit(std::move(batch));
     }
@@ -180,7 +170,6 @@ TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
     const MetricsSnapshot snap = metrics.snapshot();
     const std::uint64_t batches = snap.counter("span.io.engine.batch");
     EXPECT_GE(batches, last);
-    EXPECT_EQ(snap.counter("io.engine.lanes"), 2u);
     last = batches;
   }
   stop.store(true, std::memory_order_release);
@@ -189,7 +178,7 @@ TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
   (void)engine.poll_completions();
   const MetricsSnapshot final_counts = metrics.snapshot();
   EXPECT_EQ(final_counts.counter("span.io.engine.batch"), n);
-  EXPECT_EQ(final_counts.counter("io.writes"), n);
+  EXPECT_EQ(final_counts.counter("io.reads") - reads_before, n);
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
-// Async I/O engine tests: the raw IoEngine (ordering, durability,
-// shutdown), the BlockCache async read-ahead / write-behind protocols,
-// the Pager free-list hardening, and the end-to-end guarantee that
-// asynchronous prefetch changes *when* blocks load but never what a
-// query computes.
+// Async I/O engine tests: the raw read-ahead IoEngine (ordering,
+// merging, errors, shutdown), the BlockCache read-ahead protocol and its
+// synchronous eviction write-back with an engine attached, the Pager
+// free-list hardening, and the end-to-end guarantee that asynchronous
+// prefetch changes *when* blocks load but never what a query computes.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,7 +48,6 @@ TEST(IoEngine, ExecutesBatchSortedByOffset) {
   // Submit in deliberately shuffled offset order.
   for (const std::uint64_t block : {5u, 1u, 7u, 0u, 3u, 6u, 2u, 4u}) {
     IoRequest req;
-    req.kind = IoRequest::Kind::kRead;
     req.file = &file;
     req.offset = block * kBlock;
     req.buffer.resize(kBlock);
@@ -74,90 +72,6 @@ TEST(IoEngine, ExecutesBatchSortedByOffset) {
   EXPECT_EQ(file_stats.vectored_merges, 7u);
 }
 
-TEST(IoEngine, VectoredWriteMergesContiguousRunsOnly) {
-  TempDir dir;
-  MetricsRegistry metrics;
-  IoStats stats(metrics);
-  File file = File::open(dir.path() / "data", &stats);
-  IoEngine engine({.stats = &stats});
-  std::vector<IoRequest> batch;
-  // Blocks 0-2 are byte-contiguous, then a two-block hole, then 5-6:
-  // exactly two pwritev calls, never one spanning the hole.
-  for (const std::uint64_t block : {5u, 0u, 2u, 6u, 1u}) {
-    IoRequest req;
-    req.kind = IoRequest::Kind::kWrite;
-    req.file = &file;
-    req.offset = block * kBlock;
-    req.buffer = pattern_block(static_cast<std::uint8_t>(block));
-    batch.push_back(std::move(req));
-  }
-  engine.submit(std::move(batch));
-  engine.drain();
-  ASSERT_EQ(engine.poll_completions().size(), 5u);
-  EXPECT_EQ(stats.writes, 2u);
-  EXPECT_EQ(stats.vectored_merges, 3u);
-  EXPECT_EQ(stats.bytes_written, 5u * kBlock);
-
-  std::vector<std::byte> out(kBlock);
-  for (const std::uint64_t block : {0u, 1u, 2u, 5u, 6u}) {
-    file.read_at(block * kBlock, out);
-    EXPECT_EQ(out, pattern_block(static_cast<std::uint8_t>(block)))
-        << "block " << block;
-  }
-  file.read_at(3 * kBlock, out);  // the hole reads back as zeros
-  EXPECT_EQ(out, std::vector<std::byte>(kBlock));
-}
-
-TEST(IoEngine, StableSortKeepsSameOffsetSubmissionOrder) {
-  TempDir dir;
-  File file = File::open(dir.path() / "data");
-  IoEngine engine;
-  std::vector<IoRequest> batch;
-  for (const std::uint8_t tag : {std::uint8_t{1}, std::uint8_t{2}}) {
-    IoRequest req;
-    req.kind = IoRequest::Kind::kWrite;
-    req.file = &file;
-    req.offset = 0;
-    req.buffer = pattern_block(tag);
-    batch.push_back(std::move(req));
-  }
-  engine.submit(std::move(batch));
-  engine.drain();
-
-  std::vector<std::byte> out(kBlock);
-  file.read_at(0, out);
-  EXPECT_EQ(out, pattern_block(2));  // later submission wins
-}
-
-TEST(IoEngine, DestructorDrainsPendingWrites) {
-  TempDir dir;
-  const auto path = dir.path() / "data";
-  {
-    File file = File::open(path);
-    IoEngine engine;
-    // Several batches, destroyed immediately: the destructor must let the
-    // worker finish the queue before joining (write-behind durability).
-    for (std::uint8_t b = 0; b < 4; ++b) {
-      std::vector<IoRequest> batch;
-      IoRequest req;
-      req.kind = IoRequest::Kind::kWrite;
-      req.file = &file;
-      req.offset = b * kBlock;
-      req.buffer = pattern_block(b);
-      batch.push_back(std::move(req));
-      engine.submit(std::move(batch));
-    }
-    // No drain, no poll: shutdown with requests still in flight.
-  }
-  File file = File::open(path);
-  EXPECT_EQ(file.size(), 4u * kBlock);
-  for (std::uint8_t b = 0; b < 4; ++b) {
-    std::vector<std::byte> out(kBlock);
-    file.read_at(b * kBlock, out);
-    EXPECT_EQ(out, pattern_block(b));
-  }
-}
-
 TEST(IoEngine, ShutdownDiscardsUnpolledReadsSafely) {
   TempDir dir;
   File file = File::open(dir.path() / "data");
@@ -166,7 +80,6 @@ TEST(IoEngine, ShutdownDiscardsUnpolledReadsSafely) {
     IoEngine engine;
     std::vector<IoRequest> batch;
     IoRequest req;
-    req.kind = IoRequest::Kind::kRead;
     req.file = &file;
     req.offset = 0;
     req.buffer.resize(kBlock);
@@ -183,9 +96,10 @@ TEST(IoEngine, DestructorSpillsDroppedErrorsIntoSink) {
 #else
   TempDir dir;
   File file = File::open(dir.path() / "data");
+  file.write_at(0, pattern_block(1));
   FaultInjector::instance().clear();
   FaultInjector::instance().parse_spec(
-      "path=" + (dir.path() / "data").string() + ",op=write,kind=fail,nth=0");
+      "path=" + (dir.path() / "data").string() + ",op=read,kind=fail,nth=0");
 
   MetricsRegistry metrics;
   IoStats sink(metrics);
@@ -193,16 +107,15 @@ TEST(IoEngine, DestructorSpillsDroppedErrorsIntoSink) {
     IoEngine engine({.stats = &sink});
     std::vector<IoRequest> batch;
     IoRequest req;
-    req.kind = IoRequest::Kind::kWrite;
     req.file = &file;
     req.offset = 0;
-    req.buffer = pattern_block(1);
+    req.buffer.resize(kBlock);
     req.key = 5;
     batch.push_back(std::move(req));
     engine.submit(std::move(batch));
     engine.drain();
-    // Destroyed WITHOUT polling: the failed write's error would once
-    // vanish silently.  Now it is logged and counted in the sink.
+    // Destroyed WITHOUT polling: the failed read's error must not
+    // vanish silently.  It is logged and counted in the sink.
   }
   FaultInjector::instance().clear();
   EXPECT_EQ(sink.engine_dropped_errors, 1u);
@@ -215,7 +128,6 @@ TEST(IoEngine, NullFileRequestCompletesWithoutIo) {
   IoEngine engine({.stats = &stats});
   std::vector<IoRequest> batch;
   IoRequest req;
-  req.kind = IoRequest::Kind::kRead;
   req.file = nullptr;  // resolved by the owner without touching disk
   req.key = 42;
   batch.push_back(std::move(req));
@@ -230,17 +142,17 @@ TEST(IoEngine, NullFileRequestCompletesWithoutIo) {
 TEST(IoEngine, WorkerErrorsPropagateToOwningThread) {
   TempDir dir;
   File file = File::open(dir.path() / "data");
+  file.write_at(0, pattern_block(3));
   FaultInjector::instance().clear();
   FaultInjector::instance().parse_spec(
-      "path=" + (dir.path() / "data").string() + ",op=write,kind=fail,nth=0");
+      "path=" + (dir.path() / "data").string() + ",op=read,kind=fail,nth=0");
 
   IoEngine engine;
   std::vector<IoRequest> batch;
   IoRequest req;
-  req.kind = IoRequest::Kind::kWrite;
   req.file = &file;
   req.offset = 0;
-  req.buffer = pattern_block(3);
+  req.buffer.resize(kBlock);
   req.key = 7;
   batch.push_back(std::move(req));
   engine.submit(std::move(batch));
@@ -254,8 +166,6 @@ TEST(IoEngine, WorkerErrorsPropagateToOwningThread) {
   EXPECT_FALSE(done[0].error.empty());
   EXPECT_NE(done[0].error.find("fault injection"), std::string::npos)
       << done[0].error;
-  // Nothing landed on disk.
-  EXPECT_EQ(file.size(), 0u);
 }
 
 TEST(IoEngine, WaitForCompletionReturnsWhenIdle) {
@@ -268,16 +178,16 @@ TEST(IoEngine, WaitForCompletionReturnsWhenIdle) {
 TEST(IoEngine, MetricsCountBatches) {
   TempDir dir;
   File file = File::open(dir.path() / "data");
+  file.write_at(0, pattern_block(1));
   MetricsRegistry metrics;
   IoStats stats(metrics);
-  IoEngine engine({.workers = 2, .stats = &stats});
+  IoEngine engine({.stats = &stats});
   for (int b = 0; b < 3; ++b) {
     std::vector<IoRequest> batch;
     IoRequest req;
-    req.kind = IoRequest::Kind::kWrite;
     req.file = &file;
     req.offset = 0;
-    req.buffer = pattern_block(1);
+    req.buffer.resize(kBlock);
     batch.push_back(std::move(req));
     engine.submit(std::move(batch));
   }
@@ -285,7 +195,6 @@ TEST(IoEngine, MetricsCountBatches) {
   // finishes: once drain() returns, all three are there.
   engine.drain();
   const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.counter("io.engine.lanes"), 2u);
   EXPECT_EQ(snap.counter("span.io.engine.batch"), 3u);
   ASSERT_TRUE(snap.histograms.contains("io.engine.batch_requests"));
   EXPECT_EQ(snap.histograms.at("io.engine.batch_requests").count, 3u);
@@ -295,79 +204,49 @@ TEST(IoEngine, MetricsCountBatches) {
   (void)engine.poll_completions();
 }
 
-// Many sub-batches queued on one lane, polled part-way: the lane FIFO
-// reuses and compacts its slots, and the completion list hands every
-// request back once, in submission order (one file, one worker).
+// Many batches queued, polled part-way: the FIFO reuses and compacts
+// its slots, and the completion list hands every request back once, in
+// submission order, with the bytes of the slot it read.
 TEST(IoEngine, QueuedSubBatchesCompleteInSubmissionOrder) {
   TempDir dir;
   File file = File::open(dir.path() / "data");
+  for (std::uint8_t slot = 0; slot < 3; ++slot) {
+    file.write_at(slot * kBlock, pattern_block(slot));
+  }
   IoEngine engine;
-  std::vector<std::uint64_t> keys;
+  std::vector<IoRequest> done;
+  const auto take = [&] {
+    for (IoRequest& req : engine.poll_completions()) {
+      done.push_back(std::move(req));
+    }
+  };
   for (std::uint64_t i = 0; i < 300; ++i) {
     IoRequest req;
-    req.kind = IoRequest::Kind::kWrite;
     req.file = &file;
     req.offset = (i % 3) * kBlock;
-    req.buffer = pattern_block(static_cast<std::uint8_t>(i));
+    req.buffer.resize(kBlock);
     req.key = i;
     std::vector<IoRequest> batch;
     batch.push_back(std::move(req));
     engine.submit(std::move(batch));
-    if (i % 40 == 39) {
-      for (const IoRequest& done : engine.poll_completions()) {
-        keys.push_back(done.key);
-      }
-    }
+    if (i % 40 == 39) take();
   }
   engine.drain();
-  for (const IoRequest& done : engine.poll_completions()) {
-    EXPECT_TRUE(done.error.empty());
-    keys.push_back(done.key);
-  }
-  ASSERT_EQ(keys.size(), 300u);
-  for (std::uint64_t i = 0; i < keys.size(); ++i) EXPECT_EQ(keys[i], i);
-  std::vector<std::byte> out(kBlock);
-  for (std::uint64_t slot = 0; slot < 3; ++slot) {
-    file.read_at(slot * kBlock, out);
-    EXPECT_EQ(out, pattern_block(static_cast<std::uint8_t>(297 + slot)));
+  take();
+  ASSERT_EQ(done.size(), 300u);
+  for (std::uint64_t i = 0; i < done.size(); ++i) {
+    EXPECT_EQ(done[i].key, i);
+    EXPECT_TRUE(done[i].error.empty());
+    EXPECT_EQ(done[i].buffer, pattern_block(static_cast<std::uint8_t>(i % 3)));
   }
 }
 
-// One batch over many heap-allocated files fans out to every lane: submit
-// makes one sub-batch per lane that has work, and each executed sub-batch
-// is one "span.io.engine.batch".
-TEST(IoEngine, HeapFilesReachEveryLane) {
-  TempDir dir;
-  std::vector<std::unique_ptr<File>> files;
-  for (int i = 0; i < 64; ++i) {
-    files.push_back(std::make_unique<File>(
-        File::open(dir.path() / ("f" + std::to_string(i)))));
-  }
-  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-    MetricsRegistry metrics;
-    IoStats stats(metrics);
-    IoEngine engine({.workers = workers, .stats = &stats});
-    std::vector<IoRequest> batch;
-    for (const auto& file : files) {
-      IoRequest req;
-      req.kind = IoRequest::Kind::kWrite;
-      req.file = file.get();
-      req.offset = 0;
-      req.buffer = pattern_block(1);
-      batch.push_back(std::move(req));
-    }
-    engine.submit(std::move(batch));
-    engine.drain();
-    EXPECT_EQ(metrics.snapshot().counter("span.io.engine.batch"), workers);
-    (void)engine.poll_completions();
-  }
-}
-
-// ---- BlockCache async protocols --------------------------------------------
+// ---- BlockCache with an engine --------------------------------------------
 
 // A file-backed store harness: blocks map 1:1 to file offsets, and the
 // sync reader/writer count their invocations so tests can prove the
-// async path bypassed them.
+// read-ahead path bypassed the reader and every write went through the
+// writer.
 struct FileStore {
   explicit FileStore(const std::filesystem::path& path, IoStats* stats,
                      std::size_t capacity)
@@ -382,7 +261,7 @@ struct FileStore {
           ++sync_writes;
           file.write_at(block * kBlock, in);
         },
-        [this](std::uint64_t block, bool) -> std::optional<AsyncTarget> {
+        [this](std::uint64_t block) -> std::optional<AsyncTarget> {
           return AsyncTarget{&file, block * kBlock};
         });
   }
@@ -472,19 +351,27 @@ TEST(AsyncIo, WriteBehindNeverServesStaleBytes) {
   // Capacity of exactly two blocks forces eviction traffic.
   FileStore fs(dir.path() / "store", &stats, 2 * kBlock);
   fs.cache.enable_async_io();
+  ASSERT_TRUE(fs.cache.async_enabled());
 
   {
     BlockHandle h = fs.cache.get(fs.store, 0);
     std::memset(h.mutable_data().data(), 0xAB, kBlock);
   }
-  // Touch enough other blocks to evict block 0 (its dirty payload goes to
-  // the engine as write-behind).
+  // Touch enough other blocks to evict block 0.  Its dirty bytes are
+  // written back on this thread, through the store's writer, before the
+  // eviction returns: the engine only reads.
   for (std::uint64_t b = 1; b <= 3; ++b) (void)fs.cache.get(fs.store, b);
+  EXPECT_EQ(fs.sync_writes, 1);
+  std::vector<std::byte> on_disk(kBlock);
+  fs.file.read_at(0, on_disk);
+  EXPECT_EQ(on_disk, std::vector<std::byte>(kBlock, std::byte{0xAB}));
 
-  // Reading block 0 again must observe 0xAB even if the write-behind has
-  // not landed yet (the cache drains before re-reading).
+  // Read back at once, through a read-ahead and through a miss alike.
+  const std::vector<std::uint64_t> blocks{0};
+  EXPECT_EQ(fs.cache.prefetch_async(fs.store, blocks), 1u);
   const BlockHandle h = fs.cache.get(fs.store, 0);
   EXPECT_EQ(h.data()[0], std::byte{0xAB});
+  EXPECT_EQ(stats.prefetch_hits, 1u);
 }
 
 TEST(AsyncIo, FlushAndDestructorDrainWriteBehind) {
@@ -499,8 +386,9 @@ TEST(AsyncIo, FlushAndDestructorDrainWriteBehind) {
       BlockHandle h = fs.cache.get(fs.store, b);
       std::memset(h.mutable_data().data(), static_cast<int>(0x10 + b), kBlock);
     }
-    // Several evictions are now queued as write-behind; the destructor
-    // must drain them before the File closes.
+    // Four evictions wrote their blocks back as they happened; the
+    // destructor writes the two still resident before the File closes.
+    EXPECT_EQ(fs.sync_writes, 4);
   }
   File file = File::open(path);
   for (std::uint64_t b = 0; b < 6; ++b) {
@@ -516,24 +404,32 @@ TEST(AsyncIo, WriteBehindErrorSurfacesAsStorageError) {
   IoStats stats(metrics);
   FileStore fs(dir.path() / "store", &stats, 2 * kBlock);
   fs.cache.enable_async_io();
+  const std::string fail_first_write =
+      "path=" + (dir.path() / "store").string() + ",op=write,kind=fail,nth=0";
   FaultInjector::instance().clear();
-  FaultInjector::instance().parse_spec(
-      "path=" + (dir.path() / "store").string() + ",op=write,kind=fail,nth=0");
+  FaultInjector::instance().parse_spec(fail_first_write);
 
-  {
-    BlockHandle h = fs.cache.get(fs.store, 0);
+  const auto dirty = [&](std::uint64_t block) {
+    BlockHandle h = fs.cache.get(fs.store, block);
     std::memset(h.mutable_data().data(), 0xAB, kBlock);
-  }
-  // Evicting block 0 hands its dirty payload to the engine, where the
-  // write fails on the worker thread.  The deferred error must come back
-  // as a StorageError on the owning thread — at the next get() or at
-  // drain — never a crash, never silence.
-  EXPECT_THROW(
-      {
-        for (std::uint64_t b = 1; b <= 3; ++b) (void)fs.cache.get(fs.store, b);
-        fs.cache.drain_pending();
-      },
-      StorageError);
+  };
+  // Unpinning block 2 evicts dirty block 0, whose write fails inside the
+  // handle's destructor.  The error is parked and must come back as a
+  // StorageError on the next get() — never a crash, never silence.
+  dirty(0);
+  (void)fs.cache.get(fs.store, 1);
+  (void)fs.cache.get(fs.store, 2);
+  EXPECT_EQ(fs.sync_writes, 1);
+  EXPECT_THROW((void)fs.cache.get(fs.store, 3), StorageError);
+
+  // The same through flush(): blocks 4, 5 and 6 push out 1, 2 and then
+  // dirty block 4, whose write fails.
+  FaultInjector::instance().clear();
+  FaultInjector::instance().parse_spec(fail_first_write);
+  dirty(4);
+  (void)fs.cache.get(fs.store, 5);
+  (void)fs.cache.get(fs.store, 6);
+  EXPECT_THROW(fs.cache.flush(), StorageError);
   FaultInjector::instance().clear();
 }
 
@@ -556,7 +452,7 @@ TEST(AsyncIo, LocatorNulloptFallsBackToSyncReader) {
       },
       // Only even blocks are async-resolvable (grDB's uninitialized
       // blocks behave this way).
-      [&](std::uint64_t block, bool) -> std::optional<AsyncTarget> {
+      [&](std::uint64_t block) -> std::optional<AsyncTarget> {
         if (block % 2 != 0) return std::nullopt;
         return AsyncTarget{&file, block * kBlock};
       });
@@ -577,7 +473,7 @@ TEST(AsyncIo, CapacityZeroCacheNeverEnablesAsync) {
   BlockCache cache(0, &stats);
   cache.enable_async_io();
   // With nothing retained between unpins there is nothing to prefetch
-  // into or write behind from.
+  // into.
   EXPECT_FALSE(cache.async_enabled());
 }
 

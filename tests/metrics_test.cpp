@@ -183,7 +183,7 @@ constexpr std::string_view kContractNames[] = {
     "ingest.payload_bytes_encoded", "ingest.payload_bytes_raw",
     "ingest.windows", "io.bytes_read", "io.bytes_written", "io.cache_evictions",
     "io.cache_hits", "io.cache_misses", "io.cache_pin_leaks",
-    "io.engine.dropped_errors", "io.engine.lanes", "io.prefetch_hits",
+    "io.engine.dropped_errors", "io.prefetch_hits",
     "io.prefetch_issued", "io.read_stalls", "io.reads", "io.syncs",
     "io.vectored_merges", "io.writes", "journal.deferred_flushes",
     "journal.group_commits", "span.bfs.level", "span.ingest.window",

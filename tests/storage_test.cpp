@@ -80,8 +80,8 @@ TEST(File, MoveTransfersDescriptor) {
   EXPECT_EQ(b.size(), 3u);
 }
 
-// A sync fdatasyncs only a handle that wrote, vectored-wrote or truncated
-// since its last sync; a clean one costs nothing and is not counted.
+// A sync fdatasyncs only a handle that wrote or truncated since its last
+// sync; a clean one costs nothing and is not counted.
 TEST(File, SyncSkipsAHandleThatSawNoWrite) {
   TempDir dir;
   MetricsRegistry metrics;
@@ -93,20 +93,15 @@ TEST(File, SyncSkipsAHandleThatSawNoWrite) {
   f.sync();
   f.sync();
   EXPECT_EQ(stats.syncs, 1u);
-  const auto payload = bytes_of("xyz");
-  const std::span<const std::byte> spans[] = {payload, payload};
-  f.write_vectored(8, spans);
-  f.sync();
-  EXPECT_EQ(stats.syncs, 2u);
   f.truncate(4);
   f.sync();
-  EXPECT_EQ(stats.syncs, 3u);
+  EXPECT_EQ(stats.syncs, 2u);
   // A write before a move carries over: the flag moves with the
   // descriptor.
   f.write_at(0, bytes_of("d"));
   File g = std::move(f);
   g.sync();
-  EXPECT_EQ(stats.syncs, 4u);
+  EXPECT_EQ(stats.syncs, 3u);
 }
 
 // A failed fdatasync leaves the handle unsynced, so the retry syncs.
@@ -393,12 +388,12 @@ TEST(BlockCache, ReusedFrameHoldsOnlyItsOwnBlock) {
         },
         // A throwing block is never read ahead, so it always reaches the
         // synchronous reader.
-        [=](std::uint64_t block, bool) -> std::optional<AsyncTarget> {
+        [=](std::uint64_t block) -> std::optional<AsyncTarget> {
           if (throws(block)) return std::nullopt;
           return AsyncTarget{file, block * size};
         }));
   }
-  cache.enable_async_io(1);
+  cache.enable_async_io();
 
   std::uint64_t rng = 0x2545F4914F6CDD1Dull;
   const auto next = [&rng] {

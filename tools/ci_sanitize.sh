@@ -25,23 +25,24 @@ FILTER+=':IoEngine.*:AsyncIo.*:PagerFreeList.*:*BfsAsyncEquivalence*'
 # mailbox wakeup protocol uses per-waiter condition variables — the codec
 # and wire-equivalence suites must stay clean under both sanitizers.
 FILTER+=':PayloadBuffer.*:VertexCodec.*:BfsWireEquivalence.*'
-# PR 5: crash-safety — the kill-point sweep and torn-write fuzz throw
-# through the eviction/write-behind paths from both threads; strided so
-# a sanitizer run stays bounded (a stride-7 sweep still crosses every
-# phase of the flush protocol).
-FILTER+=':CrashRecovery.*:*CrashRecovery*:TornWrite.*:FaultInjector.*'
+# PR 5: crash-safety — the kill-point sweeps and torn-write fuzz (the
+# crash label, run via ctest under BOTH presets below) throw through the
+# eviction write-back and flush paths; strided so a sanitizer run stays
+# bounded (a stride-7 sweep still crosses every phase of the flush
+# protocol).
 # PR 6: the concurrent query engine — scheduler admission, the shared 2Q
 # cache under eight query threads, MS-BFS equivalence, and the
 # cross-backend differential harness.  (These are also the `ctest -L
 # concurrency` label, run below under tsan via ctest so label coverage
 # and filter coverage cannot drift apart.)
 FILTER+=':ConcurrencyStress.*:MsBfsEquivalence.*:*Differential.*:BlockCache2Q.*'
-# The multi-lane I/O engine — N workers share the completion queue and
-# the quiescence predicates, and count into the registry they are given;
-# the stress suite races submit/poll/wait/drain across all of them while
-# a reader snapshots that registry live.  The full io label (engine +
-# async cache + group-commit crash sweeps) also runs via ctest under BOTH
-# presets below.
+# The one-worker read-ahead engine — its worker shares the queue, the
+# completion list and the quiescence predicates with every submitter and
+# poller, and counts into the registry it is given; the stress suite
+# races submit/poll/wait/drain from several threads while a reader
+# snapshots that registry live.  The full io label (engine + read-ahead
+# cache + pager hardening + BFS async/sync equivalence) also runs via
+# ctest under BOTH presets below.
 FILTER+=':IoEngineStress.*'
 # PR 8: the VertexProgram engine — every analysis runs one kernel thread
 # per simulated rank, all charging one shared QueryBudget and merging
@@ -114,9 +115,13 @@ run_preset() {
     ctest --test-dir "$build_dir" -L concurrency --output-on-failure
   fi
   # These labels run under BOTH presets:
-  #  - io (multi-lane engine, async cache protocols, the A13 smoke): tsan
-  #    for the lane handoffs, asan for the iovec arithmetic in the
-  #    vectored read/write paths.
+  #  - io (read-ahead engine, the cache with an engine attached, the A13
+  #    smoke): tsan for the worker's queue and completion handoffs, asan
+  #    for the iovec arithmetic in the vectored read path.
+  #  - crash (kill-point sweeps, torn-write fuzz, fault injection): the
+  #    injected failures unwind through eviction write-back, flush and
+  #    journal recovery on the cluster's node threads (tsan), and the
+  #    recovery parsers read torn journals (asan).
   #  - analytics (VertexProgram engine suites + the A14 smoke): tsan for
   #    the rank threads racing the shared budget/cache, asan for the
   #    slot/bitset arithmetic in the engine's frontier machinery.
@@ -134,7 +139,7 @@ run_preset() {
   #    asan-ubsan for the hand-written lexer over hostile bytes (the fuzz
   #    corpus exists to catch exactly the out-of-bounds reads asan sees
   #    first).
-  for label in io analytics txn serve; do
+  for label in io crash analytics txn serve; do
     echo "=== [$preset] ctest -L $label ==="
     ctest --test-dir "$build_dir" -L "$label" --output-on-failure
   done
